@@ -2,16 +2,16 @@
 
 The package models a small flying robot's software stack on a virtual clock:
 stackless cooperative coroutines (``coro``), multi-buffered frame pipelines
-(``pipeline``), virtual cameras/links/compute (``vnode``), a zero-copy packet
+(``pipeline``), virtual cameras and links (``vnode``), a zero-copy packet
 router (``cpx``), canned closed-loop workloads (``scenarios``), and a CLI with
 microbenchmarks (``cli``, ``bench``).
 """
 
 from .bench import BenchReport, microbench
-from .coro import (CoroutineContext, Event, EventLoop, RealTimeClock, TaskState,
-                   VirtualClock, coroutine, ctx_init, defer, done, event_complete,
-                   event_init, event_reset, join_all, loop_run, pulse,
-                   schedule_completion, sleep_until, spawn, wait)
+from .coro import (CoroutineContext, Event, EventLoop, TaskState, VirtualClock, call_at,
+                   coroutine, ctx_init, defer, done, event_complete, event_init,
+                   event_reset, join_all, loop_run, pulse, schedule_completion,
+                   sleep_until, spawn, wait)
 from .cpx import (BASELINE, CpxPacket, NODE_IDS, Router, RouterQueue, ZEROCOPY,
                   estimate_clock_offset, fragment_payload, packet_decode, packet_encode,
                   reassemble, router_forward, timestamp_ingress)
@@ -24,8 +24,8 @@ from .pipeline import (BufferPool, BufferState, Channel, FrameBuffer, PIPELINED,
 from .scenarios import (Metrics, Scenario, compute_metrics, expected_period_us,
                         list_scenarios, load_scenario, run_remote_scenario, run_scenario)
 from .trace import Kind, TraceEvent, TraceLog
-from .vnode import (CRTP_PRESET, Camera, CameraConfig, ComputeEngine, Link, LinkConfig,
-                    NodeGraph, STREAMING, StreamStats, TRIGGER, camera_capture,
-                    camera_stream, compute_run, link_send)
+from .vnode import (CRTP_PRESET, Camera, CameraConfig, Link, LinkConfig, NodeGraph,
+                    STREAMING, StreamStats, TRIGGER, camera_capture, camera_stream,
+                    link_send)
 
 __version__ = "0.1.0"

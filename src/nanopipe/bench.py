@@ -1,8 +1,9 @@
 """Microbenchmarks: context-switch cost, event completion, packet encoding.
 
 Sub-microsecond operations cannot be timed one by one, so each sample times a
-batch and divides; medians and p99s are taken over the batch samples. Run on
-the wall clock (real-time loop mode), with the collector paused.
+batch and divides; medians and p99s are taken over the batch samples, timed on
+the wall clock with the collector paused. The benchmarked loops run on a
+virtual clock; they set no timers, so virtual time never advances.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .coro import (CoroutineContext, EventLoop, RealTimeClock, coroutine, ctx_init, defer,
+from .coro import (CoroutineContext, EventLoop, VirtualClock, coroutine, ctx_init, defer,
                    done, event_complete, event_init, event_reset, loop_run, spawn, wait)
 from .cpx import CpxPacket, packet_encode
 from .errors import ConfigError
@@ -86,7 +87,7 @@ def bench_ctx_switch(switches_per_batch: int = 1000, batches: int = 1000) -> Ben
     count. Waking a suspended task through an event is the separate
     ``event_complete`` benchmark.
     """
-    loop = EventLoop(RealTimeClock(), name="bench")
+    loop = EventLoop(VirtualClock(), name="bench")
 
     def op(n):
         spawn(loop, ctx_init(_yielder_body, _Yielder(n), label="yielder"))
@@ -102,7 +103,7 @@ def bench_ctx_switch(switches_per_batch: int = 1000, batches: int = 1000) -> Ben
 
 
 def bench_event_complete(batch: int = 2000, batches: int = 500) -> BenchReport:
-    loop = EventLoop(RealTimeClock(), name="bench")
+    loop = EventLoop(VirtualClock(), name="bench")
     ev = event_init("bench")
 
     def op(n):

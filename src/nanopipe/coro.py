@@ -7,6 +7,9 @@ completes, ``defer(then)`` to yield and be re-queued, or ``done()`` to end.
 Bodies keep no locals across steps: anything that must survive a suspension
 lives behind ``ctx.args``.
 
+Devices that make no decisions need no task: ``call_at`` runs a plain callback
+off the same timer heap that completes events.
+
 Several loops (one per simulated node, each with a fixed clock offset) may
 share one virtual clock and are driven together; see ``loop_run``.
 """
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import struct
-import time
 from collections import deque
 from enum import IntEnum
 from typing import Callable, Optional
@@ -208,29 +210,16 @@ def pulse(loop: "EventLoop", ev: Event) -> None:
 class VirtualClock:
     """Global simulated time in integer microseconds, shared by loops."""
 
-    mode = "virtual"
-
     def __init__(self):
         self.now = 0
         self.loops: list[EventLoop] = []
 
 
-class RealTimeClock:
-    """Wall-clock time for microbenchmarks only; no timer support needed."""
-
-    mode = "real"
-
-    def __init__(self):
-        self._epoch = time.perf_counter_ns()
-        self.loops: list[EventLoop] = []
-
-    @property
-    def now(self) -> int:
-        return (time.perf_counter_ns() - self._epoch) // 1000
-
-
 class EventLoop:
-    """FIFO ready queue plus a deadline-ordered timer queue on a shared clock."""
+    """FIFO ready queue plus a deadline-ordered timer queue on a shared clock.
+
+    The ready queue holds task contexts and due ``call_at`` callbacks.
+    """
 
     def __init__(self, clock=None, name: str = "node0", offset_us: int = 0,
                  trace: Optional[TraceLog] = None):
@@ -239,7 +228,7 @@ class EventLoop:
         self.name = name
         self.offset_us = offset_us
         self.ready: deque = deque()
-        self.timers: list = []      # heap of (global_deadline, seq, Event)
+        self.timers: list = []      # heap of (global_deadline, seq, Event or callable)
         self._timer_seq = 0
         self._trace = trace
         self.dispatch_count = 0
@@ -248,10 +237,6 @@ class EventLoop:
     def now(self) -> int:
         """This node's local clock: global time plus the configured offset."""
         return self.clock.now + self.offset_us
-
-    @property
-    def mode(self) -> str:
-        return self.clock.mode
 
     def complete(self, ev: Event) -> None:
         event_complete(self, ev)
@@ -277,6 +262,20 @@ def schedule_completion(loop: EventLoop, ev: Event, deadline_us: int) -> None:
         return
     loop._timer_seq += 1
     heapq.heappush(loop.timers, (deadline_us - loop.offset_us, loop._timer_seq, ev))
+
+
+def call_at(loop: EventLoop, deadline_us: int, fn: Callable[[], None]) -> None:
+    """Call ``fn()`` when ``loop``'s local clock reaches ``deadline_us``.
+
+    When the timer fires, ``fn`` joins the ready queue where a task woken by
+    that timer would, so it runs in the same order against tasks woken at the
+    same instant. A deadline at or before the current time calls ``fn`` at once.
+    """
+    if deadline_us <= loop.now:
+        fn()
+        return
+    loop._timer_seq += 1
+    heapq.heappush(loop.timers, (deadline_us - loop.offset_us, loop._timer_seq, fn))
 
 
 def sleep_until(loop: EventLoop, deadline_us: int, label: str = "timer") -> Event:
@@ -335,7 +334,11 @@ def _drain(clock) -> None:
         for loop in loops:
             ready = loop.ready
             while ready:
-                _dispatch(loop, ready.popleft())
+                item = ready.popleft()
+                if item.__class__ is CoroutineContext:
+                    _dispatch(loop, item)
+                else:
+                    item()
                 progressed = True
 
 
@@ -345,8 +348,11 @@ def _fire_due_timers(clock) -> bool:
     for loop in clock.loops:
         timers = loop.timers
         while timers and timers[0][0] <= now:
-            _, _, ev = heapq.heappop(timers)
-            event_complete(loop, ev)
+            _, _, due = heapq.heappop(timers)
+            if due.__class__ is Event:
+                event_complete(loop, due)
+            else:
+                loop.ready.append(due)
             fired = True
     return fired
 
@@ -358,9 +364,6 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
     earliest pending timer deadline. Runs are bit-deterministic: loops are
     serviced in registration order and all queues are FIFO.
     """
-    if clock.mode == "real":
-        _run_real(clock, until_time)
-        return
     while True:
         _drain(clock)
         if _fire_due_timers(clock):
@@ -378,22 +381,6 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
                 clock.now = until_time
             return
         clock.now = deadline
-
-
-def _run_real(clock, until_time: Optional[int]) -> None:
-    # Minimal real-time driver: used by microbenchmarks, which never set timers.
-    while True:
-        _drain(clock)
-        deadline = None
-        for loop in clock.loops:
-            if loop.timers and (deadline is None or loop.timers[0][0] < deadline):
-                deadline = loop.timers[0][0]
-        if deadline is None or (until_time is not None and deadline > until_time):
-            return
-        lag = (deadline - clock.now) / 1e6
-        if lag > 0:
-            time.sleep(lag)
-        _fire_due_timers(clock)
 
 
 def loop_run(loop: EventLoop, until: Optional[int] = None) -> None:

@@ -26,11 +26,12 @@ from .coro import (coroutine, ctx_init, done, event_init, loop_run, schedule_com
                    sleep_until, spawn, wait)
 from .cpx import (BASELINE, FUNCTION_APP_STREAM, NODE_IDS, ROUTER_MODES, ZEROCOPY,
                   CpxPacket, Router, estimate_clock_offset)
-from .errors import ConfigError, MetricsError
+from .errors import ConfigError, MetricsError, OracleUnavailable
+from .oracle import analytic_oracle
 from .pipeline import MODES, PIPELINED, SERIALIZED, Channel, ResourceBusy, pool_create
 from .trace import Kind, TraceLog
-from .vnode import (Camera, CameraConfig, ComputeEngine, LinkConfig, NodeGraph, STREAMING,
-                    TRIGGER, camera_capture, camera_stream)
+from .vnode import (Camera, CameraConfig, LinkConfig, NodeGraph, STREAMING, TRIGGER,
+                    camera_capture, camera_stream)
 
 FUNCTION_PING = 6
 
@@ -730,9 +731,8 @@ def _run_remote(spec: Scenario):
     spawn(host, ctx_init(_host_rx_body,
                          _Rec(rx=links["wifi_up"].rx, ping_ch=ping_ch, job_ch=job_ch),
                          label="host-rx"))
-    engine = ComputeEngine(host, "inference", graph.trace)
     spawn(host, ctx_init(_host_compute_body,
-                         _Rec(loop=host, job_ch=job_ch, engine=engine.resource,
+                         _Rec(loop=host, job_ch=job_ch, engine=ResourceBusy(host, "inference"),
                               duration_us=spec.host_compute_us, queue=spi_q,
                               link=links["wifi_down"], result_bytes=spec.result_bytes,
                               trace=graph.trace, frame=None, ev=None),
@@ -785,18 +785,6 @@ def _run_remote(spec: Scenario):
 
 
 @coroutine
-def _stream_host_sink_body(ctx):
-    st = ctx.args
-    while True:
-        msg = st.rx.try_get()
-        if msg is None:
-            return wait(st.rx.ready_event, then=0)
-        frame = msg.payload.meta
-        st.trace.emit(st.loop, Kind.STAGE_START, "sink", frame)
-        st.trace.emit(st.loop, Kind.STAGE_END, "sink", frame)
-
-
-@coroutine
 def _fill_producer_body(ctx):
     # free-running frame source: fill each buffer for the capture time
     st = ctx.args
@@ -830,8 +818,9 @@ def _run_stream(spec: Scenario):
 
     pool = pool_create(gap8, spec.pool_size, spec.frame_bytes)
     frame_ch = Channel(gap8, "frames")
-    spawn(host, ctx_init(_stream_host_sink_body,
-                         _Rec(rx=links["wifi_up"].rx, loop=host, trace=graph.trace),
+    spawn(host, ctx_init(_sink_body,
+                         _Rec(rx=links["wifi_up"].rx, loop=host, trace=graph.trace,
+                              notify_loop=None, pending=None),
                          label="sink"))
     spawn(gap8, ctx_init(_image_sender_body,
                          _Rec(loop=gap8, in_ch=frame_ch, queue=router.queues["wifi"],
@@ -870,11 +859,12 @@ def run_remote_scenario(spec: Scenario):
 def expected_period_us(spec: Scenario) -> int:
     """Closed-form steady-state period for the scenario's configuration.
 
-    Covers onboard runs in both modes and pipelined remote/stream runs; the
-    reply-path legs of a remote loop are assumed non-binding (they move a few
-    bytes). Raises OracleUnavailable for shapes outside the closed form.
+    Builds the scenario's stage list and takes the ``analytic_oracle`` period
+    of it, never faster than the camera pacing. Covers onboard runs in both
+    modes and pipelined remote/stream runs; the reply-path legs of a remote
+    loop are assumed non-binding (they move a few bytes). Raises
+    OracleUnavailable for shapes outside the closed form.
     """
-    from .errors import OracleUnavailable
     wire = spec.frame_bytes + 4
     if spec.pool_size == 1 and spec.mode == PIPELINED and spec.rate_hz is not None:
         raise OracleUnavailable(
@@ -893,8 +883,4 @@ def expected_period_us(spec: Scenario) -> int:
             stages = [spec.readout_us, spi + copy_us + wifi]
         if spec.kind == "remote":
             stages.append(spec.host_compute_us)
-    if spec.mode == SERIALIZED or spec.pool_size == 1:
-        period = sum(stages)
-    else:
-        period = max(stages)
-    return max(period, spec.frame_period_us)
+    return max(analytic_oracle(stages, spec.mode, spec.pool_size), spec.frame_period_us)

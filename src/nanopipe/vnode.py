@@ -1,22 +1,23 @@
-"""Virtual devices and links: cameras, timed compute engines, point-to-point links.
+"""Virtual devices and links: cameras, point-to-point links, the node graph.
 
-Every device is a set of coroutines on its node's loop. Links serialize one
-message at a time; the sender-side completion fires when the last byte leaves
-the sender, while delivery fires at the receiver ``base_latency +
-serialization + injected_delay`` after the transfer started, which is what
-lets consecutive hops overlap.
+Cameras and links make no decisions: each serves one request at a time, in
+arrival order. They are FIFO servers worked out with arithmetic, ``start =
+max(now, free_at)``, that act at the instants it gives through ``call_at``
+timer callbacks rather than as tasks. A link's sender-side completion fires
+when the last byte leaves the sender, while delivery fires at the receiver
+``base_latency + serialization + injected_delay`` after the transfer started,
+which is what lets consecutive hops overlap.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .coro import (Event, EventLoop, VirtualClock, coroutine, ctx_init, done, event_complete,
-                   event_init, pulse, schedule_completion, sleep_until, spawn, wait)
+from .coro import (Event, EventLoop, VirtualClock, call_at, event_complete, event_init,
+                   schedule_completion)
 from .errors import ConfigError, UsageError
-from .pipeline import BufferPool, BufferState, Channel, FrameBuffer, ResourceBusy
+from .pipeline import BufferPool, BufferState, Channel, FrameBuffer
 from .trace import Kind, TraceLog
 
 TRIGGER = "trigger"
@@ -75,42 +76,8 @@ class Camera:
         self.config = config
         self.trace = trace
         self.stage_name = stage_name
-        self.resource = ResourceBusy(loop, "camera")
+        self.free_at = loop.now         # local time a trigger request can next start
         self._seq = 0
-
-
-class _CaptureJob:
-    __slots__ = ("cam", "buf", "done_ev", "sleep_ev", "seq")
-
-    def __init__(self, cam, buf, done_ev):
-        self.cam = cam
-        self.buf = buf
-        self.done_ev = done_ev
-        self.sleep_ev = None
-        self.seq = -1
-
-
-@coroutine
-def _trigger_capture_body(ctx):
-    st = ctx.args
-    cam = st.cam
-    loop = cam.loop
-    if ctx.resume_point == 0:
-        if not cam.resource.try_acquire():
-            return wait(cam.resource.free_event, then=0)
-        st.seq = cam._seq
-        cam._seq += 1
-        cam.trace.emit(loop, Kind.STAGE_START, cam.stage_name, st.seq)
-        cfg = cam.config
-        readout = cfg.readout_us if st.buf.capacity > 0 else 0
-        st.sleep_ev = sleep_until(loop, loop.now + cfg.trigger_setup_us + readout, "capture")
-        return wait(st.sleep_ev, then=1)
-    cam.trace.emit(loop, Kind.STAGE_END, cam.stage_name, st.seq)
-    st.buf.fill()
-    st.buf.make_ready(st.seq)
-    cam.resource.release()
-    event_complete(loop, st.done_ev)
-    return done()
 
 
 def camera_capture(cam: Camera, buf: FrameBuffer, done_ev: Event) -> None:
@@ -123,69 +90,21 @@ def camera_capture(cam: Camera, buf: FrameBuffer, done_ev: Event) -> None:
         buf.begin_fill()
     elif buf.state != BufferState.FILLING:
         raise UsageError(f"capture into buffer in state {buf.state.name}")
-    spawn(cam.loop, ctx_init(_trigger_capture_body, _CaptureJob(cam, buf, done_ev),
-                             label="trigger-capture"))
-
-
-class _StreamRun:
-    __slots__ = ("cam", "pool", "on_frame", "frames", "stats", "n", "t0",
-                 "buf", "sleep_ev", "deliveries")
-
-    def __init__(self, cam, pool, on_frame, frames, stats):
-        self.cam = cam
-        self.pool = pool
-        self.on_frame = on_frame
-        self.frames = frames
-        self.stats = stats
-        self.n = 0
-        self.t0 = cam.loop.now
-        self.buf = None
-        self.sleep_ev = None
-        self.deliveries = []
-
-
-@coroutine
-def _stream_body(ctx):
-    st = ctx.args
-    cam = st.cam
     loop = cam.loop
-    period = cam.config.frame_period_us
-    while True:
-        if ctx.resume_point == 0:
-            if st.n == st.frames:
-                _finish_stream_stats(st, period)
-                return done()
-            st.sleep_ev = sleep_until(loop, st.t0 + st.n * period, "frame-tick")
-            return wait(st.sleep_ev, then=1)
-        if ctx.resume_point == 1:
-            buf = st.pool.try_acquire()
-            if buf is None:
-                # no Free buffer at frame start: the sensor output is lost
-                cam.trace.emit(loop, Kind.DROP, cam.stage_name, st.n)
-                st.stats.dropped += 1
-                st.n += 1
-                ctx.resume_point = 0
-                continue
-            st.buf = buf
-            cam.trace.emit(loop, Kind.STAGE_START, cam.stage_name, st.n)
-            st.sleep_ev = sleep_until(loop, loop.now + cam.config.readout_us, "readout")
-            return wait(st.sleep_ev, then=2)
-        cam.trace.emit(loop, Kind.STAGE_END, cam.stage_name, st.n)
-        st.buf.fill()
-        st.buf.make_ready(st.n)
-        st.stats.delivered += 1
-        st.deliveries.append(loop.now)
-        st.on_frame(st.buf, st.n)
-        st.buf = None
-        st.n += 1
-        ctx.resume_point = 0
+    cfg = cam.config
+    seq = cam._seq
+    cam._seq += 1
+    start = max(loop.now, cam.free_at)
+    cam.free_at = start + cfg.trigger_setup_us + (cfg.readout_us if buf.capacity > 0 else 0)
 
+    def finish():
+        cam.trace.emit(loop, Kind.STAGE_END, cam.stage_name, seq)
+        buf.fill()
+        buf.make_ready(seq)
+        event_complete(loop, done_ev)
 
-def _finish_stream_stats(st, period):
-    worst = 0
-    for a, b in zip(st.deliveries, st.deliveries[1:]):
-        worst = max(worst, abs((b - a) - period))
-    st.stats.jitter_us = worst
+    call_at(loop, start, lambda: cam.trace.emit(loop, Kind.STAGE_START, cam.stage_name, seq))
+    call_at(loop, cam.free_at, finish)
 
 
 def camera_stream(cam: Camera, pool: BufferPool, on_frame: Callable,
@@ -195,9 +114,41 @@ def camera_stream(cam: Camera, pool: BufferPool, on_frame: Callable,
     and counted; returns the live stats record, final once the loop is idle."""
     if cam.config.mode != STREAMING:
         raise UsageError("camera_stream requires streaming mode")
+    loop = cam.loop
+    period = cam.config.frame_period_us
+    readout_us = cam.config.readout_us
+    t0 = loop.now
     stats = StreamStats()
-    spawn(cam.loop, ctx_init(_stream_body, _StreamRun(cam, pool, on_frame, frames, stats),
-                             label="camera-stream"))
+    last_delivery = t0
+
+    def tick(n):
+        buf = pool.try_acquire()
+        if buf is None:
+            # no Free buffer at frame start: the sensor output is lost
+            cam.trace.emit(loop, Kind.DROP, cam.stage_name, n)
+            stats.dropped += 1
+            next_tick(n + 1)
+            return
+        cam.trace.emit(loop, Kind.STAGE_START, cam.stage_name, n)
+        call_at(loop, loop.now + readout_us, lambda: read_out(n, buf))
+
+    def read_out(n, buf):
+        nonlocal last_delivery
+        cam.trace.emit(loop, Kind.STAGE_END, cam.stage_name, n)
+        buf.fill()
+        buf.make_ready(n)
+        if stats.delivered:
+            stats.jitter_us = max(stats.jitter_us, abs(loop.now - last_delivery - period))
+        stats.delivered += 1
+        last_delivery = loop.now
+        on_frame(buf, n)
+        next_tick(n + 1)
+
+    def next_tick(n):
+        if n < frames:
+            call_at(loop, t0 + n * period, lambda: tick(n))
+
+    next_tick(0)
     return stats
 
 
@@ -234,7 +185,11 @@ class Received:
 
 
 class Link:
-    """Directed point-to-point link between two node loops."""
+    """Directed point-to-point link between two node loops.
+
+    A FIFO server: messages serialize one at a time in send order, so each
+    one's timing follows from the sender's ``free_at`` when it is sent.
+    """
 
     def __init__(self, cfg: LinkConfig, src: EventLoop, dst: EventLoop,
                  trace: TraceLog, rng=None):
@@ -248,19 +203,15 @@ class Link:
         self.bytes_delivered = 0
         self.messages_sent = 0
         self.messages_delivered = 0
-        self._tx_ch = Channel(src, f"{cfg.name}-tx")
-        self._inflight: deque = deque()
-        self._rx_kick = event_init(f"{cfg.name}-rx-kick")
-        self._pending = None            # tx pump bookkeeping across suspensions
-        self._acct = 0
-        spawn(src, ctx_init(_link_tx_body, self, label=f"{cfg.name}-tx"))
-        spawn(dst, ctx_init(_link_rx_body, self, label=f"{cfg.name}-rx"))
+        self.free_at = src.clock.now    # global time the last queued byte leaves
 
     def send(self, payload, nbytes: int, done_ev: Optional[Event] = None,
              meta=None, frame: Optional[int] = None) -> Event:
         """Queue a message; returns the receiver-side delivery event.
 
         ``done_ev`` (if given) completes when the last byte leaves the sender.
+        The sent counters count a message when it is queued, the delivered
+        counters when it arrives.
         """
         if nbytes < 0:
             raise UsageError("negative message size")
@@ -268,61 +219,30 @@ class Link:
         if nbytes > cfg.mtu and not cfg.segmentation:
             raise UsageError(
                 f"{nbytes} B exceeds the {cfg.mtu} B mtu and segmentation is disabled")
+        src, dst = self.src, self.dst
+        ser = cfg.serialization_us(nbytes)
+        if cfg.jitter_us and self.rng is not None:
+            ser = max(1, ser + self.rng.randint(-cfg.jitter_us, cfg.jitter_us))
+        start = max(src.clock.now, self.free_at)
+        self.free_at = start + ser
+        self.bytes_sent += nbytes
+        self.messages_sent += 1
+        call_at(src, start + src.offset_us,
+                lambda: self.trace.emit(src, Kind.LINK_TX_START, cfg.name, frame))
+        first_byte = start + cfg.base_latency_us + cfg.injected_delay_us + dst.offset_us
         delivery = event_init(f"{cfg.name}-delivery")
-        self._tx_ch.put((payload, nbytes, done_ev, delivery, meta, frame))
+        received = Received(payload, nbytes, meta, first_byte)
+        call_at(dst, first_byte + ser, lambda: self._deliver(delivery, received, frame))
+        if done_ev is not None:
+            schedule_completion(src, done_ev, self.free_at + src.offset_us)
         return delivery
 
-
-@coroutine
-def _link_tx_body(ctx):
-    link = ctx.args
-    loop = link.src
-    cfg = link.cfg
-    while True:
-        if ctx.resume_point == 0:
-            req = link._tx_ch.try_get()
-            if req is None:
-                return wait(link._tx_ch.ready_event, then=0)
-            payload, nbytes, done_ev, delivery, meta, frame = req
-            link.trace.emit(loop, Kind.LINK_TX_START, cfg.name, frame)
-            ser = cfg.serialization_us(nbytes)
-            if cfg.jitter_us and link.rng is not None:
-                ser = max(1, ser + link.rng.randint(-cfg.jitter_us, cfg.jitter_us))
-            start_global = loop.now - loop.offset_us
-            first_byte_global = start_global + cfg.base_latency_us + cfg.injected_delay_us
-            last_byte_global = first_byte_global + ser
-            dst = link.dst
-            schedule_completion(dst, delivery, last_byte_global + dst.offset_us)
-            link._inflight.append(
-                (delivery, Received(payload, nbytes, meta, first_byte_global + dst.offset_us),
-                 frame))
-            pulse(dst, link._rx_kick)
-            if done_ev is not None:
-                schedule_completion(loop, done_ev, loop.now + ser)
-            link._pending = sleep_until(loop, loop.now + ser, f"{cfg.name}-ser")
-            link._acct = nbytes
-            return wait(link._pending, then=1)
-        # serialization finished: the link is free for the next message
-        link.bytes_sent += link._acct
-        link.messages_sent += 1
-        ctx.resume_point = 0
-
-
-@coroutine
-def _link_rx_body(ctx):
-    link = ctx.args
-    loop = link.dst
-    while True:
-        if ctx.resume_point == 0:
-            if not link._inflight:
-                return wait(link._rx_kick, then=0)
-            return wait(link._inflight[0][0], then=1)
-        _, received, frame = link._inflight.popleft()
-        link.trace.emit(loop, Kind.LINK_RX_END, link.cfg.name, frame)
-        link.bytes_delivered += received.nbytes
-        link.messages_delivered += 1
-        link.rx.put(received)
-        ctx.resume_point = 0
+    def _deliver(self, delivery: Event, received: Received, frame: Optional[int]) -> None:
+        self.trace.emit(self.dst, Kind.LINK_RX_END, self.cfg.name, frame)
+        self.bytes_delivered += received.nbytes
+        self.messages_delivered += 1
+        event_complete(self.dst, delivery)
+        self.rx.put(received)
 
 
 def link_send(link: Link, payload, nbytes: int, done_ev: Optional[Event] = None,
@@ -334,61 +254,6 @@ def link_send(link: Link, payload, nbytes: int, done_ev: Optional[Event] = None,
 # carries setpoints and logging only, so packet semantics are not modeled.
 CRTP_PRESET = LinkConfig(name="crtp", bandwidth_bps=2_000_000,
                          base_latency_us=1000, mtu=31)
-
-
-# --- compute ------------------------------------------------------------------
-
-class ComputeEngine:
-    """Single-server execution resource; overlapping dispatches queue FIFO."""
-
-    def __init__(self, loop: EventLoop, name: str, trace: TraceLog):
-        self.loop = loop
-        self.name = name
-        self.trace = trace
-        self.resource = ResourceBusy(loop, name)
-
-
-class _ComputeJob:
-    __slots__ = ("engine", "duration_us", "in_buf", "out", "done_ev", "frame", "sleep_ev")
-
-    def __init__(self, engine, duration_us, in_buf, out, done_ev, frame):
-        self.engine = engine
-        self.duration_us = duration_us
-        self.in_buf = in_buf
-        self.out = out
-        self.done_ev = done_ev
-        self.frame = frame
-        self.sleep_ev = None
-
-
-@coroutine
-def _compute_body(ctx):
-    st = ctx.args
-    eng = st.engine
-    loop = eng.loop
-    if ctx.resume_point == 0:
-        if not eng.resource.try_acquire():
-            return wait(eng.resource.free_event, then=0)
-        eng.trace.emit(loop, Kind.STAGE_START, eng.name, st.frame)
-        st.sleep_ev = sleep_until(loop, loop.now + st.duration_us, f"{eng.name}-run")
-        return wait(st.sleep_ev, then=1)
-    eng.trace.emit(loop, Kind.STAGE_END, eng.name, st.frame)
-    if st.out is not None:
-        st.out["sequence"] = st.in_buf.sequence if st.in_buf is not None else st.frame
-        st.out["t_us"] = loop.now
-    eng.resource.release()
-    event_complete(loop, st.done_ev)
-    return done()
-
-
-def compute_run(engine: ComputeEngine, duration_us: int, in_buf: Optional[FrameBuffer],
-                out: Optional[dict], done_ev: Event, frame: Optional[int] = None) -> None:
-    """Dispatch one job to the engine; ``done_ev`` completes after it ran."""
-    if in_buf is not None and in_buf.state not in (BufferState.READY, BufferState.IN_USE):
-        raise UsageError(f"compute input buffer in state {in_buf.state.name}")
-    spawn(engine.loop, ctx_init(_compute_body,
-                                _ComputeJob(engine, duration_us, in_buf, out, done_ev, frame),
-                                label=f"{engine.name}-job"))
 
 
 # --- node graph ----------------------------------------------------------------

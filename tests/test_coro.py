@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanopipe.coro import (CoroutineContext, Event, EventLoop, TaskState, VirtualClock,
-                           coroutine, ctx_init, defer, done, event_complete, event_init,
-                           event_reset, join_all, loop_run, sleep_until, spawn, wait)
+                           call_at, coroutine, ctx_init, defer, done, event_complete,
+                           event_init, event_reset, join_all, loop_run, sleep_until, spawn,
+                           wait)
 from nanopipe.errors import ConfigError, UsageError
 from nanopipe.trace import Kind, TraceLog
 
@@ -369,6 +370,30 @@ def test_timers_fire_in_deadline_order():
     assert loop.now == 30
 
 
+def test_call_at_runs_callbacks_at_their_deadlines_without_tasks():
+    loop, _ = fresh_loop()
+    fired = []
+    for deadline in (30, 10, 20):
+        call_at(loop, deadline, lambda d=deadline: fired.append((d, loop.now)))
+    call_at(loop, 0, lambda: fired.append(("now", loop.now)))     # due: runs at once
+    assert fired == [("now", 0)]
+    loop_run(loop)
+    assert fired[1:] == [(10, 10), (20, 20), (30, 30)]
+    assert loop.dispatch_count == 0
+
+
+def test_call_at_callback_keeps_its_place_among_tasks_woken_at_the_same_instant():
+    # a due callback runs where a task woken by the same timer would, so the
+    # order at a tie follows the order the timers were set in
+    loop, _ = fresh_loop()
+    log = []
+    ev = sleep_until(loop, 100, "first")
+    call_at(loop, 100, lambda: log.append("callback"))
+    spawn(loop, ctx_init(single_waiter, {"event": ev, "log": log}))
+    loop_run(loop)
+    assert log == ["before", "after", "callback"]
+
+
 def test_loop_run_until_time_stops_clock_there():
     loop, _ = fresh_loop()
     ev = sleep_until(loop, 1000)
@@ -535,27 +560,6 @@ def test_packed_context_round_trips_and_resumes_identically():
     loop_run(loop)
     assert log == ["before", "after"]
     assert clone.state == TaskState.ENDED
-
-
-def test_real_time_loop_runs_tasks():
-    from nanopipe.coro import RealTimeClock
-    loop = EventLoop(RealTimeClock(), name="rt")
-    assert loop.mode == "real"
-    log = []
-    spawn(loop, ctx_init(recorder, (log, "t")))
-    loop_run(loop)
-    assert log == ["t"]
-
-
-def test_real_time_timer_fires_after_wall_delay():
-    import time as _time
-    from nanopipe.coro import RealTimeClock
-    loop = EventLoop(RealTimeClock(), name="rt")
-    ev = sleep_until(loop, loop.now + 2000)       # 2 ms of wall clock
-    t0 = _time.perf_counter()
-    loop_run(loop)
-    assert ev.completed
-    assert _time.perf_counter() - t0 >= 0.0015
 
 
 def test_trace_timestamps_monotone_per_node():

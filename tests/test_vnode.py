@@ -1,4 +1,4 @@
-"""Camera, link, and compute-engine device models."""
+"""Camera and link device models."""
 
 import pytest
 
@@ -7,9 +7,8 @@ from nanopipe.coro import (EventLoop, VirtualClock, coroutine, ctx_init, done, e
 from nanopipe.errors import ConfigError, UsageError
 from nanopipe.pipeline import BufferState, FrameBuffer, ResourceBusy, pool_create
 from nanopipe.trace import Kind, TraceLog
-from nanopipe.vnode import (CRTP_PRESET, Camera, CameraConfig, ComputeEngine, LinkConfig,
-                            Link, NodeGraph, STREAMING, TRIGGER, camera_capture,
-                            camera_stream, compute_run, link_send)
+from nanopipe.vnode import (CRTP_PRESET, Camera, CameraConfig, LinkConfig, Link, NodeGraph,
+                            STREAMING, TRIGGER, camera_capture, camera_stream, link_send)
 
 
 def fresh_loop(name="n0", offset=0, clock=None):
@@ -212,6 +211,23 @@ def test_injected_delay_shifts_every_delivery_exactly():
     assert [b - a for a, b in zip(times[0], times[1])] == [500_000] * 3
 
 
+def test_queued_sends_serialize_back_to_back_without_tasks():
+    # a link is a FIFO server: each message starts when the previous one's
+    # last byte is out, and delivery follows base latency + serialization later
+    link, src, dst = two_node_link(
+        LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=300, mtu=65536),
+        off_dst=50)
+    done = [event_init(f"done{i}") for i in range(3)]
+    for i, ev in enumerate(done):
+        link.send(b"", 1000, ev, frame=i)          # 1 ms on the wire each
+    loop_run(src, until=2000)
+    assert [ev.completed for ev in done] == [True, True, False]
+    loop_run(src)
+    assert link.trace.times(Kind.LINK_TX_START, "l") == [0, 1000, 2000]
+    assert link.trace.times(Kind.LINK_RX_END, "l") == [1350, 2350, 3350]
+    assert src.dispatch_count == dst.dispatch_count == 0
+
+
 def test_zero_byte_send_delivers_at_base_latency():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=1_000_000, base_latency_us=700, mtu=64))
@@ -275,58 +291,6 @@ def test_first_byte_timestamp_uses_receiver_clock():
     msg = link.rx.try_get()
     # first byte lands base_latency after tx start, on the receiver's clock
     assert msg.first_byte_ts == 200 + 1000
-
-
-# --- compute ---
-
-def test_compute_zero_duration_completes_same_instant():
-    loop = fresh_loop()
-    engine = ComputeEngine(loop, "cluster", loop._trace)
-    buf = FrameBuffer(0, 16)
-    buf.begin_fill()
-    buf.make_ready(7)
-    out = {}
-    done_ev = event_init()
-    loop.clock.now = 42
-    compute_run(engine, 0, buf, out, done_ev, frame=7)
-    loop_run(loop)
-    assert done_ev.completed
-    assert out == {"sequence": 7, "t_us": 42}
-    assert loop.now == 42
-
-
-def test_compute_requires_ready_input():
-    loop = fresh_loop()
-    engine = ComputeEngine(loop, "cluster", loop._trace)
-    with pytest.raises(UsageError):
-        compute_run(engine, 10, FrameBuffer(0, 16), {}, event_init())
-
-
-def test_overlapping_dispatches_queue_fifo():
-    loop = fresh_loop()
-    engine = ComputeEngine(loop, "cluster", loop._trace)
-    outs = [{} for _ in range(3)]
-    for i, out in enumerate(outs):
-        compute_run(engine, 1000, None, out, event_init(), frame=i)
-    loop_run(loop)
-    assert [o["t_us"] for o in outs] == [1000, 2000, 3000]
-
-
-def test_inference_rate_examples():
-    # 20.83 ms -> ~48 Hz sustained; 90.91 ms -> ~11 Hz ceiling
-    loop = fresh_loop()
-    engine = ComputeEngine(loop, "cluster", loop._trace)
-    for i in range(20):
-        compute_run(engine, 20830, None, None, event_init(), frame=i)
-    loop_run(loop)
-    assert abs(20 / (loop.now / 1e6) - 48.0) < 0.1
-
-    loop2 = fresh_loop()
-    engine2 = ComputeEngine(loop2, "cluster", loop2._trace)
-    for i in range(20):
-        compute_run(engine2, 90910, None, None, event_init(), frame=i)
-    loop_run(loop2)
-    assert abs(20 / (loop2.now / 1e6) - 11.0) < 0.05
 
 
 # --- node graph ---
