@@ -1,14 +1,19 @@
-"""Golden metrics: every fixture in every mode and router mode, byte for byte.
+"""Golden outputs: every fixture in every mode and router mode, byte for byte.
 
 ``tests/golden/metrics.json`` holds the parsed ``metrics.json`` of each legal
-(fixture, mode, router mode) case. A refactor of the runtime or the device
-models must leave every simulated number unchanged, so any difference here is
-a bug unless the change is shown to correct a wrong number.
+(fixture, mode, router mode) case. ``tests/golden/domain_trace.json`` holds,
+for the same cases, the record count and the SHA-256 of ``trace.csv`` with the
+runtime-internal records (Spawn, Suspend, Resume, EventComplete) left out.
+A refactor of the runtime or the device models must leave every simulated
+number and every domain record unchanged, so any difference here is a bug
+unless the change is shown to correct a wrong number.
 
-Regenerate (only after such a correction) with ``python tests/test_golden.py``.
+``python tests/test_golden.py`` regenerates both files. Regenerate either one
+only for a change shown to correct a number.
 """
 
 import dataclasses
+import hashlib
 import json
 import pathlib
 
@@ -18,8 +23,12 @@ from nanopipe.cpx import ROUTER_MODES
 from nanopipe.errors import ConfigError
 from nanopipe.pipeline import MODES, PIPELINED
 from nanopipe.scenarios import list_scenarios, load_scenario, run_scenario
+from nanopipe.trace import Kind
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "metrics.json"
+DOMAIN_TRACE = pathlib.Path(__file__).parent / "golden" / "domain_trace.json"
+
+RUNTIME_KINDS = (Kind.SPAWN, Kind.SUSPEND, Kind.RESUME, Kind.EVENT_COMPLETE)
 
 CASES = [(name, mode, router)
          for name, _, _ in list_scenarios() for mode in MODES for router in ROUTER_MODES]
@@ -36,6 +45,15 @@ def _legal(name, mode):
 def _metrics_json(name, mode, router):
     _, metrics = run_scenario(_spec(name, mode, router))
     return metrics.to_json()
+
+
+def _domain_digest(name, mode, router):
+    """Record count and SHA-256 of the case's ``trace.csv``, runtime records left out."""
+    trace, _ = run_scenario(_spec(name, mode, router))
+    lines = [line for line in trace.to_csv().splitlines(keepends=True)
+             if line.split(",")[2] not in RUNTIME_KINDS]
+    return {"records": len(lines) - 1,
+            "sha256": hashlib.sha256("".join(lines).encode()).hexdigest()}
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +80,9 @@ def test_golden_covers_exactly_the_legal_cases(golden):
 
 
 if __name__ == "__main__":
-    out = {f"{n}/{m}/{r}": json.loads(_metrics_json(n, m, r))
-           for n, m, r in CASES if _legal(n, m)}
-    GOLDEN.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(out)} cases to {GOLDEN}")
+    legal = [(n, m, r) for n, m, r in CASES if _legal(n, m)]
+    for path, make in ((GOLDEN, lambda *c: json.loads(_metrics_json(*c))),
+                       (DOMAIN_TRACE, _domain_digest)):
+        out = {"/".join(c): make(*c) for c in legal}
+        path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(out)} cases to {path}")
