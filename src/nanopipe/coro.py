@@ -11,7 +11,13 @@ Devices that make no decisions need no task: ``call_at`` runs a plain callback
 off the same timer heap that completes events.
 
 Several loops (one per simulated node, each with a fixed clock offset) may
-share one virtual clock and are driven together; see ``loop_run``.
+share one virtual clock and are driven together; see ``loop_run``. The timer
+heap lives on the clock, one for all its loops; each entry remembers the loop
+it completes its event or queues its callback on.
+
+A loop emits runtime records (Spawn, Suspend, Resume, EventComplete) only
+when it is given its own ``TraceLog``. The loops of a ``NodeGraph`` have none,
+so a scenario trace holds the domain records of stages, links and drops only.
 """
 from __future__ import annotations
 
@@ -208,15 +214,18 @@ def pulse(loop: "EventLoop", ev: Event) -> None:
 
 
 class VirtualClock:
-    """Global simulated time in integer microseconds, shared by loops."""
+    """Global simulated time in integer microseconds, shared by loops, and
+    the one timer heap of those loops."""
 
     def __init__(self):
         self.now = 0
         self.loops: list[EventLoop] = []
+        self.timers: list = []      # heap of (global_deadline, seq, loop, Event or callable)
+        self._timer_seq = 0
 
 
 class EventLoop:
-    """FIFO ready queue plus a deadline-ordered timer queue on a shared clock.
+    """FIFO ready queue on a shared clock, whose heap holds the loop's timers.
 
     The ready queue holds task contexts and due ``call_at`` callbacks.
     """
@@ -228,8 +237,6 @@ class EventLoop:
         self.name = name
         self.offset_us = offset_us
         self.ready: deque = deque()
-        self.timers: list = []      # heap of (global_deadline, seq, Event or callable)
-        self._timer_seq = 0
         self._trace = trace
         self.dispatch_count = 0
 
@@ -260,8 +267,9 @@ def schedule_completion(loop: EventLoop, ev: Event, deadline_us: int) -> None:
     if deadline_us <= loop.now:
         event_complete(loop, ev)
         return
-    loop._timer_seq += 1
-    heapq.heappush(loop.timers, (deadline_us - loop.offset_us, loop._timer_seq, ev))
+    clock = loop.clock
+    clock._timer_seq += 1
+    heapq.heappush(clock.timers, (deadline_us - loop.offset_us, clock._timer_seq, loop, ev))
 
 
 def call_at(loop: EventLoop, deadline_us: int, fn: Callable[[], None]) -> None:
@@ -274,8 +282,9 @@ def call_at(loop: EventLoop, deadline_us: int, fn: Callable[[], None]) -> None:
     if deadline_us <= loop.now:
         fn()
         return
-    loop._timer_seq += 1
-    heapq.heappush(loop.timers, (deadline_us - loop.offset_us, loop._timer_seq, fn))
+    clock = loop.clock
+    clock._timer_seq += 1
+    heapq.heappush(clock.timers, (deadline_us - loop.offset_us, clock._timer_seq, loop, fn))
 
 
 def sleep_until(loop: EventLoop, deadline_us: int, label: str = "timer") -> Event:
@@ -342,21 +351,6 @@ def _drain(clock) -> None:
                 progressed = True
 
 
-def _fire_due_timers(clock) -> bool:
-    fired = False
-    now = clock.now
-    for loop in clock.loops:
-        timers = loop.timers
-        while timers and timers[0][0] <= now:
-            _, _, due = heapq.heappop(timers)
-            if due.__class__ is Event:
-                event_complete(loop, due)
-            else:
-                loop.ready.append(due)
-            fired = True
-    return fired
-
-
 def run_all(clock, until_time: Optional[int] = None) -> None:
     """Drive every loop on ``clock`` until idle, or until global ``until_time``.
 
@@ -364,23 +358,22 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
     earliest pending timer deadline. Runs are bit-deterministic: loops are
     serviced in registration order and all queues are FIFO.
     """
+    timers = clock.timers
     while True:
         _drain(clock)
-        if _fire_due_timers(clock):
-            continue
-        deadline = None
-        for loop in clock.loops:
-            if loop.timers and (deadline is None or loop.timers[0][0] < deadline):
-                deadline = loop.timers[0][0]
-        if deadline is None:
+        if not timers or until_time is not None and timers[0][0] > until_time:
             if until_time is not None and until_time > clock.now:
-                clock.now = until_time
+                clock.now = until_time     # the clock never moves backwards
             return
-        if until_time is not None and deadline > until_time:
-            if until_time > clock.now:     # the clock never moves backwards
-                clock.now = until_time
-            return
-        clock.now = deadline
+        now = clock.now = max(clock.now, timers[0][0])
+        # seq counts for the whole clock, so each loop's timers still fire in
+        # its own (deadline, push order) and fill its ready queue as before
+        while timers and timers[0][0] <= now:
+            _, _, loop, due = heapq.heappop(timers)
+            if due.__class__ is Event:
+                event_complete(loop, due)
+            else:
+                loop.ready.append(due)
 
 
 def loop_run(loop: EventLoop, until: Optional[int] = None) -> None:

@@ -87,9 +87,10 @@ def packet_encode(pkt: CpxPacket) -> bytes:
             f"payload {n} B exceeds {MAX_FRAGMENT_PAYLOAD} B per fragment")
     if not (0 <= src <= 7 and 0 <= dst <= 7 and 1 <= fn <= 63 and 0 <= ver <= 3):
         _check_header(src, dst, fn, ver)
-    return _HEADER.pack(2 + n,
-                        (dst << 5) | (src << 2) | (bool(pkt.last_fragment) << 1),
-                        (ver << 6) | fn) + pkt.copy_payload()
+    header = _HEADER.pack(2 + n, (dst << 5) | (src << 2) | (bool(pkt.last_fragment) << 1),
+                          (ver << 6) | fn)
+    pkt.copy_count += 1         # what copy_payload() counts, without the call
+    return header + bytes(pkt.payload) if n else header
 
 
 def packet_decode(data) -> CpxPacket:

@@ -52,6 +52,21 @@ _LINK_EDGES = {
     "wifi_down": ("host", "esp32", "wifi"),
 }
 
+# The fields a link entry may set, each with the least int it may hold.
+_LINK_FIELD_MIN = {"bandwidth_bps": 1, "mtu": 1, "base_latency_us": 0,
+                   "injected_delay_us": 0, "jitter_us": 0}
+
+
+def _check_link(key: str, raw) -> None:
+    _require(isinstance(raw, dict), f"link {key!r} must be a JSON object")
+    unknown = set(raw) - set(_LINK_FIELD_MIN)
+    _require(not unknown, f"link {key!r} has unknown fields: {sorted(unknown)}")
+    _require("bandwidth_bps" in raw, f"link {key!r} is missing 'bandwidth_bps'")
+    for name, value in raw.items():
+        least = _LINK_FIELD_MIN[name]
+        _require(type(value) is int and value >= least,
+                 f"links.{key}.{name} must be an int >= {least}, got {value!r}")
+
 
 @dataclass
 class Scenario:
@@ -100,9 +115,12 @@ class Scenario:
                 raise ConfigError("stream scenarios free-run; rate_hz is not supported")
         elif self.rate_hz is None:
             raise ConfigError(f"{self.kind} scenarios need a rate_hz pacing value")
+        _require(isinstance(self.links, dict), "links must be a JSON object")
         for key in _LINK_KEYS[self.kind]:
             if key not in self.links:
                 raise ConfigError(f"scenario {self.name!r} is missing link {key!r}")
+        for key, raw in self.links.items():
+            _check_link(key, raw)
         if self.rate_hz is not None:
             period = self.frame_period_us
             if self.camera_mode == TRIGGER:

@@ -273,7 +273,8 @@ TOPOLOGY = frozenset({
 
 
 class NodeGraph:
-    """The five platform nodes, each with its own loop and fixed clock offset."""
+    """The five platform nodes, each with its own loop and fixed clock offset.
+    Only domain records reach ``trace``: the loops get no trace of their own."""
 
     def __init__(self, clock=None, trace: Optional[TraceLog] = None,
                  offsets: Optional[dict] = None, rng=None):
@@ -284,8 +285,7 @@ class NodeGraph:
         unknown = set(offsets) - set(NODE_NAMES)
         if unknown:
             raise ConfigError(f"offsets for unknown nodes: {sorted(unknown)}")
-        self.loops = {name: EventLoop(self.clock, name=name,
-                                      offset_us=offsets.get(name, 0), trace=self.trace)
+        self.loops = {name: EventLoop(self.clock, name=name, offset_us=offsets.get(name, 0))
                       for name in NODE_NAMES}
         self.links: dict = {}
 

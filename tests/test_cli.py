@@ -73,6 +73,30 @@ def test_invalid_scenario_file_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("field,value", [
+    ("bandwidth_bps", 0),
+    ("bandwidth_bps", -1000),
+    ("bandwidth_bps", "20000"),
+    ("mtu", 0),
+    ("base_latency_us", -1),
+    ("injected_delay_us", -5),
+    ("jitter_us", -3000),
+    ("jitter_us", 1.5),
+    ("bandwith_bps", 20000),        # typo of bandwidth_bps
+    ("latency_us", 100),            # not a link field
+], ids=lambda v: str(v))
+def test_malformed_link_field_is_config_error(tmp_path, capsys, field, value):
+    link = {"bandwidth_bps": 20000, field: value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "bad", "kind": "onboard", "frames": 60,
+                               "rate_hz": 20.0, "inference_us": 10000,
+                               "camera": {"resolution": [32, 32], "readout_us": 5000},
+                               "links": {"uart_down": link}}))
+    rc = run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "o"))
+    assert rc == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
 def test_list_scenarios_names_every_fixture(capsys):
     assert run_cli("list-scenarios") == EXIT_OK
     out = capsys.readouterr().out

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from nanopipe.coro import (CoroutineContext, Event, EventLoop, TaskState, VirtualClock,
                            call_at, coroutine, ctx_init, defer, done, event_complete,
-                           event_init, event_reset, join_all, loop_run, sleep_until, spawn,
-                           wait)
+                           event_init, event_reset, join_all, loop_run, schedule_completion,
+                           sleep_until, spawn, wait)
 from nanopipe.errors import ConfigError, UsageError
 from nanopipe.trace import Kind, TraceLog
 
@@ -52,6 +52,16 @@ def single_waiter(ctx):
         ctx.args["log"].append("before")
         return wait(ctx.args["event"], then=1)
     ctx.args["log"].append("after")
+    return done()
+
+
+@coroutine
+def timed_waiter(ctx):
+    # args: (event, log, tag, loop) -- appends (tag, local time) once the event completes
+    ev, log, tag, loop = ctx.args
+    if ctx.resume_point == 0:
+        return wait(ev, then=1)
+    log.append((tag, loop.now))
     return done()
 
 
@@ -392,6 +402,37 @@ def test_call_at_callback_keeps_its_place_among_tasks_woken_at_the_same_instant(
     spawn(loop, ctx_init(single_waiter, {"event": ev, "log": log}))
     loop_run(loop)
     assert log == ["before", "after", "callback"]
+
+
+def test_clock_wide_timer_heap_keeps_each_loops_order_at_shared_instants():
+    # both loops' timers share the clock's heap and fall due at the same global
+    # instants; each loop must still see its own (deadline, push order)
+    clock = VirtualClock()
+    loops = (EventLoop(clock, name="a", offset_us=0), EventLoop(clock, name="b", offset_us=300))
+    rng = random.Random(5)
+    ran, expected = [], []
+    for push in range(80):
+        index = rng.randrange(2)
+        loop = loops[index]
+        deadline = rng.choice((1000, 2000, 3000))          # global instant
+        local = deadline + loop.offset_us
+        tag = (deadline, index, push)
+        if rng.random() < 0.5:
+            ev = event_init(f"t{push}")
+            spawn(loop, ctx_init(timed_waiter, (ev, ran, tag, loop)))
+            schedule_completion(loop, ev, local)
+        else:
+            call_at(loop, local, lambda lp=loop, t=tag: ran.append((t, lp.now)))
+        expected.append((tag, local))
+    loop_run(loops[1])
+    assert clock.now == 3000 and not clock.timers
+    for index in (0, 1):
+        got = [entry for entry in ran if entry[0][1] == index]
+        assert len(got) > 10
+        assert got == sorted(entry for entry in expected if entry[0][1] == index)
+    # each entry ran from its own loop's ready queue: at each instant the loops
+    # drain in registration order
+    assert ran == sorted(expected)
 
 
 def test_loop_run_until_time_stops_clock_there():

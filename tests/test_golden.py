@@ -2,8 +2,8 @@
 
 ``tests/golden/metrics.json`` holds the parsed ``metrics.json`` of each legal
 (fixture, mode, router mode) case. ``tests/golden/domain_trace.json`` holds,
-for the same cases, the record count and the SHA-256 of ``trace.csv`` with the
-runtime-internal records (Spawn, Suspend, Resume, EventComplete) left out.
+for the same cases, the record count and the SHA-256 of ``trace.csv``, which
+holds domain records only: no Spawn, Suspend, Resume or EventComplete.
 A refactor of the runtime or the device models must leave every simulated
 number and every domain record unchanged, so any difference here is a bug
 unless the change is shown to correct a wrong number.
@@ -47,18 +47,19 @@ def _metrics_json(name, mode, router):
     return metrics.to_json()
 
 
-def _domain_digest(name, mode, router):
-    """Record count and SHA-256 of the case's ``trace.csv``, runtime records left out."""
-    trace, _ = run_scenario(_spec(name, mode, router))
-    lines = [line for line in trace.to_csv().splitlines(keepends=True)
-             if line.split(",")[2] not in RUNTIME_KINDS]
-    return {"records": len(lines) - 1,
-            "sha256": hashlib.sha256("".join(lines).encode()).hexdigest()}
+def _trace_digest(trace):
+    return {"records": len(trace.events),
+            "sha256": hashlib.sha256(trace.to_csv().encode()).hexdigest()}
 
 
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_trace():
+    return json.loads(DOMAIN_TRACE.read_text())
 
 
 @pytest.mark.parametrize("name,mode,router",
@@ -69,20 +70,30 @@ def test_metrics_match_golden(golden, name, mode, router):
 
 
 @pytest.mark.parametrize("name,mode,router",
+                         [c for c in CASES if _legal(c[0], c[1])], ids="-".join)
+def test_domain_trace_matches_golden(golden_trace, name, mode, router):
+    trace, _ = run_scenario(_spec(name, mode, router))
+    assert not [e for e in trace.events if e.kind in RUNTIME_KINDS]
+    assert _trace_digest(trace) == golden_trace[f"{name}/{mode}/{router}"]
+
+
+@pytest.mark.parametrize("name,mode,router",
                          [c for c in CASES if not _legal(c[0], c[1])], ids="-".join)
 def test_illegal_cases_rejected(name, mode, router):
     with pytest.raises(ConfigError):
         _spec(name, mode, router)
 
 
-def test_golden_covers_exactly_the_legal_cases(golden):
-    assert set(golden) == {f"{n}/{m}/{r}" for n, m, r in CASES if _legal(n, m)}
+def test_golden_covers_exactly_the_legal_cases(golden, golden_trace):
+    legal = {f"{n}/{m}/{r}" for n, m, r in CASES if _legal(n, m)}
+    assert set(golden) == legal
+    assert set(golden_trace) == legal
 
 
 if __name__ == "__main__":
     legal = [(n, m, r) for n, m, r in CASES if _legal(n, m)]
     for path, make in ((GOLDEN, lambda *c: json.loads(_metrics_json(*c))),
-                       (DOMAIN_TRACE, _domain_digest)):
+                       (DOMAIN_TRACE, lambda *c: _trace_digest(run_scenario(_spec(*c))[0]))):
         out = {"/".join(c): make(*c) for c in legal}
         path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
         print(f"wrote {len(out)} cases to {path}")

@@ -58,6 +58,7 @@ def test_schema_violations_rejected(tmp_path):
             {"router_mode": "magic"},
             {"pool_size": 0},
             {"links": {}},                       # missing uart_down
+            {"links": {"uart_down": {"mtu": 64}}},   # link without bandwidth_bps
             {"bogus_field": 1},
     ):
         doc = dict(base)
