@@ -7,8 +7,9 @@ completes, ``defer(then)`` to yield and be re-queued, or ``done()`` to end.
 Bodies keep no locals across steps: anything that must survive a suspension
 lives behind ``ctx.args``.
 
-Devices that make no decisions need no task: ``call_at`` runs a plain callback
-off the same timer heap that completes events.
+Only code that blocks on something is a task. Devices that make no decisions
+run as ``call_at`` callbacks off the timer heap that completes events, and a
+channel reader that blocks on nothing else as a handler (``Channel.consume``).
 
 Several loops (one per simulated node, each with a fixed clock offset) may
 share one virtual clock and are driven together; see ``loop_run``. The timer

@@ -198,9 +198,10 @@ class RouterQueue:
 class Router:
     """Multi-tasking packet router on the esp32 node.
 
-    One ingress task per input link and one egress task per output queue; in
-    zerocopy mode ingress and egress overlap, so a stream's throughput is set
-    by the slower of the two transfers rather than their sum.
+    Each input link's channel hands arriving packets straight to the router,
+    and one egress task per output queue sends them on; in zerocopy mode
+    ingress and egress overlap, so a stream's throughput is set by the slower
+    of the two transfers rather than their sum.
     """
 
     def __init__(self, graph: NodeGraph, mode: str = ZEROCOPY, queue_capacity: int = 8,
@@ -227,17 +228,17 @@ class Router:
         for dst in destinations:
             self._routes[dst] = (name, queue, out_link)
         if in_link is not None:
-            spawn(self.loop, ctx_init(_router_ingress_body, (self, in_link),
-                                      label=f"router-rx-{name}"))
+            in_link.rx.consume(self._ingress)
         if out_link is not None:
             spawn(self.loop, ctx_init(_router_egress_body,
                                       _EgressRun(self, queue, out_link),
                                       label=f"router-tx-{name}"))
         return queue
 
-    def queue_for(self, destination: int) -> Optional[RouterQueue]:
-        entry = self._routes.get(destination)
-        return entry[1] if entry else None
+    def _ingress(self, msg) -> None:
+        pkt = msg.payload
+        timestamp_ingress(self.loop, pkt, msg.first_byte_ts)
+        router_forward(self, pkt)
 
 
 def router_forward(router: Router, pkt: CpxPacket) -> None:
@@ -254,19 +255,6 @@ def router_forward(router: Router, pkt: CpxPacket) -> None:
     _, queue, _ = entry
     queue.enqueue(pkt)
     router.forwarded += 1
-
-
-@coroutine
-def _router_ingress_body(ctx):
-    router, link = ctx.args
-    loop = router.loop
-    while True:
-        msg = link.rx.try_get()
-        if msg is None:
-            return wait(link.rx.ready_event, then=0)
-        pkt = msg.payload
-        timestamp_ingress(loop, pkt, msg.first_byte_ts)
-        router_forward(router, pkt)
 
 
 class _EgressRun:

@@ -5,7 +5,8 @@ fills a frame buffer; every downstream stage is attached to that buffer when
 it becomes Ready and releases it when its own work on the frame completes, so
 the buffer returns to Free only after the last consumer is done. Stages bound
 to distinct resources overlap across frames; one resource never runs two
-stages at once.
+stages at once. A ``Channel`` hands items to a reader task, or to a plain
+handler when the reader blocks on nothing else.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import Callable, Optional
 
 from .coro import (EventLoop, coroutine, ctx_init, done, event_init, pulse,
                    sleep_until, spawn, wait, loop_run)
@@ -133,18 +134,44 @@ def buffer_release(pool: BufferPool, buf: FrameBuffer) -> None:
 
 
 class Channel:
-    """Unbounded FIFO handoff between two coroutines on one loop."""
+    """Unbounded FIFO handoff on one loop. A task reads it with ``try_get``
+    and ``ready_event``; a reader that blocks on nothing else is a handler."""
 
-    __slots__ = ("loop", "items", "ready_event")
+    __slots__ = ("loop", "items", "ready_event", "handler", "drain_queued")
 
     def __init__(self, loop: EventLoop, label: str = "chan"):
         self.loop = loop
         self.items: deque = deque()
         self.ready_event = event_init(label)
+        self.handler = None
+        self.drain_queued = False
 
     def put(self, item) -> None:
         self.items.append(item)
-        pulse(self.loop, self.ready_event)
+        if self.handler is None:
+            pulse(self.loop, self.ready_event)
+        elif not self.drain_queued:
+            self.drain_queued = True
+            self.loop.ready.append(self._drain)
+
+    def consume(self, handler: Callable[[object], None]) -> None:
+        """Pass every item put on the channel to ``handler(item)``, FIFO.
+
+        A drain is queued where ``put`` would wake a reader task, the first
+        one now, where ``spawn`` would queue it; so the handler runs in that
+        task's order. A drain also handles the items put while it runs.
+        """
+        if self.handler is not None or self.ready_event.waiters:
+            raise UsageError("channel already has a reader")
+        self.handler = handler
+        self.drain_queued = True
+        self.loop.ready.append(self._drain)
+
+    def _drain(self) -> None:
+        items, handler = self.items, self.handler
+        while items:
+            handler(items.popleft())
+        self.drain_queued = False
 
     def try_get(self):
         return self.items.popleft() if self.items else None

@@ -30,8 +30,8 @@ from .errors import ConfigError, MetricsError, OracleUnavailable
 from .oracle import analytic_oracle
 from .pipeline import MODES, PIPELINED, SERIALIZED, Channel, ResourceBusy, pool_create
 from .trace import Kind, TraceLog
-from .vnode import (Camera, CameraConfig, LinkConfig, NodeGraph, STREAMING, TRIGGER,
-                    camera_capture, camera_stream)
+from .vnode import (NODE_NAMES, STREAMING, TRIGGER, Camera, CameraConfig, LinkConfig,
+                    NodeGraph, camera_capture, camera_stream)
 
 FUNCTION_PING = 6
 
@@ -52,20 +52,57 @@ _LINK_EDGES = {
     "wifi_down": ("host", "esp32", "wifi"),
 }
 
-# The fields a link entry may set, each with the least int it may hold.
-_LINK_FIELD_MIN = {"bandwidth_bps": 1, "mtu": 1, "base_latency_us": 0,
-                   "injected_delay_us": 0, "jitter_us": 0}
+
+def _int_min(least):
+    return (lambda v: type(v) is int and v >= least), f"an int >= {least}"
 
 
-def _check_link(key: str, raw) -> None:
-    _require(isinstance(raw, dict), f"link {key!r} must be a JSON object")
-    unknown = set(raw) - set(_LINK_FIELD_MIN)
-    _require(not unknown, f"link {key!r} has unknown fields: {sorted(unknown)}")
-    _require("bandwidth_bps" in raw, f"link {key!r} is missing 'bandwidth_bps'")
-    for name, value in raw.items():
-        least = _LINK_FIELD_MIN[name]
-        _require(type(value) is int and value >= least,
-                 f"links.{key}.{name} must be an int >= {least}, got {value!r}")
+def _or_null(rule):
+    check, what = rule
+    return (lambda v: v is None or check(v)), f"{what} or null"
+
+
+_INT = (lambda v: type(v) is int, "an int")
+_STR = (lambda v: type(v) is str, "a string")
+_OBJECT = (lambda v: type(v) is dict, "a JSON object")
+_POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a number > 0")
+_NON_NEGATIVE = (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a number >= 0")
+
+# Every field each block of a scenario document may hold, and what it may
+# hold; "links" applies to each link entry. Scenario checks how fields combine.
+_FIELDS = {
+    "scenario": {
+        "name": _STR, "kind": _STR, "description": _STR, "mode": _STR, "router_mode": _STR,
+        "aliases": (lambda v: type(v) is list and all(type(a) is str for a in v),
+                    "a list of strings"),
+        "seed": _INT, "frames": _int_min(1), "pool_size": _int_min(1),
+        "rate_hz": _or_null(_POSITIVE), "inference_hz": _or_null(_POSITIVE),
+        "inference_us": _int_min(0), "host_compute_us": _int_min(0),
+        "image_bytes": _or_null(_int_min(0)), "result_bytes": _int_min(0),
+        "rtt_probe_rounds": _int_min(0), "steady_start_frame": _int_min(0),
+        "camera": _OBJECT, "router": _OBJECT, "links": _OBJECT, "offsets_us": _OBJECT,
+        "notes": _OBJECT},
+    "camera": {
+        "mode": (lambda v: v in (TRIGGER, STREAMING), f"{TRIGGER!r} or {STREAMING!r}"),
+        "resolution": (lambda v: type(v) is list and len(v) == 2
+                       and all(type(x) is int and x >= 1 for x in v),
+                       "a list of two ints >= 1"),
+        "readout_us": _int_min(0), "trigger_setup_us": _int_min(0)},
+    "router": {"queue_capacity": _int_min(1), "copy_ns_per_byte": _NON_NEGATIVE},
+    "offsets_us": {node: _INT for node in NODE_NAMES},
+    "links": {"bandwidth_bps": _int_min(1), "mtu": _int_min(1), "base_latency_us": _int_min(0),
+              "injected_delay_us": _int_min(0), "jitter_us": _int_min(0)},
+}
+
+
+def _check_fields(path: str, raw, rules: dict) -> None:
+    """Check one block of a scenario document against its ``rules``."""
+    _require(isinstance(raw, dict), f"{path} must be a JSON object")
+    unknown = set(raw) - set(rules)
+    _require(not unknown, f"{path} has unknown fields: {sorted(unknown)}")
+    for name, (check, what) in rules.items():
+        if name in raw:
+            _require(check(raw[name]), f"{path}.{name} must be {what}, got {raw[name]!r}")
 
 
 @dataclass
@@ -116,11 +153,14 @@ class Scenario:
         elif self.rate_hz is None:
             raise ConfigError(f"{self.kind} scenarios need a rate_hz pacing value")
         _require(isinstance(self.links, dict), "links must be a JSON object")
+        unknown = set(self.links) - set(_LINK_EDGES)
+        _require(not unknown, f"links {sorted(unknown)} name no known edge")
         for key in _LINK_KEYS[self.kind]:
             if key not in self.links:
                 raise ConfigError(f"scenario {self.name!r} is missing link {key!r}")
         for key, raw in self.links.items():
-            _check_link(key, raw)
+            _check_fields(f"links.{key}", raw, _FIELDS["links"])
+            _require("bandwidth_bps" in raw, f"link {key!r} is missing 'bandwidth_bps'")
         if self.rate_hz is not None:
             period = self.frame_period_us
             if self.camera_mode == TRIGGER:
@@ -145,12 +185,8 @@ class Scenario:
         return self.resolution[0] * self.resolution[1]
 
     def link_cfg(self, key: str) -> LinkConfig:
-        raw = self.links[key]
-        return LinkConfig(name=key, bandwidth_bps=raw["bandwidth_bps"],
-                          base_latency_us=raw.get("base_latency_us", 0),
-                          mtu=raw.get("mtu", 1 << 20),
-                          injected_delay_us=raw.get("injected_delay_us", 0),
-                          jitter_us=raw.get("jitter_us", 0))
+        # link entry fields are LinkConfig fields; only the mtu default differs
+        return LinkConfig(name=key, **{"mtu": 1 << 20, **self.links[key]})
 
 
 def _require(cond, msg):
@@ -159,42 +195,21 @@ def _require(cond, msg):
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    _require(isinstance(raw, dict), "scenario document must be a JSON object")
+    _check_fields("scenario", raw, _FIELDS["scenario"])
     for key in ("name", "kind", "frames", "links"):
         _require(key in raw, f"scenario is missing required field {key!r}")
-    camera = raw.get("camera", {})
-    router = raw.get("router", {})
-    known = {f.name for f in dataclasses.fields(Scenario)}
-    extra = set(raw) - known - {"camera", "router"}
-    _require(not extra, f"unknown scenario fields: {sorted(extra)}")
-    return Scenario(
-        name=raw["name"],
-        kind=raw["kind"],
-        description=raw.get("description", ""),
-        aliases=tuple(raw.get("aliases", ())),
-        mode=raw.get("mode", PIPELINED),
-        router_mode=raw.get("router_mode", ZEROCOPY),
-        seed=raw.get("seed", 1),
-        frames=raw["frames"],
-        pool_size=raw.get("pool_size", 2),
-        rate_hz=raw.get("rate_hz"),
-        inference_hz=raw.get("inference_hz"),
-        camera_mode=camera.get("mode", STREAMING),
-        resolution=tuple(camera.get("resolution", (160, 160))),
-        readout_us=camera.get("readout_us", 8000),
-        trigger_setup_us=camera.get("trigger_setup_us", 25333),
-        inference_us=raw.get("inference_us", 0),
-        host_compute_us=raw.get("host_compute_us", 0),
-        image_bytes=raw.get("image_bytes"),
-        result_bytes=raw.get("result_bytes", 15),
-        links=raw["links"],
-        offsets_us=raw.get("offsets_us", {}),
-        queue_capacity=router.get("queue_capacity", 8),
-        copy_ns_per_byte=router.get("copy_ns_per_byte", 0.0),
-        rtt_probe_rounds=raw.get("rtt_probe_rounds", 0),
-        steady_start_frame=raw.get("steady_start_frame", 10),
-        notes=raw.get("notes", {}),
-    )
+    for block in ("camera", "router", "offsets_us"):
+        _check_fields(block, raw.get(block, {}), _FIELDS[block])
+    # the camera and router blocks flatten into Scenario fields of the same
+    # names, except that the camera's mode is camera_mode
+    args = {k: v for k, v in raw.items() if k not in ("camera", "router")}
+    args.update(raw.get("router", {}))
+    for key, value in raw.get("camera", {}).items():
+        args["camera_mode" if key == "mode" else key] = value
+    for key in ("aliases", "resolution"):
+        if key in args:
+            args[key] = tuple(args[key])
+    return Scenario(**args)
 
 
 def fixture_dir() -> pathlib.Path:
@@ -217,11 +232,9 @@ def list_scenarios() -> list:
 def load_scenario(name_or_path) -> Scenario:
     path = pathlib.Path(name_or_path)
     if path.suffix == ".json" or path.exists():
-        if not path.exists():
-            raise ConfigError(f"scenario file {name_or_path!r} not found")
         try:
             raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (OSError, ValueError) as exc:    # missing, a directory, not JSON, not text
             raise ConfigError(f"unreadable scenario file {path}: {exc}") from exc
         return scenario_from_dict(raw)
     for fixture in sorted(fixture_dir().glob("*.json")):
@@ -316,7 +329,7 @@ def compute_metrics(trace: TraceLog, *, sink_stage: str = "sink",
     )
 
 
-# --- shared coroutine bodies -----------------------------------------------------
+# --- shared coroutine bodies and channel handlers ----------------------------------
 
 class _Rec:
     """Mutable bag for coroutine args: everything that must survive suspension."""
@@ -325,20 +338,16 @@ class _Rec:
         self.__dict__.update(kw)
 
 
-@coroutine
-def _sink_body(ctx):
-    # zero-duration control sink: records receipt of each result frame
-    st = ctx.args
-    while True:
-        msg = st.rx.try_get()
-        if msg is None:
-            return wait(st.rx.ready_event, then=0)
+def _sink(trace, loop, notify_loop=None, pending=None):
+    """Channel handler of the zero-duration control sink: records each result
+    frame, and completes the oldest ``pending`` event on ``notify_loop``."""
+    def receive(msg):
         frame = msg.meta if isinstance(msg.meta, int) else msg.payload.meta
-        st.trace.emit(st.loop, Kind.STAGE_START, "sink", frame)
-        st.trace.emit(st.loop, Kind.STAGE_END, "sink", frame)
-        if st.notify_loop is not None:
-            ev = st.pending.pop(0)
-            schedule_completion(st.notify_loop, ev, st.notify_loop.now)
+        trace.emit(loop, Kind.STAGE_START, "sink", frame)
+        trace.emit(loop, Kind.STAGE_END, "sink", frame)
+        if notify_loop is not None:
+            schedule_completion(notify_loop, pending.pop(0), notify_loop.now)
+    return receive
 
 
 @coroutine
@@ -468,21 +477,6 @@ def _image_sender_body(ctx):
 
 
 @coroutine
-def _host_rx_body(ctx):
-    # demultiplexes traffic arriving at the host over wifi
-    st = ctx.args
-    while True:
-        msg = st.rx.try_get()
-        if msg is None:
-            return wait(st.rx.ready_event, then=0)
-        pkt = msg.payload
-        if pkt.function == FUNCTION_PING:
-            st.ping_ch.put(pkt)
-        else:
-            st.job_ch.put(pkt)
-
-
-@coroutine
 def _host_compute_body(ctx):
     # remote inference: run the model, send the result back toward the sink
     st = ctx.args
@@ -534,21 +528,6 @@ def _host_echo_body(ctx):
                              b"", meta=st.frame)
             st.link.send(pong, pong.wire_bytes, frame=st.frame)
             ctx.resume_point = 0
-
-
-@coroutine
-def _gap8_relay_body(ctx):
-    # result packets continue over uart to the stm32; probe replies stay local
-    st = ctx.args
-    while True:
-        msg = st.rx.try_get()
-        if msg is None:
-            return wait(st.rx.ready_event, then=0)
-        pkt = msg.payload
-        if pkt.destination == NODE_IDS["stm32"]:
-            st.uart.send(b"", st.result_bytes, meta=pkt.meta, frame=pkt.meta)
-        else:
-            st.pong_ch.put(pkt)
 
 
 @coroutine
@@ -636,10 +615,8 @@ def _build_graph(spec: Scenario):
         links[key] = graph.add_link(key, src, dst, kind, spec.link_cfg(key))
     if "uart_down" in links and "uart_up" not in links:
         # mirror of the result uart, used only by the offset exchange
-        raw = dict(spec.links["uart_down"])
-        cfg = LinkConfig(name="uart_up", bandwidth_bps=raw["bandwidth_bps"],
-                         base_latency_us=raw.get("base_latency_us", 0),
-                         mtu=raw.get("mtu", 1 << 20))
+        cfg = dataclasses.replace(spec.link_cfg("uart_down"), name="uart_up",
+                                  injected_delay_us=0, jitter_us=0)
         links["uart_up"] = graph.add_link("uart_up", "stm32", "gap8", "uart", cfg)
     return graph, links
 
@@ -698,8 +675,7 @@ def _run_onboard(spec: Scenario):
     pool = pool_create(gap8, spec.pool_size, spec.frame_bytes)
     uart = links["uart_down"]
 
-    sink = _Rec(rx=uart.rx, loop=stm32, trace=graph.trace, notify_loop=None, pending=None)
-    spawn(stm32, ctx_init(_sink_body, sink, label="sink"))
+    uart.rx.consume(_sink(graph.trace, stm32))
 
     if spec.mode == SERIALIZED:
         rec = _Rec(loop=gap8, pool=pool, uart=uart, trace=graph.trace,
@@ -746,9 +722,22 @@ def _run_remote(spec: Scenario):
 
     ping_ch, job_ch, pong_ch = (Channel(host, "pings"), Channel(host, "jobs"),
                                 Channel(gap8, "pongs"))
-    spawn(host, ctx_init(_host_rx_body,
-                         _Rec(rx=links["wifi_up"].rx, ping_ch=ping_ch, job_ch=job_ch),
-                         label="host-rx"))
+    uart = links["uart_down"]
+
+    def host_rx(msg):
+        # demultiplexes traffic arriving at the host over wifi
+        pkt = msg.payload
+        (ping_ch if pkt.function == FUNCTION_PING else job_ch).put(pkt)
+
+    def gap8_relay(msg):
+        # result packets continue over uart to the stm32; probe replies stay local
+        pkt = msg.payload
+        if pkt.destination == NODE_IDS["stm32"]:
+            uart.send(b"", spec.result_bytes, meta=pkt.meta, frame=pkt.meta)
+        else:
+            pong_ch.put(pkt)
+
+    links["wifi_up"].rx.consume(host_rx)
     spawn(host, ctx_init(_host_compute_body,
                          _Rec(loop=host, job_ch=job_ch, engine=ResourceBusy(host, "inference"),
                               duration_us=spec.host_compute_us, queue=spi_q,
@@ -759,15 +748,11 @@ def _run_remote(spec: Scenario):
                          _Rec(loop=host, ping_ch=ping_ch, queue=spi_q,
                               link=links["wifi_down"], frame=None, ev=None),
                          label="host-echo"))
-    spawn(gap8, ctx_init(_gap8_relay_body,
-                         _Rec(rx=links["spi_down"].rx, uart=links["uart_down"],
-                              pong_ch=pong_ch, result_bytes=spec.result_bytes),
-                         label="gap8-relay"))
+    links["spi_down"].rx.consume(gap8_relay)
 
     pending = []
-    sink = _Rec(rx=links["uart_down"].rx, loop=stm32, trace=graph.trace,
-                notify_loop=gap8 if spec.mode == SERIALIZED else None, pending=pending)
-    spawn(stm32, ctx_init(_sink_body, sink, label="sink"))
+    uart.rx.consume(_sink(graph.trace, stm32,
+                          gap8 if spec.mode == SERIALIZED else None, pending))
 
     if spec.mode == SERIALIZED:
         rec = _Rec(loop=gap8, pool=pool, queue=wifi_q, link=links["spi_up"],
@@ -836,10 +821,7 @@ def _run_stream(spec: Scenario):
 
     pool = pool_create(gap8, spec.pool_size, spec.frame_bytes)
     frame_ch = Channel(gap8, "frames")
-    spawn(host, ctx_init(_sink_body,
-                         _Rec(rx=links["wifi_up"].rx, loop=host, trace=graph.trace,
-                              notify_loop=None, pending=None),
-                         label="sink"))
+    links["wifi_up"].rx.consume(_sink(graph.trace, host))
     spawn(gap8, ctx_init(_image_sender_body,
                          _Rec(loop=gap8, in_ch=frame_ch, queue=router.queues["wifi"],
                               link=links["spi_up"], pool=pool, nbytes=spec.frame_bytes,

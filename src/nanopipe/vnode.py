@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .coro import (Event, EventLoop, VirtualClock, call_at, event_complete, event_init,
+from .coro import (Event, EventLoop, VirtualClock, call_at, event_complete,
                    schedule_completion)
 from .errors import ConfigError, UsageError
 from .pipeline import BufferPool, BufferState, Channel, FrameBuffer
@@ -176,7 +176,7 @@ class LinkConfig:
         return max(1, math.ceil(nbytes / self.mtu))
 
 
-@dataclass
+@dataclass(slots=True)
 class Received:
     payload: object
     nbytes: int
@@ -206,8 +206,8 @@ class Link:
         self.free_at = src.clock.now    # global time the last queued byte leaves
 
     def send(self, payload, nbytes: int, done_ev: Optional[Event] = None,
-             meta=None, frame: Optional[int] = None) -> Event:
-        """Queue a message; returns the receiver-side delivery event.
+             meta=None, frame: Optional[int] = None) -> None:
+        """Queue a message; it arrives as a ``Received`` on ``rx``.
 
         ``done_ev`` (if given) completes when the last byte leaves the sender.
         The sent counters count a message when it is queued, the delivered
@@ -227,27 +227,27 @@ class Link:
         self.free_at = start + ser
         self.bytes_sent += nbytes
         self.messages_sent += 1
-        call_at(src, start + src.offset_us,
-                lambda: self.trace.emit(src, Kind.LINK_TX_START, cfg.name, frame))
+        if start == src.clock.now:      # idle link: what call_at would run inline
+            self.trace.emit(src, Kind.LINK_TX_START, cfg.name, frame)
+        else:
+            call_at(src, start + src.offset_us,
+                    lambda: self.trace.emit(src, Kind.LINK_TX_START, cfg.name, frame))
         first_byte = start + cfg.base_latency_us + cfg.injected_delay_us + dst.offset_us
-        delivery = event_init(f"{cfg.name}-delivery")
         received = Received(payload, nbytes, meta, first_byte)
-        call_at(dst, first_byte + ser, lambda: self._deliver(delivery, received, frame))
+        call_at(dst, first_byte + ser, lambda: self._deliver(received, frame))
         if done_ev is not None:
             schedule_completion(src, done_ev, self.free_at + src.offset_us)
-        return delivery
 
-    def _deliver(self, delivery: Event, received: Received, frame: Optional[int]) -> None:
+    def _deliver(self, received: Received, frame: Optional[int]) -> None:
         self.trace.emit(self.dst, Kind.LINK_RX_END, self.cfg.name, frame)
         self.bytes_delivered += received.nbytes
         self.messages_delivered += 1
-        event_complete(self.dst, delivery)
         self.rx.put(received)
 
 
 def link_send(link: Link, payload, nbytes: int, done_ev: Optional[Event] = None,
-              meta=None, frame: Optional[int] = None) -> Event:
-    return link.send(payload, nbytes, done_ev, meta, frame)
+              meta=None, frame: Optional[int] = None) -> None:
+    link.send(payload, nbytes, done_ev, meta, frame)
 
 
 # Radio channel preset: low latency, low bandwidth, tiny packets. The radio

@@ -97,6 +97,40 @@ def test_malformed_link_field_is_config_error(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where,value", [
+    (("frames",), "100"),
+    (("pool_size",), "2"),
+    (("rate_hz",), "20"),
+    (("inference_us",), -5000),
+    (("camera", "resolution"), [32]),
+    (("camera", "readout"), 5000),                      # typo of readout_us
+    (("links", "wifi_upp"), {"bandwidth_bps": 20000}),  # names no edge
+    (("router", "queue_depth"), 4),                     # typo of queue_capacity
+    (("router", "copy_ns_per_byte"), -1.0),
+    (("offsets_us", "tpu"), 5),                         # not a node
+], ids=lambda v: str(v))
+def test_malformed_scenario_field_is_config_error(tmp_path, capsys, where, value):
+    doc = {"name": "bad", "kind": "onboard", "frames": 60, "rate_hz": 20.0,
+           "inference_us": 10000,
+           "camera": {"resolution": [32, 32], "readout_us": 5000},
+           "links": {"uart_down": {"bandwidth_bps": 20000}}}
+    block = doc
+    for key in where[:-1]:
+        block = block.setdefault(key, {})
+    block[where[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "o"))
+    assert rc == EXIT_CONFIG
+    assert where[-1] in capsys.readouterr().err
+
+
+def test_directory_as_scenario_is_config_error(tmp_path, capsys):
+    rc = run_cli("run", "--scenario", str(tmp_path), "--out", str(tmp_path / "o"))
+    assert rc == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
 def test_list_scenarios_names_every_fixture(capsys):
     assert run_cli("list-scenarios") == EXIT_OK
     out = capsys.readouterr().out

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from nanopipe.coro import EventLoop, VirtualClock, coroutine, ctx_init, done, loop_run, spawn, wait
+from nanopipe.coro import (EventLoop, VirtualClock, call_at, coroutine, ctx_init, done,
+                           event_complete, event_init, loop_run, sleep_until, spawn, wait)
 from nanopipe.errors import ConfigError, UsageError
-from nanopipe.pipeline import (PIPELINED, SERIALIZED, BufferState, Stage, buffer_acquire,
-                               buffer_release, pipeline_run, pool_create, stage_end_gaps)
+from nanopipe.pipeline import (PIPELINED, SERIALIZED, BufferState, Channel, Stage,
+                               buffer_acquire, buffer_release, pipeline_run, pool_create,
+                               stage_end_gaps)
 from nanopipe.trace import Kind, TraceLog
 
 
@@ -289,3 +291,65 @@ def test_stage_end_gaps_helper():
     receipts, trace = sim_receipts([1000, 4000], PIPELINED, 2, 20)
     gaps = stage_end_gaps(trace, "inference", skip=10)
     assert all(g == 4000 for g in gaps)
+
+
+# --- channel readers -----------------------------------------------------------
+
+@coroutine
+def _channel_reader(ctx):
+    ch, on_item = ctx.args
+    while True:
+        item = ch.try_get()
+        if item is None:
+            return wait(ch.ready_event, then=0)
+        on_item(item)
+
+
+@coroutine
+def _tagged_waiter(ctx):
+    ev, tag, log = ctx.args
+    if ctx.resume_point == 0:
+        return wait(ev, then=1)
+    log.append(tag)
+    return done()
+
+
+@pytest.mark.parametrize("reader", ["task", "handler"])
+def test_channel_handler_runs_where_a_reader_task_would(reader):
+    # the put at t=100 comes before the "tick" task woken at the same instant,
+    # yet a reader task runs after it; and the reader handles "b", put while it
+    # handles "a", before the task that "a" woke. A handler must do the same.
+    loop = EventLoop(VirtualClock(), name="n0")
+    ch = Channel(loop, "in")
+    log = []
+    woken = event_init("woken")
+
+    def on_item(item):
+        log.append(item)
+        if item == "a":
+            event_complete(loop, woken)
+            ch.put("b")
+
+    if reader == "task":
+        spawn(loop, ctx_init(_channel_reader, (ch, on_item)))
+    else:
+        ch.consume(on_item)
+    call_at(loop, 100, lambda: ch.put("a"))
+    spawn(loop, ctx_init(_tagged_waiter, (sleep_until(loop, 100), "tick", log)))
+    spawn(loop, ctx_init(_tagged_waiter, (woken, "woken", log)))
+    loop_run(loop)
+    assert log == ["tick", "a", "b", "woken"]
+    assert loop.dispatch_count == (6 if reader == "task" else 4)   # the handler is no task
+
+
+def test_channel_takes_one_reader():
+    loop = EventLoop(VirtualClock(), name="n0")
+    ch = Channel(loop, "in")
+    ch.consume(lambda item: None)
+    with pytest.raises(UsageError):
+        ch.consume(lambda item: None)
+    waited = Channel(loop, "in2")
+    spawn(loop, ctx_init(_channel_reader, (waited, lambda item: None)))
+    loop_run(loop)
+    with pytest.raises(UsageError):
+        waited.consume(lambda item: None)

@@ -60,6 +60,7 @@ def test_schema_violations_rejected(tmp_path):
             {"links": {}},                       # missing uart_down
             {"links": {"uart_down": {"mtu": 64}}},   # link without bandwidth_bps
             {"bogus_field": 1},
+            {"readout_us": 5000},                # belongs in the camera block
     ):
         doc = dict(base)
         doc.update(mutation)

@@ -178,9 +178,9 @@ def test_delivery_time_matches_formula():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=20_000_000, base_latency_us=1000, mtu=65536))
     done_ev = event_init("tx-done")
-    delivery = link.send(b"", 25600, done_ev)
+    link.send(b"", 25600, done_ev)
     loop_run(src)
-    assert delivery.completed
+    assert link.trace.times(Kind.LINK_RX_END, "l") == [11240]
     assert dst.now == 11240
     msg = link.rx.try_get()
     assert msg is not None and msg.nbytes == 25600
@@ -231,9 +231,10 @@ def test_queued_sends_serialize_back_to_back_without_tasks():
 def test_zero_byte_send_delivers_at_base_latency():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=1_000_000, base_latency_us=700, mtu=64))
-    delivery = link.send(b"", 0)
+    link.send(b"", 0)
     loop_run(src)
-    assert delivery.completed and dst.now == 700
+    assert link.trace.times(Kind.LINK_RX_END, "l") == [700] and dst.now == 700
+    assert [msg.nbytes for msg in link.rx.items] == [0]
 
 
 def test_oversized_send_without_segmentation_rejected():
@@ -242,7 +243,10 @@ def test_oversized_send_without_segmentation_rejected():
                    segmentation=False))
     with pytest.raises(UsageError):
         link.send(b"", 65, None)
-    assert link.send(b"", 64, None) is not None
+    link.send(b"", 64, None)
+    loop_run(src)
+    assert [msg.nbytes for msg in link.rx.items] == [64]
+    assert link.trace.times(Kind.LINK_RX_END, "l") == [512]     # 64 B at 1 Mbit/s
 
 
 def test_in_order_delivery_and_byte_conservation():
