@@ -19,13 +19,11 @@ from .errors import (ConfigError, MetricsError, NanopipeError, OracleUnavailable
                      ProtocolError, UsageError)
 from .oracle import analytic_oracle
 from .pipeline import (BufferPool, BufferState, Channel, FrameBuffer, PIPELINED,
-                       ResourceBusy, SERIALIZED, Stage, buffer_acquire, buffer_release,
-                       pipeline_run, pool_create)
+                       ResourceBusy, SERIALIZED, Stage, pipeline_run, pool_create)
 from .scenarios import (Metrics, Scenario, compute_metrics, expected_period_us,
                         list_scenarios, load_scenario, run_remote_scenario, run_scenario)
 from .trace import Kind, TraceEvent, TraceLog
 from .vnode import (CRTP_PRESET, Camera, CameraConfig, Link, LinkConfig, NodeGraph,
-                    STREAMING, StreamStats, TRIGGER, camera_capture, camera_stream,
-                    link_send)
+                    STREAMING, StreamStats, TRIGGER, camera_capture, camera_stream)
 
 __version__ = "0.1.0"

@@ -10,6 +10,8 @@ lives behind ``ctx.args``.
 Only code that blocks on something is a task. Devices that make no decisions
 run as ``call_at`` callbacks off the timer heap that completes events, and a
 channel reader that blocks on nothing else as a handler (``Channel.consume``).
+The simulator's tasks are not written as bodies of their own: each is a list
+of steps that one body, ``pipeline._run_steps``, runs (``pipeline.spawn_task``).
 
 Several loops (one per simulated node, each with a fixed clock offset) may
 share one virtual clock and are driven together; see ``loop_run``. The timer

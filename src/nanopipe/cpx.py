@@ -20,9 +20,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .coro import (Event, EventLoop, coroutine, ctx_init, done, event_init, loop_run,
-                   pulse, schedule_completion, sleep_until, spawn, wait)
+from .coro import (Event, EventLoop, event_init, loop_run, pulse, schedule_completion,
+                   sleep_until)
 from .errors import ConfigError, ProtocolError, UsageError
+from .pipeline import END, guard, spawn_task
 from .trace import Kind
 from .vnode import Link, NodeGraph
 
@@ -230,9 +231,10 @@ class Router:
         if in_link is not None:
             in_link.rx.consume(self._ingress)
         if out_link is not None:
-            spawn(self.loop, ctx_init(_router_egress_body,
-                                      _EgressRun(self, queue, out_link),
-                                      label=f"router-tx-{name}"))
+            copy = [_copy] if self.mode == BASELINE else []
+            spawn_task(self.loop, f"router-tx-{name}", [_dequeue, *copy, _transmit],
+                       queue=queue, link=out_link, copy_ns_per_byte=self.copy_ns_per_byte,
+                       pkt=None)
         return queue
 
     def _ingress(self, msg) -> None:
@@ -257,108 +259,73 @@ def router_forward(router: Router, pkt: CpxPacket) -> None:
     router.forwarded += 1
 
 
-class _EgressRun:
-    __slots__ = ("router", "queue", "out_link", "pkt", "ev")
-
-    def __init__(self, router, queue, out_link):
-        self.router = router
-        self.queue = queue
-        self.out_link = out_link
-        self.pkt = None
-        self.ev = None
+@guard
+def reserve(t):
+    """Take a transmit credit on ``t.queue``; when it is full, record the
+    stall against ``t.frame`` and wait for a slot."""
+    if not t.queue.try_reserve():
+        t.trace.emit(t.loop, Kind.QUEUE_FULL, t.queue.name, t.frame)
+        return t.queue.register_credit_waiter(t.loop)
 
 
-@coroutine
-def _router_egress_body(ctx):
-    st = ctx.args
-    router = st.router
-    loop = router.loop
-    while True:
-        if ctx.resume_point == 0:
-            pkt = st.queue.try_dequeue()
-            if pkt is None:
-                return wait(st.queue.kick, then=0)
-            st.pkt = pkt
-            if router.mode == BASELINE:
-                # baseline stack: one payload copy per hop, paid in time
-                pkt.copy_count += 1
-                copy_us = -(-int(pkt.length * router.copy_ns_per_byte) // 1000)
-                st.ev = sleep_until(loop, loop.now + copy_us, "router-copy")
-                return wait(st.ev, then=1)
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            frame = st.pkt.meta if isinstance(st.pkt.meta, int) else None
-            st.ev = event_init("egress-tx")
-            st.out_link.send(st.pkt, st.pkt.wire_bytes, st.ev, frame=frame)
-            return wait(st.ev, then=2)
-        # last byte left the router: the slot is free again
-        st.queue.delivered += 1
-        st.queue.release_slot()
-        st.pkt = None
-        ctx.resume_point = 0
+@guard
+def _dequeue(t):
+    if t.pkt is not None:
+        # the last packet's last byte left the router: its slot is free again
+        t.queue.delivered += 1
+        t.queue.release_slot()
+        t.pkt = None
+    pkt = t.queue.try_dequeue()
+    if pkt is None:
+        return t.queue.kick
+    t.pkt = pkt
+
+
+def _copy(t):
+    # baseline stack: one payload copy per hop, paid in time
+    pkt = t.pkt
+    pkt.copy_count += 1
+    copy_us = -(-int(pkt.length * t.copy_ns_per_byte) // 1000)
+    return sleep_until(t.loop, t.loop.now + copy_us, "router-copy")
+
+
+def _transmit(t):
+    pkt = t.pkt
+    ev = event_init("egress-tx")
+    t.link.send(pkt, pkt.wire_bytes, ev,
+                    frame=pkt.meta if isinstance(pkt.meta, int) else None)
+    return ev
 
 
 # --- two-way clock-offset estimation -----------------------------------------
 
-class _ProbeRun:
-    __slots__ = ("up", "down", "rounds", "samples", "t1")
-
-    def __init__(self, up, down, rounds):
-        self.up = up
-        self.down = down
-        self.rounds = rounds
-        self.samples = []
-        self.t1 = 0
-
-
 _PROBE_BYTES = 8
 
 
-@coroutine
-def _probe_body(ctx):
-    st = ctx.args
-    loop = st.up.src
-    while True:
-        if ctx.resume_point == 0:
-            if len(st.samples) == st.rounds:
-                return done()
-            st.t1 = loop.now
-            st.up.send(b"probe", _PROBE_BYTES, meta="probe")
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            msg = st.down.rx.try_get()
-            if msg is None:
-                return wait(st.down.rx.ready_event, then=1)
-            t2, t3 = msg.meta
-            t4 = loop.now
-            st.samples.append(((t2 - st.t1) + (t3 - t4)) / 2)
-            ctx.resume_point = 0
+def _send_probe(t):
+    if len(t.samples) == t.frames:
+        return END
+    t.t1 = t.loop.now
+    t.up.send(b"probe", _PROBE_BYTES, meta="probe")
 
 
-@coroutine
-def _echo_body(ctx):
-    st = ctx.args
-    loop = st.up.dst
-    while True:
-        msg = st.up.rx.try_get()
-        if msg is None:
-            if st.echoed == st.rounds:
-                return done()
-            return wait(st.up.rx.ready_event, then=0)
-        t2 = loop.now
-        t3 = loop.now
-        st.down.send(b"reply", _PROBE_BYTES, meta=(t2, t3))
-        st.echoed += 1
+@guard
+def _read_reply(t):
+    msg = t.down.rx.try_get()
+    if msg is None:
+        return t.down.rx.ready_event
+    t2, t3 = msg.meta
+    t.samples.append(((t2 - t.t1) + (t3 - t.loop.now)) / 2)
 
 
-class _EchoRun:
-    __slots__ = ("up", "down", "rounds", "echoed")
-
-    def __init__(self, up, down, rounds):
-        self.up = up
-        self.down = down
-        self.rounds = rounds
-        self.echoed = 0
+@guard
+def _echo(t):
+    msg = t.up.rx.try_get()
+    if msg is None:
+        return END if t.count == t.frames else t.up.rx.ready_event
+    t2 = t3 = t.loop.now
+    t.down.send(b"reply", _PROBE_BYTES, meta=(t2, t3))
+    t.count += 1
 
 
 def estimate_clock_offset(graph: NodeGraph, node_a: str, node_b: str,
@@ -379,9 +346,9 @@ def estimate_clock_offset(graph: NodeGraph, node_a: str, node_b: str,
             down = link
     if up is None or down is None:
         raise ConfigError(f"no bidirectional route between {node_a} and {node_b}")
-    probe = _ProbeRun(up, down, rounds)
-    spawn(up.src, ctx_init(_probe_body, probe, label=f"offset-probe-{node_a}"))
-    spawn(up.dst, ctx_init(_echo_body, _EchoRun(up, down, rounds),
-                           label=f"offset-echo-{node_b}"))
+    probe = spawn_task(up.src, f"offset-probe-{node_a}", [_send_probe, _read_reply],
+                       up=up, down=down, frames=rounds, samples=[], t1=0)
+    spawn_task(up.dst, f"offset-echo-{node_b}", [_echo], up=up, down=down, frames=rounds,
+               count=0)
     loop_run(up.src)
     return sum(probe.samples) / len(probe.samples)

@@ -5,8 +5,7 @@ from .errors import OracleUnavailable
 from .pipeline import MODES, SERIALIZED
 
 
-def analytic_oracle(durations_us, mode: str, pool_size: int,
-                    consumer_graph: str = "chain") -> int:
+def analytic_oracle(durations_us, mode: str, pool_size: int) -> int:
     """Expected steady-state period of a linear pipeline on distinct resources.
 
     Serialized runs take the sum of the stage durations. Pipelined runs with
@@ -16,8 +15,6 @@ def analytic_oracle(durations_us, mode: str, pool_size: int,
     """
     if mode not in MODES:
         raise OracleUnavailable(f"unknown mode {mode!r}")
-    if consumer_graph != "chain":
-        raise OracleUnavailable(f"no closed form for consumer graph {consumer_graph!r}")
     if not durations_us:
         raise OracleUnavailable("empty stage list")
     if mode == SERIALIZED or pool_size == 1:

@@ -7,6 +7,10 @@ the buffer returns to Free only after the last consumer is done. Stages bound
 to distinct resources overlap across frames; one resource never runs two
 stages at once. A ``Channel`` hands items to a reader task, or to a plain
 handler when the reader blocks on nothing else.
+
+Every task is a list of steps run by one coroutine body (``spawn_task``);
+the shared steps here and in ``cpx`` build the stage runs below and every
+task of the scenarios.
 """
 from __future__ import annotations
 
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
 
-from .coro import (EventLoop, coroutine, ctx_init, done, event_init, pulse,
-                   sleep_until, spawn, wait, loop_run)
+from .coro import (_WAIT, Event, EventLoop, coroutine, ctx_init, done, event_init,
+                   loop_run, pulse, sleep_until, spawn)
 from .errors import ConfigError, UsageError
 from .trace import Kind, TraceLog
 
@@ -123,14 +127,6 @@ class BufferPool:
 
 def pool_create(loop: EventLoop, n: int, capacity: int) -> BufferPool:
     return BufferPool(loop, n, capacity)
-
-
-def buffer_acquire(pool: BufferPool) -> Optional[FrameBuffer]:
-    return pool.try_acquire()
-
-
-def buffer_release(pool: BufferPool, buf: FrameBuffer) -> None:
-    pool.release(buf)
 
 
 class Channel:
@@ -252,167 +248,157 @@ def _validate_stages(stages):
     return plan
 
 
-class _ProducerRun:
-    __slots__ = ("stage", "pool", "res", "out_chs", "frames", "nbytes",
-                 "holders", "produced", "buf", "sleep_ev", "trace", "loop")
+# --- tasks as step lists ---------------------------------------------------------
 
-    def __init__(self, stage, pool, res, out_chs, frames, nbytes, holders, trace):
-        self.stage = stage
-        self.pool = pool
-        self.res = res
-        self.out_chs = out_chs
-        self.frames = frames
-        self.nbytes = nbytes
-        self.holders = holders
-        self.produced = 0
-        self.buf = None
-        self.sleep_ev = None
-        self.trace = trace
-        self.loop = pool.loop
+END = object()          # a step's return: the task is over
+RESTART = object()      # a step's return: go back to the first step
 
 
-@coroutine
-def _producer_body(ctx):
-    st = ctx.args
-    loop = st.loop
-    while True:
-        if ctx.resume_point == 0:
-            if st.produced == st.frames:
-                return done()
-            buf = st.pool.try_acquire()
-            if buf is None:
-                return wait(st.pool.free_event, then=0)
-            st.buf = buf
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            if not st.res.try_acquire():
-                return wait(st.res.free_event, then=1)
-            st.trace.emit(loop, Kind.STAGE_START, st.stage.name, st.produced)
-            st.sleep_ev = sleep_until(loop, loop.now + st.stage.duration_for(st.nbytes),
-                                      f"{st.stage.name}-hold")
-            return wait(st.sleep_ev, then=2)
-        # resume_point == 2: fill finished
-        st.trace.emit(loop, Kind.STAGE_END, st.stage.name, st.produced)
-        st.res.release()
-        st.buf.fill()
-        st.pool.mark_ready(st.buf, st.produced)
-        for _ in range(max(st.holders, 1)):
-            st.pool.attach(st.buf)
-        if st.holders == 0:
-            st.pool.release(st.buf)   # single-stage pipeline: nobody downstream
-        for ch in st.out_chs:
-            ch.put((st.produced, st.buf))
-        st.produced += 1
-        st.buf = None
-        ctx.resume_point = 0
+def guard(step: Callable) -> Callable:
+    """Mark a step that checks a condition: it runs again after its wait."""
+    step.guard = True
+    return step
 
 
-class _ConsumerRun:
-    __slots__ = ("stage", "pool", "res", "in_ch", "out_chs", "frames", "nbytes",
-                 "count", "tok", "sleep_ev", "trace", "loop")
+class Task:
+    """A task's state: its step list, its loop, and the fields its steps keep
+    across waits. Shared steps read frame, frames and count (the frame or round
+    at hand, how many, how many done), buf and pool, inbox and outs (channels
+    in and out), period and t0 (frame n starts at t0 + n * period), and link,
+    queue, pkt and nbytes (where and what a task sends); the rest serve one
+    kind of task. With slots, not a dict per task, a shared step reads the
+    fields of every task the same fast way.
+    """
 
-    def __init__(self, stage, pool, res, in_ch, out_chs, frames, nbytes, trace):
-        self.stage = stage
-        self.pool = pool
-        self.res = res
-        self.in_ch = in_ch
-        self.out_chs = out_chs
-        self.frames = frames
-        self.nbytes = nbytes
-        self.count = 0
-        self.tok = None
-        self.sleep_ev = None
-        self.trace = trace
-        self.loop = pool.loop
+    __slots__ = ("loop", "steps", "next", "after_wait",
+                 "frame", "frames", "count", "buf", "pool", "inbox", "outs", "period", "t0",
+                 "readout_us", "compute_us", "link", "queue", "pkt", "nbytes", "reply",
+                 "trace", "pending", "cam", "holders", "copy_ns_per_byte", "up", "down",
+                 "samples", "t1")
+
+    def __init__(self, loop: EventLoop, steps, **fields):
+        self.loop = loop
+        self.steps = tuple(steps)
+        n = len(self.steps)
+        self.next = tuple(range(1, n)) + (0,)        # the last step wraps to the first
+        self.after_wait = tuple(i if getattr(step, "guard", False) else self.next[i]
+                                for i, step in enumerate(self.steps))
+        for name, value in fields.items():
+            setattr(self, name, value)
 
 
 @coroutine
-def _consumer_body(ctx):
-    st = ctx.args
-    loop = st.loop
+def _run_steps(ctx):
+    # ctx.resume_point is the index of the step to run next
+    task = ctx.args
+    steps, nxt = task.steps, task.next
+    i = ctx.resume_point
     while True:
-        if ctx.resume_point == 0:
-            tok = st.in_ch.try_get()
-            if tok is None:
-                return wait(st.in_ch.ready_event, then=0)
-            st.tok = tok
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            if not st.res.try_acquire():
-                return wait(st.res.free_event, then=1)
-            st.trace.emit(loop, Kind.STAGE_START, st.stage.name, st.tok[0])
-            st.sleep_ev = sleep_until(loop, loop.now + st.stage.duration_for(st.nbytes),
-                                      f"{st.stage.name}-hold")
-            return wait(st.sleep_ev, then=2)
-        frame, buf = st.tok
-        st.trace.emit(loop, Kind.STAGE_END, st.stage.name, frame)
-        st.res.release()
-        st.pool.release(buf)
-        for ch in st.out_chs:
-            ch.put(st.tok)
-        st.count += 1
-        st.tok = None
-        if st.count == st.frames:
+        out = steps[i](task)
+        if out is None:
+            i = nxt[i]
+        elif out.__class__ is Event:
+            return (_WAIT, out, task.after_wait[i])      # wait(), without its call
+        elif out is END:
             return done()
-        ctx.resume_point = 0
+        elif out is RESTART:
+            i = 0
+        else:
+            raise UsageError(f"step {steps[i].__name__} of {ctx.label!r} returned {out!r}")
 
 
-class _SerialRun:
-    __slots__ = ("plan", "pool", "resources", "frames", "nbytes", "frame",
-                 "stage_idx", "buf", "sleep_ev", "trace", "loop")
+def spawn_task(loop: EventLoop, label: str, steps, **fields) -> Task:
+    """Run ``steps`` as one task on ``loop``, with ``fields`` as its state.
 
-    def __init__(self, plan, pool, resources, frames, nbytes, trace):
-        self.plan = plan
-        self.pool = pool
-        self.resources = resources
-        self.frames = frames
-        self.nbytes = nbytes
-        self.frame = 0
-        self.stage_idx = 0
-        self.buf = None
-        self.sleep_ev = None
-        self.trace = trace
-        self.loop = pool.loop
+    A step is a function of the task's state. It returns None to go on to
+    the next step, an ``Event`` to wait for before the next step (or before
+    running again, for a ``guard``), ``END``, or ``RESTART``.
+    """
+    task = Task(loop, steps, **fields)
+    spawn(loop, ctx_init(_run_steps, task, label=label))
+    return task
 
 
-@coroutine
-def _serialized_body(ctx):
-    st = ctx.args
-    loop = st.loop
-    while True:
-        if ctx.resume_point == 0:
-            if st.frame == st.frames:
-                return done()
-            buf = st.pool.try_acquire()
-            if buf is None:
-                return wait(st.pool.free_event, then=0)
-            st.buf = buf
-            st.stage_idx = 0
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            stage = st.plan[st.stage_idx][0]
-            res = st.resources[stage.resource]
-            if not res.try_acquire():
-                return wait(res.free_event, then=1)
-            st.trace.emit(loop, Kind.STAGE_START, stage.name, st.frame)
-            st.sleep_ev = sleep_until(loop, loop.now + stage.duration_for(st.nbytes),
-                                      f"{stage.name}-hold")
-            return wait(st.sleep_ev, then=2)
-        stage = st.plan[st.stage_idx][0]
-        st.trace.emit(loop, Kind.STAGE_END, stage.name, st.frame)
-        st.resources[stage.resource].release()
-        if st.stage_idx == 0:
-            st.buf.fill()
-            st.pool.mark_ready(st.buf, st.frame)
-            st.pool.attach(st.buf)
-        st.stage_idx += 1
-        if st.stage_idx < len(st.plan):
-            ctx.resume_point = 1
-            continue
-        st.pool.release(st.buf)
-        st.buf = None
-        st.frame += 1
-        ctx.resume_point = 0
+# shared steps; t.frame is the frame a task works on, t.buf its buffer
+
+def next_frame(t):
+    """End after ``t.frames`` frames; with a ``t.period``, wait for the next
+    frame's start at ``t.t0 + t.frame * t.period``."""
+    if t.frame == t.frames:
+        return END
+    if t.period:
+        return sleep_until(t.loop, t.t0 + t.frame * t.period, "frame-tick")
+
+
+@guard
+def acquire(t):
+    """End after ``t.frames`` frames; else take a Free buffer from ``t.pool``."""
+    if t.frame == t.frames:
+        return END
+    buf = t.pool.try_acquire()
+    if buf is None:
+        return t.pool.free_event
+    t.buf = buf
+
+
+@guard
+def take(t):
+    """Take the next ``(frame, buffer)`` pair from the channel ``t.inbox``."""
+    item = t.inbox.try_get()
+    if item is None:
+        return t.inbox.ready_event
+    t.frame, t.buf = item
+
+
+def retire(t):
+    """Release this task's hold on the frame's buffer; go on to the next frame."""
+    t.pool.release(t.buf)
+    t.frame += 1
+
+
+def _stage_steps(stage: Stage, res: ResourceBusy, nbytes: int) -> list:
+    """Hold the stage's resource, run the stage for its duration, free it."""
+    @guard
+    def hold(t):
+        if not res.try_acquire():
+            return res.free_event
+
+    def run(t):
+        t.trace.emit(t.loop, Kind.STAGE_START, stage.name, t.frame)
+        return sleep_until(t.loop, t.loop.now + stage.duration_for(nbytes),
+                           f"{stage.name}-hold")
+
+    def end(t):
+        t.trace.emit(t.loop, Kind.STAGE_END, stage.name, t.frame)
+        res.release()
+    return [hold, run, end]
+
+
+def _ready(t):
+    # the producing stage is done: the frame is Ready and this task holds it
+    t.buf.fill()
+    t.pool.mark_ready(t.buf, t.frame)
+    t.pool.attach(t.buf)
+
+
+def _publish(t):
+    _ready(t)
+    for _ in range(t.holders - 1):
+        t.pool.attach(t.buf)                 # one hold per downstream stage
+    if not t.holders:
+        t.pool.release(t.buf)                # single-stage pipeline: nobody downstream
+    for ch in t.outs:
+        ch.put((t.frame, t.buf))
+    t.frame += 1
+
+
+def _pass_on(t):
+    t.pool.release(t.buf)
+    for ch in t.outs:
+        ch.put((t.frame, t.buf))
+    t.count += 1
+    if t.count == t.frames:
+        return END
 
 
 def pipeline_run(stages: list, mode: str, pool: BufferPool, frames: int) -> TraceLog:
@@ -437,10 +423,14 @@ def pipeline_run(stages: list, mode: str, pool: BufferPool, frames: int) -> Trac
         if stage.resource not in resources:
             resources[stage.resource] = ResourceBusy(loop, stage.resource)
 
+    steps = {i: _stage_steps(stage, resources[stage.resource], nbytes)
+             for i, (stage, _, _) in enumerate(plan)}
     if mode == SERIALIZED:
-        spawn(loop, ctx_init(_serialized_body,
-                             _SerialRun(plan, pool, resources, frames, nbytes, trace),
-                             label="serialized"))
+        serial = [acquire, *steps[0], _ready]
+        for i in range(1, len(plan)):
+            serial += steps[i]
+        spawn_task(loop, "serialized", serial + [retire], trace=trace, pool=pool,
+                   frames=frames, frame=0, buf=None)
         loop_run(loop)
         return trace
 
@@ -455,19 +445,12 @@ def pipeline_run(stages: list, mode: str, pool: BufferPool, frames: int) -> Trac
         in_ch_of[i] = ch
         out_chs[role_owner[role_in]].append(ch)
 
-    holders = len(plan) - 1
-    producer_stage = plan[0][0]
-    spawn(loop, ctx_init(_producer_body,
-                         _ProducerRun(producer_stage, pool, resources[producer_stage.resource],
-                                      out_chs[0], frames, nbytes, holders, trace),
-                         label=producer_stage.name))
-    for i, (stage, _, _) in enumerate(plan):
-        if i == 0:
-            continue
-        spawn(loop, ctx_init(_consumer_body,
-                             _ConsumerRun(stage, pool, resources[stage.resource],
-                                          in_ch_of[i], out_chs[i], frames, nbytes, trace),
-                             label=stage.name))
+    spawn_task(loop, plan[0][0].name, [acquire, *steps[0], _publish], trace=trace,
+               pool=pool, outs=out_chs[0], frames=frames, holders=len(plan) - 1,
+               frame=0, buf=None)
+    for i in range(1, len(plan)):
+        spawn_task(loop, plan[i][0].name, [take, *steps[i], _pass_on], trace=trace,
+                   pool=pool, inbox=in_ch_of[i], outs=out_chs[i], frames=frames, count=0)
     loop_run(loop)
     return trace
 

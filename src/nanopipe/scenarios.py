@@ -22,13 +22,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coro import (coroutine, ctx_init, done, event_init, loop_run, schedule_completion,
-                   sleep_until, spawn, wait)
+from .coro import event_init, loop_run, schedule_completion, sleep_until
 from .cpx import (BASELINE, FUNCTION_APP_STREAM, NODE_IDS, ROUTER_MODES, ZEROCOPY,
-                  CpxPacket, Router, estimate_clock_offset)
+                  CpxPacket, Router, estimate_clock_offset, reserve)
 from .errors import ConfigError, MetricsError, OracleUnavailable
 from .oracle import analytic_oracle
-from .pipeline import MODES, PIPELINED, SERIALIZED, Channel, ResourceBusy, pool_create
+from .pipeline import (MODES, PIPELINED, RESTART, SERIALIZED, Channel, acquire, next_frame,
+                       pool_create, retire, spawn_task, take)
 from .trace import Kind, TraceLog
 from .vnode import (NODE_NAMES, STREAMING, TRIGGER, Camera, CameraConfig, LinkConfig,
                     NodeGraph, camera_capture, camera_stream)
@@ -45,7 +45,6 @@ _LINK_KEYS = {
 
 _LINK_EDGES = {
     "uart_down": ("gap8", "stm32", "uart"),
-    "uart_up": ("stm32", "gap8", "uart"),
     "spi_up": ("gap8", "esp32", "spi"),
     "spi_down": ("esp32", "gap8", "spi"),
     "wifi_up": ("esp32", "host", "wifi"),
@@ -153,8 +152,8 @@ class Scenario:
         elif self.rate_hz is None:
             raise ConfigError(f"{self.kind} scenarios need a rate_hz pacing value")
         _require(isinstance(self.links, dict), "links must be a JSON object")
-        unknown = set(self.links) - set(_LINK_EDGES)
-        _require(not unknown, f"links {sorted(unknown)} name no known edge")
+        unused = set(self.links) - set(_LINK_KEYS[self.kind])
+        _require(not unused, f"{self.kind} scenarios build no links {sorted(unused)}")
         for key in _LINK_KEYS[self.kind]:
             if key not in self.links:
                 raise ConfigError(f"scenario {self.name!r} is missing link {key!r}")
@@ -162,6 +161,7 @@ class Scenario:
             _check_fields(f"links.{key}", raw, _FIELDS["links"])
             _require("bandwidth_bps" in raw, f"link {key!r} is missing 'bandwidth_bps'")
         if self.rate_hz is not None:
+            _require(1e6 / self.rate_hz < math.inf, f"rate_hz {self.rate_hz} gives no frame period")
             period = self.frame_period_us
             if self.camera_mode == TRIGGER:
                 ceiling = 1e6 / (self.trigger_setup_us + self.readout_us)
@@ -219,11 +219,26 @@ def fixture_dir() -> pathlib.Path:
     return pathlib.Path(__file__).parent / "fixtures"
 
 
+def _read_scenario_file(path: pathlib.Path) -> dict:
+    """The JSON object in ``path``, with a checked name, aliases and description."""
+    try:
+        raw = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:    # missing, a directory, not JSON, not text
+        raise ConfigError(f"unreadable scenario file {path}: {exc}") from exc
+    _require(isinstance(raw, dict) and "name" in raw,
+             f"scenario file {path} is not a JSON object with a 'name'")
+    for key in ("name", "aliases", "description"):
+        check, what = _FIELDS["scenario"][key]
+        if key in raw and not check(raw[key]):
+            raise ConfigError(f"scenario file {path}: {key} must be {what}, got {raw[key]!r}")
+    return raw
+
+
 def list_scenarios() -> list:
     """(name, aliases, description) for every fixture in the scenario dir."""
     out = []
     for path in sorted(fixture_dir().glob("*.json")):
-        raw = json.loads(path.read_text())
+        raw = _read_scenario_file(path)
         out.append((raw["name"], tuple(raw.get("aliases", ())),
                     raw.get("description", "")))
     return out
@@ -232,13 +247,9 @@ def list_scenarios() -> list:
 def load_scenario(name_or_path) -> Scenario:
     path = pathlib.Path(name_or_path)
     if path.suffix == ".json" or path.exists():
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:    # missing, a directory, not JSON, not text
-            raise ConfigError(f"unreadable scenario file {path}: {exc}") from exc
-        return scenario_from_dict(raw)
+        return scenario_from_dict(_read_scenario_file(path))
     for fixture in sorted(fixture_dir().glob("*.json")):
-        raw = json.loads(fixture.read_text())
+        raw = _read_scenario_file(fixture)
         if raw["name"] == name_or_path or name_or_path in raw.get("aliases", ()):
             return scenario_from_dict(raw)
     raise ConfigError(f"unknown scenario {name_or_path!r} "
@@ -329,14 +340,9 @@ def compute_metrics(trace: TraceLog, *, sink_stage: str = "sink",
     )
 
 
-# --- shared coroutine bodies and channel handlers ----------------------------------
-
-class _Rec:
-    """Mutable bag for coroutine args: everything that must survive suspension."""
-
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
-
+# --- task steps and channel handlers -----------------------------------------------
+# A task's t.frame is the frame (or probe round) it works on. Channels between
+# tasks carry (frame, buffer) pairs; on the host the "buffer" is the packet.
 
 def _sink(trace, loop, notify_loop=None, pending=None):
     """Channel handler of the zero-duration control sink: records each result
@@ -350,258 +356,105 @@ def _sink(trace, loop, notify_loop=None, pending=None):
     return receive
 
 
-@coroutine
-def _trigger_producer_body(ctx):
-    # paced single-shot capture requests feeding the frame channel
-    st = ctx.args
-    loop = st.loop
-    while True:
-        if ctx.resume_point == 0:
-            if st.n == st.frames:
-                return done()
-            st.ev = sleep_until(loop, st.t0 + st.n * st.period, "frame-tick")
-            return wait(st.ev, then=1)
-        if ctx.resume_point == 1:
-            buf = st.pool.try_acquire()
-            if buf is None:
-                st.trace.emit(loop, Kind.DROP, "capture", st.n)
-                st.n += 1
-                ctx.resume_point = 0
-                continue
-            st.buf = buf
-            st.ev = event_init("capture-done")
-            camera_capture(st.cam, buf, st.ev)
-            return wait(st.ev, then=2)
-        st.pool.attach(st.buf)
-        st.out.put((st.n, st.buf))
-        st.buf = None
-        st.n += 1
-        ctx.resume_point = 0
+def _trigger(t):
+    # paced single-shot capture request; a tick that finds no Free buffer drops
+    buf = t.pool.try_acquire()
+    if buf is None:
+        t.trace.emit(t.loop, Kind.DROP, "capture", t.frame)
+        t.frame += 1
+        return RESTART
+    t.buf = buf
+    ev = event_init("capture-done")
+    camera_capture(t.cam, buf, ev)
+    return ev
 
 
-@coroutine
-def _onboard_inference_body(ctx):
-    # consumes frames, holds the cluster for the inference time, emits the
-    # result over the uart link, releases the image buffer
-    st = ctx.args
-    loop = st.loop
-    while True:
-        if ctx.resume_point == 0:
-            tok = st.in_ch.try_get()
-            if tok is None:
-                return wait(st.in_ch.ready_event, then=0)
-            st.tok = tok
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            if not st.engine.try_acquire():
-                return wait(st.engine.free_event, then=1)
-            st.trace.emit(loop, Kind.STAGE_START, "inference", st.tok[0])
-            st.ev = sleep_until(loop, loop.now + st.duration_us, "inference")
-            return wait(st.ev, then=2)
-        frame, buf = st.tok
-        st.trace.emit(loop, Kind.STAGE_END, "inference", frame)
-        st.engine.release()
-        st.pool.release(buf)
-        st.uart.send(b"", st.result_bytes, meta=frame, frame=frame)
-        st.tok = None
-        ctx.resume_point = 0
+def _triggered(t):
+    t.pool.attach(t.buf)
+    for ch in t.outs:
+        ch.put((t.frame, t.buf))
+    t.frame += 1
 
 
-@coroutine
-def _serialized_onboard_body(ctx):
-    # one logical thread: capture, inference, and result tx back to back
-    st = ctx.args
-    loop = st.loop
-    while True:
-        if ctx.resume_point == 0:
-            if st.n == st.frames:
-                return done()
-            if st.period:
-                st.ev = sleep_until(loop, st.t0 + st.n * st.period, "frame-tick")
-                return wait(st.ev, then=1)
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            buf = st.pool.try_acquire()
-            if buf is None:
-                return wait(st.pool.free_event, then=1)
-            st.buf = buf
-            st.trace.emit(loop, Kind.STAGE_START, "capture", st.n)
-            st.ev = sleep_until(loop, loop.now + st.readout_us, "readout")
-            return wait(st.ev, then=2)
-        if ctx.resume_point == 2:
-            st.trace.emit(loop, Kind.STAGE_END, "capture", st.n)
-            st.buf.fill()
-            st.buf.make_ready(st.n)
-            st.pool.attach(st.buf)
-            st.trace.emit(loop, Kind.STAGE_START, "inference", st.n)
-            st.ev = sleep_until(loop, loop.now + st.inference_us, "inference")
-            return wait(st.ev, then=3)
-        if ctx.resume_point == 3:
-            st.trace.emit(loop, Kind.STAGE_END, "inference", st.n)
-            st.ev = event_init("uart-done")
-            st.uart.send(b"", st.result_bytes, st.ev, meta=st.n, frame=st.n)
-            return wait(st.ev, then=4)
-        st.pool.release(st.buf)
-        st.buf = None
-        st.n += 1
-        ctx.resume_point = 0
+def _capture(t):
+    t.trace.emit(t.loop, Kind.STAGE_START, "capture", t.frame)
+    return sleep_until(t.loop, t.loop.now + t.readout_us, "readout")
 
 
-@coroutine
-def _image_sender_body(ctx):
-    # gap8 side of the packet stream: credit-gated spi transmission
-    st = ctx.args
-    loop = st.loop
-    while True:
-        if ctx.resume_point == 0:
-            tok = st.in_ch.try_get()
-            if tok is None:
-                return wait(st.in_ch.ready_event, then=0)
-            frame, buf = tok
-            st.tok = tok
-            st.pkt = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_APP_STREAM,
-                               memoryview(buf.data)[:st.nbytes], meta=frame)
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            if not st.queue.try_reserve():
-                st.trace.emit(loop, Kind.QUEUE_FULL, st.queue.name, st.tok[0])
-                st.ev = st.queue.register_credit_waiter(loop)
-                return wait(st.ev, then=1)
-            st.ev = event_init("spi-done")
-            st.link.send(st.pkt, st.pkt.wire_bytes, st.ev, frame=st.tok[0])
-            return wait(st.ev, then=2)
-        st.pool.release(st.tok[1])
-        st.tok = None
-        st.pkt = None
-        ctx.resume_point = 0
+def _captured(t):
+    # readout done: the frame is Ready and this task holds it
+    t.trace.emit(t.loop, Kind.STAGE_END, "capture", t.frame)
+    t.buf.fill()
+    t.buf.make_ready(t.frame)
+    t.pool.attach(t.buf)
 
 
-@coroutine
-def _host_compute_body(ctx):
-    # remote inference: run the model, send the result back toward the sink
-    st = ctx.args
-    loop = st.loop
-    while True:
-        if ctx.resume_point == 0:
-            pkt = st.job_ch.try_get()
-            if pkt is None:
-                return wait(st.job_ch.ready_event, then=0)
-            st.frame = pkt.meta
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            if not st.engine.try_acquire():
-                return wait(st.engine.free_event, then=1)
-            st.trace.emit(loop, Kind.STAGE_START, "inference", st.frame)
-            st.ev = sleep_until(loop, loop.now + st.duration_us, "inference")
-            return wait(st.ev, then=2)
-        if ctx.resume_point == 2:
-            st.trace.emit(loop, Kind.STAGE_END, "inference", st.frame)
-            st.engine.release()
-            ctx.resume_point = 3
-        if ctx.resume_point == 3:
-            if not st.queue.try_reserve():
-                st.trace.emit(loop, Kind.QUEUE_FULL, st.queue.name, st.frame)
-                st.ev = st.queue.register_credit_waiter(loop)
-                return wait(st.ev, then=3)
-            reply = CpxPacket(NODE_IDS["host"], NODE_IDS["stm32"], FUNCTION_APP_STREAM,
-                              bytes(st.result_bytes), meta=st.frame)
-            st.link.send(reply, reply.wire_bytes, frame=st.frame)
-            ctx.resume_point = 0
+def _filled(t):
+    # _captured, then the frame goes on to the next task
+    t.trace.emit(t.loop, Kind.STAGE_END, "capture", t.frame)
+    t.buf.fill()
+    t.buf.make_ready(t.frame)
+    t.pool.attach(t.buf)
+    for ch in t.outs:
+        ch.put((t.frame, t.buf))
+    t.frame += 1
 
 
-@coroutine
-def _host_echo_body(ctx):
-    # bounces timing probes straight back toward the gap8
-    st = ctx.args
-    while True:
-        if ctx.resume_point == 0:
-            pkt = st.ping_ch.try_get()
-            if pkt is None:
-                return wait(st.ping_ch.ready_event, then=0)
-            st.frame = pkt.meta
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            if not st.queue.try_reserve():
-                st.ev = st.queue.register_credit_waiter(st.loop)
-                return wait(st.ev, then=1)
-            pong = CpxPacket(NODE_IDS["host"], NODE_IDS["gap8"], FUNCTION_PING,
-                             b"", meta=st.frame)
-            st.link.send(pong, pong.wire_bytes, frame=st.frame)
-            ctx.resume_point = 0
+def _infer(t):
+    t.trace.emit(t.loop, Kind.STAGE_START, "inference", t.frame)
+    return sleep_until(t.loop, t.loop.now + t.compute_us, "inference")
 
 
-@coroutine
-def _rtt_probe_body(ctx):
-    # round-trip probes over the full routed path, run on a quiet network
-    st = ctx.args
-    loop = st.loop
-    while True:
-        if ctx.resume_point == 0:
-            if st.k == st.rounds:
-                return done()
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            if not st.queue.try_reserve():
-                st.ev = st.queue.register_credit_waiter(loop)
-                return wait(st.ev, then=1)
-            st.trace.emit(loop, Kind.STAGE_START, "rtt_probe", st.k)
-            ping = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_PING,
-                             bytes(8), meta=st.k)
-            st.link.send(ping, ping.wire_bytes, frame=st.k)
-            ctx.resume_point = 2
-        if ctx.resume_point == 2:
-            pkt = st.pong_ch.try_get()
-            if pkt is None:
-                return wait(st.pong_ch.ready_event, then=2)
-            st.trace.emit(loop, Kind.STAGE_END, "rtt_probe", st.k)
-            st.k += 1
-            ctx.resume_point = 0
+def _inferred(t):
+    t.trace.emit(t.loop, Kind.STAGE_END, "inference", t.frame)
 
 
-@coroutine
-def _serialized_remote_body(ctx):
-    # closed-loop lockstep: capture, ship the frame, wait for the sink receipt
-    st = ctx.args
-    loop = st.loop
-    while True:
-        if ctx.resume_point == 0:
-            if st.n == st.frames:
-                return done()
-            if st.period:
-                st.ev = sleep_until(loop, st.t0 + st.n * st.period, "frame-tick")
-                return wait(st.ev, then=1)
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            buf = st.pool.try_acquire()
-            if buf is None:
-                return wait(st.pool.free_event, then=1)
-            st.buf = buf
-            st.trace.emit(loop, Kind.STAGE_START, "capture", st.n)
-            st.ev = sleep_until(loop, loop.now + st.readout_us, "readout")
-            return wait(st.ev, then=2)
-        if ctx.resume_point == 2:
-            st.trace.emit(loop, Kind.STAGE_END, "capture", st.n)
-            st.buf.fill()
-            st.buf.make_ready(st.n)
-            st.pool.attach(st.buf)
-            ctx.resume_point = 3
-        if ctx.resume_point == 3:
-            if not st.queue.try_reserve():
-                st.ev = st.queue.register_credit_waiter(loop)
-                return wait(st.ev, then=3)
-            pkt = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_APP_STREAM,
-                            memoryview(st.buf.data)[:st.nbytes], meta=st.n)
-            st.ev = event_init("spi-done")
-            st.link.send(pkt, pkt.wire_bytes, st.ev, frame=st.n)
-            return wait(st.ev, then=4)
-        if ctx.resume_point == 4:
-            st.pool.release(st.buf)
-            st.buf = None
-            st.frame_done = event_init("frame-done")
-            st.pending.append(st.frame_done)
-            return wait(st.frame_done, then=5)
-        st.n += 1
-        ctx.resume_point = 0
+def _report(t):
+    # pipelined onboard: free the image, send the result over the uart
+    _inferred(t)
+    t.pool.release(t.buf)
+    t.link.send(b"", t.nbytes, meta=t.frame, frame=t.frame)
+
+
+def _report_and_wait(t):
+    # serialized onboard: the result must be out before the image is freed
+    _inferred(t)
+    ev = event_init("uart-done")
+    t.link.send(b"", t.nbytes, ev, meta=t.frame, frame=t.frame)
+    return ev
+
+
+def _send_image(t):
+    pkt = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_APP_STREAM,
+                    memoryview(t.buf.data)[:t.nbytes], meta=t.frame)
+    ev = event_init("spi-done")
+    t.link.send(pkt, pkt.wire_bytes, ev, frame=t.frame)
+    return ev
+
+
+def _await_receipt(t):
+    # serialized remote: the next frame waits for this one's sink receipt
+    ev = event_init("frame-done")
+    t.pending.append(ev)
+    return ev
+
+
+def _send_reply(t):
+    # host side: the inference result toward the stm32, or a probe's pong
+    dst, function = t.reply
+    pkt = CpxPacket(NODE_IDS["host"], NODE_IDS[dst], function, bytes(t.nbytes), meta=t.frame)
+    t.link.send(pkt, pkt.wire_bytes, frame=t.frame)
+
+
+def _ping(t):
+    t.trace.emit(t.loop, Kind.STAGE_START, "rtt_probe", t.frame)
+    ping = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_PING, bytes(8), meta=t.frame)
+    t.link.send(ping, ping.wire_bytes, frame=t.frame)
+
+
+def _ponged(t):
+    t.trace.emit(t.loop, Kind.STAGE_END, "rtt_probe", t.frame)
+    t.frame += 1
 
 
 # --- runners ---------------------------------------------------------------------
@@ -613,7 +466,7 @@ def _build_graph(spec: Scenario):
     for key in _LINK_KEYS[spec.kind]:
         src, dst, kind = _LINK_EDGES[key]
         links[key] = graph.add_link(key, src, dst, kind, spec.link_cfg(key))
-    if "uart_down" in links and "uart_up" not in links:
+    if "uart_down" in links:
         # mirror of the result uart, used only by the offset exchange
         cfg = dataclasses.replace(spec.link_cfg("uart_down"), name="uart_up",
                                   injected_delay_us=0, jitter_us=0)
@@ -653,10 +506,10 @@ def _spawn_camera_producer(spec, graph, pool, out_ch):
                            trigger_setup_us=spec.trigger_setup_us)
     cam = Camera(gap8, cam_cfg, graph.trace)
     if spec.camera_mode == TRIGGER:
-        rec = _Rec(loop=gap8, cam=cam, pool=pool, out=out_ch, frames=spec.frames,
-                   period=spec.frame_period_us, t0=gap8.now, n=0, buf=None, ev=None,
+        spawn_task(gap8, "trigger-producer", [next_frame, _trigger, _triggered],
+                   cam=cam, pool=pool, outs=[out_ch], frames=spec.frames,
+                   period=spec.frame_period_us, t0=gap8.now, frame=0, buf=None,
                    trace=graph.trace)
-        spawn(gap8, ctx_init(_trigger_producer_body, rec, label="trigger-producer"))
         return None
 
     def on_frame(buf, seq):
@@ -664,6 +517,13 @@ def _spawn_camera_producer(spec, graph, pool, out_ch):
         out_ch.put((seq, buf))
 
     return camera_stream(cam, pool, on_frame, spec.frames)
+
+
+def _spawn_image_sender(spec, graph, pool, frame_ch, queue, link):
+    # gap8 side of the packet stream: credit-gated spi transmission
+    spawn_task(graph.loop("gap8"), "image-tx", [take, reserve, _send_image, retire],
+               inbox=frame_ch, queue=queue, link=link, pool=pool, nbytes=spec.frame_bytes,
+               trace=graph.trace, frame=None, buf=None)
 
 
 def _run_onboard(spec: Scenario):
@@ -677,22 +537,18 @@ def _run_onboard(spec: Scenario):
 
     uart.rx.consume(_sink(graph.trace, stm32))
 
+    fields = dict(pool=pool, link=uart, trace=graph.trace, compute_us=spec.inference_us,
+                  nbytes=spec.result_bytes, frame=0, buf=None)
     if spec.mode == SERIALIZED:
-        rec = _Rec(loop=gap8, pool=pool, uart=uart, trace=graph.trace,
+        spawn_task(gap8, "serialized", [next_frame, acquire, _capture, _captured, _infer,
+                                        _report_and_wait, retire],
                    frames=spec.frames, period=spec.frame_period_us, t0=gap8.now,
-                   readout_us=spec.readout_us, inference_us=spec.inference_us,
-                   result_bytes=spec.result_bytes, n=0, buf=None, ev=None)
-        spawn(gap8, ctx_init(_serialized_onboard_body, rec, label="serialized"))
-        loop_run(gap8)
+                   readout_us=spec.readout_us, **fields)
     else:
         frame_ch = Channel(gap8, "frames")
-        engine = ResourceBusy(gap8, "cluster")
-        inf = _Rec(loop=gap8, in_ch=frame_ch, engine=engine, pool=pool, uart=uart,
-                   duration_us=spec.inference_us, result_bytes=spec.result_bytes,
-                   trace=graph.trace, tok=None, ev=None)
-        spawn(gap8, ctx_init(_onboard_inference_body, inf, label="inference"))
+        spawn_task(gap8, "inference", [take, _infer, _report], inbox=frame_ch, **fields)
         _spawn_camera_producer(spec, graph, pool, frame_ch)
-        loop_run(gap8)
+    loop_run(gap8)
 
     metrics = compute_metrics(
         graph.trace, offset_us=offsets.get("stm32", 0.0),
@@ -727,7 +583,7 @@ def _run_remote(spec: Scenario):
     def host_rx(msg):
         # demultiplexes traffic arriving at the host over wifi
         pkt = msg.payload
-        (ping_ch if pkt.function == FUNCTION_PING else job_ch).put(pkt)
+        (ping_ch if pkt.function == FUNCTION_PING else job_ch).put((pkt.meta, pkt))
 
     def gap8_relay(msg):
         # result packets continue over uart to the stm32; probe replies stay local
@@ -735,19 +591,16 @@ def _run_remote(spec: Scenario):
         if pkt.destination == NODE_IDS["stm32"]:
             uart.send(b"", spec.result_bytes, meta=pkt.meta, frame=pkt.meta)
         else:
-            pong_ch.put(pkt)
+            pong_ch.put((pkt.meta, pkt))
 
     links["wifi_up"].rx.consume(host_rx)
-    spawn(host, ctx_init(_host_compute_body,
-                         _Rec(loop=host, job_ch=job_ch, engine=ResourceBusy(host, "inference"),
-                              duration_us=spec.host_compute_us, queue=spi_q,
-                              link=links["wifi_down"], result_bytes=spec.result_bytes,
-                              trace=graph.trace, frame=None, ev=None),
-                         label="host-compute"))
-    spawn(host, ctx_init(_host_echo_body,
-                         _Rec(loop=host, ping_ch=ping_ch, queue=spi_q,
-                              link=links["wifi_down"], frame=None, ev=None),
-                         label="host-echo"))
+    host_fields = dict(queue=spi_q, link=links["wifi_down"], trace=graph.trace,
+                       frame=None, buf=None)
+    spawn_task(host, "host-compute", [take, _infer, _inferred, reserve, _send_reply],
+               inbox=job_ch, compute_us=spec.host_compute_us, reply=("stm32", FUNCTION_APP_STREAM),
+               nbytes=spec.result_bytes, **host_fields)
+    spawn_task(host, "host-echo", [take, reserve, _send_reply], inbox=ping_ch,
+               reply=("gap8", FUNCTION_PING), nbytes=0, **host_fields)
     links["spi_down"].rx.consume(gap8_relay)
 
     pending = []
@@ -755,29 +608,23 @@ def _run_remote(spec: Scenario):
                           gap8 if spec.mode == SERIALIZED else None, pending))
 
     if spec.mode == SERIALIZED:
-        rec = _Rec(loop=gap8, pool=pool, queue=wifi_q, link=links["spi_up"],
-                   trace=graph.trace, frames=spec.frames, period=spec.frame_period_us,
-                   t0=gap8.now, readout_us=spec.readout_us, nbytes=spec.frame_bytes,
-                   pending=pending, n=0, buf=None, ev=None, frame_done=None)
-        spawn(gap8, ctx_init(_serialized_remote_body, rec, label="serialized"))
-        loop_run(gap8)
+        spawn_task(gap8, "serialized", [next_frame, acquire, _capture, _captured, reserve,
+                                        _send_image, retire, _await_receipt],
+                   pool=pool, queue=wifi_q, link=links["spi_up"], trace=graph.trace,
+                   frames=spec.frames, period=spec.frame_period_us, t0=gap8.now,
+                   readout_us=spec.readout_us, nbytes=spec.frame_bytes, pending=pending,
+                   frame=0, buf=None)
     else:
         frame_ch = Channel(gap8, "frames")
-        spawn(gap8, ctx_init(_image_sender_body,
-                             _Rec(loop=gap8, in_ch=frame_ch, queue=wifi_q,
-                                  link=links["spi_up"], pool=pool,
-                                  nbytes=spec.frame_bytes, trace=graph.trace,
-                                  tok=None, pkt=None, ev=None),
-                             label="image-tx"))
+        _spawn_image_sender(spec, graph, pool, frame_ch, wifi_q, links["spi_up"])
         _spawn_camera_producer(spec, graph, pool, frame_ch)
-        loop_run(gap8)
+    loop_run(gap8)
 
     if spec.rtt_probe_rounds:
-        spawn(gap8, ctx_init(_rtt_probe_body,
-                             _Rec(loop=gap8, queue=wifi_q, link=links["spi_up"],
-                                  pong_ch=pong_ch, rounds=spec.rtt_probe_rounds,
-                                  trace=graph.trace, k=0, ev=None),
-                             label="rtt-probe"))
+        spawn_task(gap8, "rtt-probe", [next_frame, reserve, _ping, take, _ponged],
+                   queue=wifi_q, link=links["spi_up"], inbox=pong_ch,
+                   frames=spec.rtt_probe_rounds, period=0, trace=graph.trace,
+                   frame=0, buf=None)
         loop_run(gap8)
 
     metrics = compute_metrics(
@@ -785,32 +632,6 @@ def _run_remote(spec: Scenario):
         inference_hz=spec.inference_hz, steady_start_frame=spec.steady_start_frame,
         offsets_estimated_us=offsets)
     return graph.trace, metrics
-
-
-@coroutine
-def _fill_producer_body(ctx):
-    # free-running frame source: fill each buffer for the capture time
-    st = ctx.args
-    loop = st.loop
-    while True:
-        if ctx.resume_point == 0:
-            if st.n == st.frames:
-                return done()
-            buf = st.pool.try_acquire()
-            if buf is None:
-                return wait(st.pool.free_event, then=0)
-            st.buf = buf
-            st.trace.emit(loop, Kind.STAGE_START, "capture", st.n)
-            st.ev = sleep_until(loop, loop.now + st.readout_us, "fill")
-            return wait(st.ev, then=1)
-        st.trace.emit(loop, Kind.STAGE_END, "capture", st.n)
-        st.buf.fill()
-        st.buf.make_ready(st.n)
-        st.pool.attach(st.buf)
-        st.out.put((st.n, st.buf))
-        st.buf = None
-        st.n += 1
-        ctx.resume_point = 0
 
 
 def _run_stream(spec: Scenario):
@@ -822,16 +643,11 @@ def _run_stream(spec: Scenario):
     pool = pool_create(gap8, spec.pool_size, spec.frame_bytes)
     frame_ch = Channel(gap8, "frames")
     links["wifi_up"].rx.consume(_sink(graph.trace, host))
-    spawn(gap8, ctx_init(_image_sender_body,
-                         _Rec(loop=gap8, in_ch=frame_ch, queue=router.queues["wifi"],
-                              link=links["spi_up"], pool=pool, nbytes=spec.frame_bytes,
-                              trace=graph.trace, tok=None, pkt=None, ev=None),
-                         label="image-tx"))
-    spawn(gap8, ctx_init(_fill_producer_body,
-                         _Rec(loop=gap8, pool=pool, out=frame_ch, frames=spec.frames,
-                              readout_us=spec.readout_us, trace=graph.trace,
-                              n=0, buf=None, ev=None),
-                         label="fill-producer"))
+    _spawn_image_sender(spec, graph, pool, frame_ch, router.queues["wifi"], links["spi_up"])
+    # free-running frame source: fill each buffer for the capture time
+    spawn_task(gap8, "fill-producer", [acquire, _capture, _filled], pool=pool, outs=[frame_ch],
+               frames=spec.frames, readout_us=spec.readout_us, trace=graph.trace,
+               frame=0, buf=None)
     loop_run(gap8)
 
     metrics = compute_metrics(

@@ -35,7 +35,6 @@ DEFAULT_TRIGGER_SETUP_US = 25333
 class CameraConfig:
     mode: str
     resolution: tuple = (160, 160)
-    bytes_per_pixel: int = 1
     frame_period_us: int = 0                       # streaming only
     readout_us: int = 8000
     trigger_setup_us: int = DEFAULT_TRIGGER_SETUP_US
@@ -53,7 +52,7 @@ class CameraConfig:
 
     @property
     def frame_bytes(self) -> int:
-        return self.resolution[0] * self.resolution[1] * self.bytes_per_pixel
+        return self.resolution[0] * self.resolution[1]
 
     @property
     def trigger_ceiling_hz(self) -> float:
@@ -70,12 +69,10 @@ class StreamStats:
 class Camera:
     """Image source on one node; trigger (per-request) or free-running."""
 
-    def __init__(self, loop: EventLoop, config: CameraConfig, trace: TraceLog,
-                 stage_name: str = "capture"):
+    def __init__(self, loop: EventLoop, config: CameraConfig, trace: TraceLog):
         self.loop = loop
         self.config = config
         self.trace = trace
-        self.stage_name = stage_name
         self.free_at = loop.now         # local time a trigger request can next start
         self._seq = 0
 
@@ -98,12 +95,12 @@ def camera_capture(cam: Camera, buf: FrameBuffer, done_ev: Event) -> None:
     cam.free_at = start + cfg.trigger_setup_us + (cfg.readout_us if buf.capacity > 0 else 0)
 
     def finish():
-        cam.trace.emit(loop, Kind.STAGE_END, cam.stage_name, seq)
+        cam.trace.emit(loop, Kind.STAGE_END, "capture", seq)
         buf.fill()
         buf.make_ready(seq)
         event_complete(loop, done_ev)
 
-    call_at(loop, start, lambda: cam.trace.emit(loop, Kind.STAGE_START, cam.stage_name, seq))
+    call_at(loop, start, lambda: cam.trace.emit(loop, Kind.STAGE_START, "capture", seq))
     call_at(loop, cam.free_at, finish)
 
 
@@ -125,16 +122,16 @@ def camera_stream(cam: Camera, pool: BufferPool, on_frame: Callable,
         buf = pool.try_acquire()
         if buf is None:
             # no Free buffer at frame start: the sensor output is lost
-            cam.trace.emit(loop, Kind.DROP, cam.stage_name, n)
+            cam.trace.emit(loop, Kind.DROP, "capture", n)
             stats.dropped += 1
             next_tick(n + 1)
             return
-        cam.trace.emit(loop, Kind.STAGE_START, cam.stage_name, n)
+        cam.trace.emit(loop, Kind.STAGE_START, "capture", n)
         call_at(loop, loop.now + readout_us, lambda: read_out(n, buf))
 
     def read_out(n, buf):
         nonlocal last_delivery
-        cam.trace.emit(loop, Kind.STAGE_END, cam.stage_name, n)
+        cam.trace.emit(loop, Kind.STAGE_END, "capture", n)
         buf.fill()
         buf.make_ready(n)
         if stats.delivered:
@@ -243,11 +240,6 @@ class Link:
         self.bytes_delivered += received.nbytes
         self.messages_delivered += 1
         self.rx.put(received)
-
-
-def link_send(link: Link, payload, nbytes: int, done_ev: Optional[Event] = None,
-              meta=None, frame: Optional[int] = None) -> None:
-    link.send(payload, nbytes, done_ev, meta, frame)
 
 
 # Radio channel preset: low latency, low bandwidth, tiny packets. The radio

@@ -101,6 +101,7 @@ def test_malformed_link_field_is_config_error(tmp_path, capsys, field, value):
     (("frames",), "100"),
     (("pool_size",), "2"),
     (("rate_hz",), "20"),
+    (("rate_hz",), 5e-324),                             # no finite frame period
     (("inference_us",), -5000),
     (("camera", "resolution"), [32]),
     (("camera", "readout"), 5000),                      # typo of readout_us
@@ -154,6 +155,23 @@ def test_scenario_dir_env_override(tmp_path, capsys, monkeypatch):
     assert "only-here" in out and "pulp-frontnet-48" not in out
     assert run_cli("run", "--scenario", "only-here", "--out",
                    str(tmp_path / "o")) == EXIT_OK
+
+
+@pytest.mark.parametrize("content", [
+    {"kind": "onboard"},                # no name
+    {"name": 3, "kind": "onboard"},     # a name that is no string
+    {"name": "x", "aliases": 5},
+    ["not", "an", "object"],
+    "{not json",
+], ids=lambda v: str(v))
+def test_bad_fixture_file_is_config_error(tmp_path, capsys, monkeypatch, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    monkeypatch.setenv("NANOPIPE_SCENARIO_DIR", str(tmp_path))
+    assert run_cli("list-scenarios") == EXIT_CONFIG
+    assert str(bad) in capsys.readouterr().err
+    assert run_cli("run", "--scenario", "imav-30", "--out", str(tmp_path / "o")) == EXIT_CONFIG
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_metrics_recomputed_from_csv_match_json(tmp_path):

@@ -25,8 +25,6 @@ def test_single_stage_identical_in_both_modes():
 
 def test_unsupported_shapes_are_declared_unavailable():
     with pytest.raises(OracleUnavailable):
-        analytic_oracle([1000, 2000], "pipelined", 2, consumer_graph="fanout")
-    with pytest.raises(OracleUnavailable):
         analytic_oracle([], "pipelined", 2)
     with pytest.raises(OracleUnavailable):
         analytic_oracle([1000], "warp", 2)

@@ -6,10 +6,11 @@ import random
 import pytest
 
 from nanopipe.coro import (EventLoop, VirtualClock, call_at, coroutine, ctx_init, done,
-                           event_complete, event_init, loop_run, sleep_until, spawn, wait)
+                           event_complete, event_init, loop_run, pulse, sleep_until, spawn,
+                           wait)
 from nanopipe.errors import ConfigError, UsageError
-from nanopipe.pipeline import (PIPELINED, SERIALIZED, BufferState, Channel, Stage,
-                               buffer_acquire, buffer_release, pipeline_run, pool_create,
+from nanopipe.pipeline import (END, PIPELINED, RESTART, SERIALIZED, BufferState, Channel,
+                               Stage, guard, pipeline_run, pool_create, spawn_task,
                                stage_end_gaps)
 from nanopipe.trace import Kind, TraceLog
 
@@ -75,12 +76,12 @@ def test_pool_create_zero_rejected():
 def test_acquire_release_round_trip():
     loop = fresh_loop()
     pool = pool_create(loop, 1, 64)
-    buf = buffer_acquire(pool)
+    buf = pool.try_acquire()
     assert buf.state == BufferState.FILLING
     buf.fill(b"xyz")
     pool.mark_ready(buf, 0)
     pool.attach(buf)
-    buffer_release(pool, buf)
+    pool.release(buf)
     assert buf.state == BufferState.FREE
     assert buf.copy_count == 1
 
@@ -88,8 +89,8 @@ def test_acquire_release_round_trip():
 def test_acquire_exhausted_returns_none():
     loop = fresh_loop()
     pool = pool_create(loop, 1, 64)
-    assert buffer_acquire(pool) is not None
-    assert buffer_acquire(pool) is None
+    assert pool.try_acquire() is not None
+    assert pool.try_acquire() is None
 
 
 def test_second_acquire_suspends_until_release():
@@ -353,3 +354,108 @@ def test_channel_takes_one_reader():
     loop_run(loop)
     with pytest.raises(UsageError):
         waited.consume(lambda item: None)
+
+
+# --- step-list tasks -------------------------------------------------------------
+
+def test_guard_step_runs_again_after_its_wait():
+    # woken at 100 with its condition still false, the guard checks and waits
+    # again; at 200 it passes and the task goes on
+    loop = EventLoop(VirtualClock(), name="n0")
+    cond = event_init("cond")
+    log = []
+    is_open = []
+
+    @guard
+    def until_open(t):
+        log.append(("check", loop.now))
+        if not is_open:
+            return cond
+
+    def after(t):
+        log.append(("after", loop.now))
+        return END
+
+    spawn_task(loop, "guarded", [until_open, after])
+    call_at(loop, 100, lambda: pulse(loop, cond))
+
+    def open_at_200():
+        is_open.append(True)
+        pulse(loop, cond)
+    call_at(loop, 200, open_at_200)
+    loop_run(loop)
+    assert log == [("check", 0), ("check", 100), ("check", 200), ("after", 200)]
+
+
+def test_other_wait_resumes_at_the_next_step():
+    loop = EventLoop(VirtualClock(), name="n0")
+    log = []
+
+    def sleep(t):
+        assert not log, "the step before a plain wait ran again"
+        log.append(("sleep", loop.now))
+        return sleep_until(loop, 50)
+
+    def done_already(t):
+        log.append(("done-already", loop.now))
+        ev = event_init("done")
+        event_complete(loop, ev)
+        return ev                       # completed: the next step runs at once
+
+    def after(t):
+        log.append(("after", loop.now))
+        return END
+
+    spawn_task(loop, "sleeper", [sleep, done_already, after])
+    loop_run(loop)
+    assert log == [("sleep", 0), ("done-already", 50), ("after", 50)]
+    assert loop.dispatch_count == 2
+
+
+def test_end_and_restart_markers():
+    loop = EventLoop(VirtualClock(), name="n0")
+    log = []
+
+    def count(t):
+        assert t.count < 3, "the task went on past END"
+        t.count += 1
+        log.append(t.count)
+        if t.count == 3:
+            return END
+
+    def restart(t):
+        log.append("restart")
+        return RESTART
+
+    def never(t):
+        raise AssertionError("a step after RESTART ran")
+
+    spawn_task(loop, "counter", [count, restart, never], count=0)
+    loop_run(loop)
+    assert log == [1, "restart", 2, "restart", 3]
+
+
+def test_last_step_wraps_to_the_first():
+    loop = EventLoop(VirtualClock(), name="n0")
+
+    times = []
+
+    def tick(t):
+        if len(times) == 3:
+            return END
+        return sleep_until(loop, loop.now + 10)
+
+    def record(t):
+        assert len(times) < 3, "the last step did not wrap to the first"
+        times.append(loop.now)
+
+    spawn_task(loop, "ticker", [tick, record])
+    loop_run(loop)
+    assert times == [10, 20, 30]
+
+
+def test_step_returning_anything_else_is_rejected():
+    loop = EventLoop(VirtualClock(), name="n0")
+    spawn_task(loop, "bad", [lambda t: 42])
+    with pytest.raises(UsageError):
+        loop_run(loop)

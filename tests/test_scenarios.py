@@ -61,6 +61,10 @@ def test_schema_violations_rejected(tmp_path):
             {"links": {"uart_down": {"mtu": 64}}},   # link without bandwidth_bps
             {"bogus_field": 1},
             {"readout_us": 5000},                # belongs in the camera block
+            # links an onboard scenario never builds
+            {"links": {"uart_down": {"bandwidth_bps": 20000}, "spi_up": {"bandwidth_bps": 1}}},
+            {"links": {"uart_down": {"bandwidth_bps": 20000},
+                       "uart_up": {"bandwidth_bps": 1, "base_latency_us": 90000}}},
     ):
         doc = dict(base)
         doc.update(mutation)

@@ -8,7 +8,7 @@ from nanopipe.errors import ConfigError, UsageError
 from nanopipe.pipeline import BufferState, FrameBuffer, ResourceBusy, pool_create
 from nanopipe.trace import Kind, TraceLog
 from nanopipe.vnode import (CRTP_PRESET, Camera, CameraConfig, LinkConfig, Link, NodeGraph,
-                            STREAMING, TRIGGER, camera_capture, camera_stream, link_send)
+                            STREAMING, TRIGGER, camera_capture, camera_stream)
 
 
 def fresh_loop(name="n0", offset=0, clock=None):
@@ -254,7 +254,7 @@ def test_in_order_delivery_and_byte_conservation():
         LinkConfig("l", bandwidth_bps=2_000_000, base_latency_us=300, mtu=256))
     sizes = [900, 10, 500, 0, 77]
     for i, n in enumerate(sizes):
-        link_send(link, b"", n, meta=i)
+        link.send(b"", n, meta=i)
     loop_run(src)
     got = []
     while True:
