@@ -365,7 +365,7 @@ def _trigger(t):
         return RESTART
     t.buf = buf
     ev = event_init("capture-done")
-    camera_capture(t.cam, buf, ev)
+    camera_capture(t.cam, buf, t.frame, ev)
     return ev
 
 

@@ -74,13 +74,12 @@ class Camera:
         self.config = config
         self.trace = trace
         self.free_at = loop.now         # local time a trigger request can next start
-        self._seq = 0
 
 
-def camera_capture(cam: Camera, buf: FrameBuffer, done_ev: Event) -> None:
-    """Request a single image (trigger mode): after setup + readout the buffer
-    is Ready and ``done_ev`` completes. Requests queue on the camera, so
-    back-to-back captures cannot exceed the trigger-mode ceiling."""
+def camera_capture(cam: Camera, buf: FrameBuffer, frame: int, done_ev: Event) -> None:
+    """Request a single image of ``frame`` (trigger mode): after setup +
+    readout the buffer is Ready and ``done_ev`` completes. Requests queue on
+    the camera, so back-to-back captures cannot exceed the trigger-mode ceiling."""
     if cam.config.mode != TRIGGER:
         raise UsageError("camera_capture requires trigger mode")
     if buf.state == BufferState.FREE:
@@ -89,18 +88,16 @@ def camera_capture(cam: Camera, buf: FrameBuffer, done_ev: Event) -> None:
         raise UsageError(f"capture into buffer in state {buf.state.name}")
     loop = cam.loop
     cfg = cam.config
-    seq = cam._seq
-    cam._seq += 1
     start = max(loop.now, cam.free_at)
     cam.free_at = start + cfg.trigger_setup_us + (cfg.readout_us if buf.capacity > 0 else 0)
 
     def finish():
-        cam.trace.emit(loop, Kind.STAGE_END, "capture", seq)
+        cam.trace.emit(loop, Kind.STAGE_END, "capture", frame)
         buf.fill()
-        buf.make_ready(seq)
+        buf.make_ready(frame)
         event_complete(loop, done_ev)
 
-    call_at(loop, start, lambda: cam.trace.emit(loop, Kind.STAGE_START, "capture", seq))
+    call_at(loop, start, lambda: cam.trace.emit(loop, Kind.STAGE_START, "capture", frame))
     call_at(loop, cam.free_at, finish)
 
 

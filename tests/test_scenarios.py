@@ -300,3 +300,14 @@ def test_traces_are_well_formed():
         ends = set((e.subject, e.frame) for e in trace.events if e.kind == Kind.STAGE_END)
         missing = [s for s in starts if s not in ends]
         assert not missing, (name, missing[:5])
+
+
+def test_trigger_camera_numbers_captures_by_tick_when_ticks_drop():
+    # one buffer at 29.9 Hz: every other tick finds no Free buffer and drops,
+    # so capture numbers must skip the dropped ticks as the later stages do
+    _, (trace, m) = run_named("imav-30", mode="pipelined", pool_size=1, rate_hz=29.9)
+    assert m.frames_dropped > 0
+    assert m.e2e_ms_mean >= 0
+    captured = {f for f, _ in trace.frames_of(Kind.STAGE_END, "capture")}
+    inferred = {f for f, _ in trace.frames_of(Kind.STAGE_END, "inference")}
+    assert captured and captured <= inferred, sorted(captured - inferred)[:5]

@@ -23,7 +23,7 @@ def test_trigger_capture_completes_after_setup_plus_readout():
                                     trigger_setup_us=0), loop._trace)
     buf = FrameBuffer(0, 160 * 96)
     done_ev = event_init("cap")
-    camera_capture(cam, buf, done_ev)
+    camera_capture(cam, buf, 0, done_ev)
     loop_run(loop)
     assert done_ev.completed
     assert loop.now == 8000
@@ -37,8 +37,8 @@ def test_back_to_back_trigger_captures_capped_near_30hz():
     assert 29.9 < cfg.trigger_ceiling_hz <= 30.1
     cam = Camera(loop, cfg, loop._trace)
     n = 10
-    for _ in range(n):
-        camera_capture(cam, FrameBuffer(0, 15360), event_init())
+    for i in range(n):
+        camera_capture(cam, FrameBuffer(0, 15360), i, event_init())
     loop_run(loop)
     assert loop.now == n * (cfg.trigger_setup_us + cfg.readout_us)
     assert n / (loop.now / 1e6) <= 30.1
@@ -49,7 +49,7 @@ def test_zero_size_frame_takes_setup_time_only():
     cam = Camera(loop, CameraConfig(TRIGGER, resolution=(0, 0), readout_us=8000,
                                     trigger_setup_us=2000), loop._trace)
     done_ev = event_init()
-    camera_capture(cam, FrameBuffer(0, 0), done_ev)
+    camera_capture(cam, FrameBuffer(0, 0), 0, done_ev)
     loop_run(loop)
     assert done_ev.completed and loop.now == 2000
 
@@ -58,7 +58,7 @@ def test_capture_in_streaming_mode_rejected():
     loop = fresh_loop()
     cam = Camera(loop, CameraConfig(STREAMING, frame_period_us=20833), loop._trace)
     with pytest.raises(UsageError):
-        camera_capture(cam, FrameBuffer(0, 100), event_init())
+        camera_capture(cam, FrameBuffer(0, 100), 0, event_init())
 
 
 def test_streaming_period_floor_enforced():
