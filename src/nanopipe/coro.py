@@ -1,22 +1,22 @@
 """Stackless cooperative tasks over a virtual-time event loop.
 
-A coroutine body is an ordinary function called with its context; it runs a
-step and returns a directive: ``wait(event, then)`` to suspend until an event
-completes, ``defer(then)`` to yield and be re-queued, or ``done()`` to end.
-``then`` is the resume-point id the body dispatches on at its next call.
-Bodies keep no locals across steps: anything that must survive a suspension
-lives behind ``ctx.args``.
+A task is a list of steps (``spawn_task``), plain functions of the task's
+state. The loop runs them itself (``_dispatch``), with the step index as the
+resume point. A step may return a loop-local deadline in µs to sleep until;
+the sleeping task then waits on the timer heap itself, with no ``Event``.
+
+A ``@coroutine`` body, which tests and the microbenchmarks use, is the
+hand-written form: a function of its context that returns ``wait(event,
+then)``, ``defer(then)`` or ``done()`` and dispatches on ``ctx.resume_point``.
 
 Only code that blocks on something is a task. Devices that make no decisions
-run as ``call_at`` callbacks off the timer heap that completes events, and a
-channel reader that blocks on nothing else as a handler (``Channel.consume``).
-The simulator's tasks are not written as bodies of their own: each is a list
-of steps that one body, ``pipeline._run_steps``, runs (``pipeline.spawn_task``).
+run as ``call_at`` callbacks off the timer heap, and a channel reader that
+blocks on nothing else as a handler (``Channel.consume``).
 
 Several loops (one per simulated node, each with a fixed clock offset) may
 share one virtual clock and are driven together; see ``loop_run``. The timer
 heap lives on the clock, one for all its loops; each entry remembers the loop
-it completes its event or queues its callback on.
+it completes its event, or queues its task or callback, on.
 
 A loop emits runtime records (Spawn, Suspend, Resume, EventComplete) only
 when it is given its own ``TraceLog``. The loops of a ``NodeGraph`` have none,
@@ -24,9 +24,9 @@ so a scenario trace holds the domain records of stages, links and drops only.
 """
 from __future__ import annotations
 
-import heapq
 import struct
 from collections import deque
+from heapq import heappop, heappush
 from enum import IntEnum
 from typing import Callable, Optional
 
@@ -136,6 +136,57 @@ def ctx_init(body, args=None, label=None) -> CoroutineContext:
     return CoroutineContext(body, args=args, label=label)
 
 
+END = object()          # a step's return: the task is over
+RESTART = object()      # a step's return: go back to the first step
+
+
+def guard(step: Callable) -> Callable:
+    """Mark a step that checks a condition: it runs again after its wait."""
+    step.guard = True
+    return step
+
+
+class Task:
+    """A step-list task: its state, its resume point (the index of the next
+    step), its steps, and the fields its steps keep across waits. Shared steps
+    read frame, frames, count, buf, pool, inbox, outs, period, t0, link, queue,
+    pkt and nbytes; the rest serve one kind of task. With slots, not a dict per
+    task, a shared step reads the fields of every task the same fast way."""
+
+    __slots__ = ("state", "resume_point", "label", "loop", "steps", "next", "after_wait",
+                 "frame", "frames", "count", "buf", "pool", "inbox", "outs", "period", "t0",
+                 "readout_us", "compute_us", "link", "queue", "pkt", "nbytes", "reply",
+                 "trace", "pending", "cam", "holders", "copy_ns_per_byte", "up", "down",
+                 "samples", "t1")
+
+    def __init__(self, loop: "EventLoop", label: str, steps, **fields):
+        self.state = TaskState.START
+        self.resume_point = 0
+        self.label = label
+        self.loop = loop
+        self.steps = tuple(steps)
+        self.next = tuple(range(1, len(self.steps))) + (0,)    # the last step wraps to the first
+        self.after_wait = tuple(i if getattr(step, "guard", False) else self.next[i]
+                                for i, step in enumerate(self.steps))
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+    _transition = CoroutineContext._transition
+
+
+def spawn_task(loop: "EventLoop", label: str, steps, **fields) -> Task:
+    """Run ``steps`` as one task on ``loop``, with ``fields`` as its state.
+
+    A step returns None to go on to the next step; an ``Event`` to wait for,
+    or an ``int`` loop-local deadline to sleep until, before the next step
+    (or before running again, for a ``guard``); ``END``; or ``RESTART``. A
+    completed event or a deadline at or before now goes on without suspending.
+    """
+    task = Task(loop, label, steps, **fields)
+    spawn(loop, task)
+    return task
+
+
 def wait(event: "Event", then: int):
     """Suspend the running coroutine until ``event`` completes.
 
@@ -223,14 +274,14 @@ class VirtualClock:
     def __init__(self):
         self.now = 0
         self.loops: list[EventLoop] = []
-        self.timers: list = []      # heap of (global_deadline, seq, loop, Event or callable)
+        self.timers: list = []      # heap of (global_deadline, seq, loop, Event, Task or callable)
         self._timer_seq = 0
 
 
 class EventLoop:
     """FIFO ready queue on a shared clock, whose heap holds the loop's timers.
 
-    The ready queue holds task contexts and due ``call_at`` callbacks.
+    The ready queue holds tasks, coroutine contexts and due ``call_at`` callbacks.
     """
 
     def __init__(self, clock=None, name: str = "node0", offset_us: int = 0,
@@ -248,12 +299,9 @@ class EventLoop:
         """This node's local clock: global time plus the configured offset."""
         return self.clock.now + self.offset_us
 
-    def complete(self, ev: Event) -> None:
-        event_complete(self, ev)
 
-
-def spawn(loop: EventLoop, ctx: CoroutineContext) -> None:
-    """Enqueue a Start-state context; it runs on the next loop pass."""
+def spawn(loop: EventLoop, ctx) -> None:
+    """Enqueue a Start-state context or task; it runs on the next loop pass."""
     if ctx.state != TaskState.START:
         raise UsageError(f"spawn of non-Start context {ctx.label!r} "
                          f"(state {TaskState(ctx.state).name})")
@@ -272,7 +320,7 @@ def schedule_completion(loop: EventLoop, ev: Event, deadline_us: int) -> None:
         return
     clock = loop.clock
     clock._timer_seq += 1
-    heapq.heappush(clock.timers, (deadline_us - loop.offset_us, clock._timer_seq, loop, ev))
+    heappush(clock.timers, (deadline_us - loop.offset_us, clock._timer_seq, loop, ev))
 
 
 def call_at(loop: EventLoop, deadline_us: int, fn: Callable[[], None]) -> None:
@@ -287,7 +335,7 @@ def call_at(loop: EventLoop, deadline_us: int, fn: Callable[[], None]) -> None:
         return
     clock = loop.clock
     clock._timer_seq += 1
-    heapq.heappush(clock.timers, (deadline_us - loop.offset_us, clock._timer_seq, loop, fn))
+    heappush(clock.timers, (deadline_us - loop.offset_us, clock._timer_seq, loop, fn))
 
 
 def sleep_until(loop: EventLoop, deadline_us: int, label: str = "timer") -> Event:
@@ -297,7 +345,46 @@ def sleep_until(loop: EventLoop, deadline_us: int, label: str = "timer") -> Even
     return ev
 
 
-def _dispatch(loop: EventLoop, ctx: CoroutineContext) -> None:
+def _dispatch(loop: EventLoop, task: Task) -> None:
+    """Run ``task``'s steps from its resume point until it waits or ends."""
+    loop.dispatch_count += 1
+    if task.state != _START and task.state != _SUSPENDED:
+        task._transition(_RUNNING)           # unreachable legally: reject loudly
+    task.state = _RUNNING
+    steps, nxt = task.steps, task.next
+    i = task.resume_point
+    while True:
+        out = steps[i](task)
+        if out is None:
+            i = nxt[i]
+        elif out.__class__ is int:
+            # sleep: the task itself goes on the heap, where an Event would
+            i = task.after_wait[i]
+            clock = loop.clock
+            due = out - loop.offset_us
+            if due > clock.now:
+                clock._timer_seq += 1
+                heappush(clock.timers, (due, clock._timer_seq, loop, task))
+                break
+        elif out.__class__ is Event:
+            i = task.after_wait[i]
+            if not out.completed:
+                out.waiters.append(task)
+                break
+        elif out is END:
+            task.state = _ENDED
+            return
+        elif out is RESTART:
+            i = 0
+        else:
+            raise UsageError(f"step {steps[i].__name__} of {task.label!r} returned {out!r}")
+    task.resume_point = i
+    task.state = _SUSPENDED
+    if loop._trace is not None:
+        loop._trace.emit(loop, Kind.SUSPEND, task.label)
+
+
+def _dispatch_body(loop: EventLoop, ctx: CoroutineContext) -> None:
     global _CURRENT
     loop.dispatch_count += 1
     state = ctx.state
@@ -347,8 +434,11 @@ def _drain(clock) -> None:
             ready = loop.ready
             while ready:
                 item = ready.popleft()
-                if item.__class__ is CoroutineContext:
+                cls = item.__class__
+                if cls is Task:
                     _dispatch(loop, item)
+                elif cls is CoroutineContext:
+                    _dispatch_body(loop, item)
                 else:
                     item()
                 progressed = True
@@ -372,11 +462,14 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
         # seq counts for the whole clock, so each loop's timers still fire in
         # its own (deadline, push order) and fill its ready queue as before
         while timers and timers[0][0] <= now:
-            _, _, loop, due = heapq.heappop(timers)
-            if due.__class__ is Event:
+            _, _, loop, due = heappop(timers)
+            cls = due.__class__
+            if cls is Event:
                 event_complete(loop, due)
-            else:
-                loop.ready.append(due)
+                continue
+            if cls is Task and loop._trace is not None:
+                loop._trace.emit(loop, Kind.RESUME, due.label)
+            loop.ready.append(due)      # a sleeping task, or a call_at callback
 
 
 def loop_run(loop: EventLoop, until: Optional[int] = None) -> None:

@@ -20,10 +20,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .coro import (Event, EventLoop, event_init, loop_run, pulse, schedule_completion,
-                   sleep_until)
+from .coro import (END, Event, EventLoop, event_init, guard, loop_run, pulse,
+                   schedule_completion, spawn_task)
 from .errors import ConfigError, ProtocolError, UsageError
-from .pipeline import END, guard, spawn_task
 from .trace import Kind
 from .vnode import Link, NodeGraph
 
@@ -286,15 +285,12 @@ def _copy(t):
     pkt = t.pkt
     pkt.copy_count += 1
     copy_us = -(-int(pkt.length * t.copy_ns_per_byte) // 1000)
-    return sleep_until(t.loop, t.loop.now + copy_us, "router-copy")
+    return t.loop.now + copy_us
 
 
 def _transmit(t):
     pkt = t.pkt
-    ev = event_init("egress-tx")
-    t.link.send(pkt, pkt.wire_bytes, ev,
-                    frame=pkt.meta if isinstance(pkt.meta, int) else None)
-    return ev
+    return t.link.send(pkt, pkt.wire_bytes, frame=pkt.meta if isinstance(pkt.meta, int) else None)
 
 
 # --- two-way clock-offset estimation -----------------------------------------

@@ -8,7 +8,7 @@ to distinct resources overlap across frames; one resource never runs two
 stages at once. A ``Channel`` hands items to a reader task, or to a plain
 handler when the reader blocks on nothing else.
 
-Every task is a list of steps run by one coroutine body (``spawn_task``);
+Every task is a list of steps that the loop runs itself (``coro.spawn_task``);
 the shared steps here and in ``cpx`` build the stage runs below and every
 task of the scenarios.
 """
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
 
-from .coro import (_WAIT, Event, EventLoop, coroutine, ctx_init, done, event_init,
-                   loop_run, pulse, sleep_until, spawn)
+from .coro import END, EventLoop, event_init, guard, loop_run, pulse, spawn_task
 from .errors import ConfigError, UsageError
 from .trace import Kind, TraceLog
 
@@ -248,78 +247,7 @@ def _validate_stages(stages):
     return plan
 
 
-# --- tasks as step lists ---------------------------------------------------------
-
-END = object()          # a step's return: the task is over
-RESTART = object()      # a step's return: go back to the first step
-
-
-def guard(step: Callable) -> Callable:
-    """Mark a step that checks a condition: it runs again after its wait."""
-    step.guard = True
-    return step
-
-
-class Task:
-    """A task's state: its step list, its loop, and the fields its steps keep
-    across waits. Shared steps read frame, frames and count (the frame or round
-    at hand, how many, how many done), buf and pool, inbox and outs (channels
-    in and out), period and t0 (frame n starts at t0 + n * period), and link,
-    queue, pkt and nbytes (where and what a task sends); the rest serve one
-    kind of task. With slots, not a dict per task, a shared step reads the
-    fields of every task the same fast way.
-    """
-
-    __slots__ = ("loop", "steps", "next", "after_wait",
-                 "frame", "frames", "count", "buf", "pool", "inbox", "outs", "period", "t0",
-                 "readout_us", "compute_us", "link", "queue", "pkt", "nbytes", "reply",
-                 "trace", "pending", "cam", "holders", "copy_ns_per_byte", "up", "down",
-                 "samples", "t1")
-
-    def __init__(self, loop: EventLoop, steps, **fields):
-        self.loop = loop
-        self.steps = tuple(steps)
-        n = len(self.steps)
-        self.next = tuple(range(1, n)) + (0,)        # the last step wraps to the first
-        self.after_wait = tuple(i if getattr(step, "guard", False) else self.next[i]
-                                for i, step in enumerate(self.steps))
-        for name, value in fields.items():
-            setattr(self, name, value)
-
-
-@coroutine
-def _run_steps(ctx):
-    # ctx.resume_point is the index of the step to run next
-    task = ctx.args
-    steps, nxt = task.steps, task.next
-    i = ctx.resume_point
-    while True:
-        out = steps[i](task)
-        if out is None:
-            i = nxt[i]
-        elif out.__class__ is Event:
-            return (_WAIT, out, task.after_wait[i])      # wait(), without its call
-        elif out is END:
-            return done()
-        elif out is RESTART:
-            i = 0
-        else:
-            raise UsageError(f"step {steps[i].__name__} of {ctx.label!r} returned {out!r}")
-
-
-def spawn_task(loop: EventLoop, label: str, steps, **fields) -> Task:
-    """Run ``steps`` as one task on ``loop``, with ``fields`` as its state.
-
-    A step is a function of the task's state. It returns None to go on to
-    the next step, an ``Event`` to wait for before the next step (or before
-    running again, for a ``guard``), ``END``, or ``RESTART``.
-    """
-    task = Task(loop, steps, **fields)
-    spawn(loop, ctx_init(_run_steps, task, label=label))
-    return task
-
-
-# shared steps; t.frame is the frame a task works on, t.buf its buffer
+# --- shared steps; t.frame is the frame a task works on, t.buf its buffer ----------
 
 def next_frame(t):
     """End after ``t.frames`` frames; with a ``t.period``, wait for the next
@@ -327,7 +255,7 @@ def next_frame(t):
     if t.frame == t.frames:
         return END
     if t.period:
-        return sleep_until(t.loop, t.t0 + t.frame * t.period, "frame-tick")
+        return t.t0 + t.frame * t.period
 
 
 @guard
@@ -365,8 +293,7 @@ def _stage_steps(stage: Stage, res: ResourceBusy, nbytes: int) -> list:
 
     def run(t):
         t.trace.emit(t.loop, Kind.STAGE_START, stage.name, t.frame)
-        return sleep_until(t.loop, t.loop.now + stage.duration_for(nbytes),
-                           f"{stage.name}-hold")
+        return t.loop.now + stage.duration_for(nbytes)
 
     def end(t):
         t.trace.emit(t.loop, Kind.STAGE_END, stage.name, t.frame)

@@ -22,13 +22,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coro import event_init, loop_run, schedule_completion, sleep_until
+from .coro import RESTART, event_init, loop_run, schedule_completion, spawn_task
 from .cpx import (BASELINE, FUNCTION_APP_STREAM, NODE_IDS, ROUTER_MODES, ZEROCOPY,
                   CpxPacket, Router, estimate_clock_offset, reserve)
 from .errors import ConfigError, MetricsError, OracleUnavailable
 from .oracle import analytic_oracle
-from .pipeline import (MODES, PIPELINED, RESTART, SERIALIZED, Channel, acquire, next_frame,
-                       pool_create, retire, spawn_task, take)
+from .pipeline import (MODES, PIPELINED, SERIALIZED, Channel, acquire, next_frame, pool_create,
+                       retire, take)
 from .trace import Kind, TraceLog
 from .vnode import (NODE_NAMES, STREAMING, TRIGGER, Camera, CameraConfig, LinkConfig,
                     NodeGraph, camera_capture, camera_stream)
@@ -134,21 +134,14 @@ class Scenario:
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown scenario kind {self.kind!r}")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.router_mode not in ROUTER_MODES:
-            raise ConfigError(f"unknown router mode {self.router_mode!r}")
-        if self.frames < 50:
-            raise ConfigError("steady-state metrics need a run length of >= 50 frames")
-        if self.pool_size < 1:
-            raise ConfigError("pool_size must be >= 1")
+        _require(self.kind in KINDS, f"unknown scenario kind {self.kind!r}")
+        _require(self.mode in MODES, f"unknown mode {self.mode!r}")
+        _require(self.router_mode in ROUTER_MODES, f"unknown router mode {self.router_mode!r}")
+        _require(self.frames >= 50, "steady-state metrics need a run length of >= 50 frames")
+        _require(self.pool_size >= 1, "pool_size must be >= 1")
         if self.kind == "stream":
-            if self.mode != PIPELINED:
-                raise ConfigError("stream scenarios only run pipelined")
-            if self.rate_hz is not None:
-                raise ConfigError("stream scenarios free-run; rate_hz is not supported")
+            _require(self.mode == PIPELINED, "stream scenarios only run pipelined")
+            _require(self.rate_hz is None, "stream scenarios free-run; rate_hz is not supported")
         elif self.rate_hz is None:
             raise ConfigError(f"{self.kind} scenarios need a rate_hz pacing value")
         _require(isinstance(self.links, dict), "links must be a JSON object")
@@ -378,7 +371,7 @@ def _triggered(t):
 
 def _capture(t):
     t.trace.emit(t.loop, Kind.STAGE_START, "capture", t.frame)
-    return sleep_until(t.loop, t.loop.now + t.readout_us, "readout")
+    return t.loop.now + t.readout_us
 
 
 def _captured(t):
@@ -390,11 +383,7 @@ def _captured(t):
 
 
 def _filled(t):
-    # _captured, then the frame goes on to the next task
-    t.trace.emit(t.loop, Kind.STAGE_END, "capture", t.frame)
-    t.buf.fill()
-    t.buf.make_ready(t.frame)
-    t.pool.attach(t.buf)
+    _captured(t)        # then the frame goes on to the next task
     for ch in t.outs:
         ch.put((t.frame, t.buf))
     t.frame += 1
@@ -402,7 +391,7 @@ def _filled(t):
 
 def _infer(t):
     t.trace.emit(t.loop, Kind.STAGE_START, "inference", t.frame)
-    return sleep_until(t.loop, t.loop.now + t.compute_us, "inference")
+    return t.loop.now + t.compute_us
 
 
 def _inferred(t):
@@ -419,17 +408,13 @@ def _report(t):
 def _report_and_wait(t):
     # serialized onboard: the result must be out before the image is freed
     _inferred(t)
-    ev = event_init("uart-done")
-    t.link.send(b"", t.nbytes, ev, meta=t.frame, frame=t.frame)
-    return ev
+    return t.link.send(b"", t.nbytes, meta=t.frame, frame=t.frame)
 
 
 def _send_image(t):
     pkt = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_APP_STREAM,
                     memoryview(t.buf.data)[:t.nbytes], meta=t.frame)
-    ev = event_init("spi-done")
-    t.link.send(pkt, pkt.wire_bytes, ev, frame=t.frame)
-    return ev
+    return t.link.send(pkt, pkt.wire_bytes, frame=t.frame)
 
 
 def _await_receipt(t):

@@ -3,10 +3,10 @@
 Cameras and links make no decisions: each serves one request at a time, in
 arrival order. They are FIFO servers worked out with arithmetic, ``start =
 max(now, free_at)``, that act at the instants it gives through ``call_at``
-timer callbacks rather than as tasks. A link's sender-side completion fires
-when the last byte leaves the sender, while delivery fires at the receiver
-``base_latency + serialization + injected_delay`` after the transfer started,
-which is what lets consecutive hops overlap.
+timer callbacks rather than as tasks. ``Link.send`` returns the time the
+last byte leaves the sender, for a sender that waits for it, while delivery
+fires at the receiver ``base_latency + serialization + injected_delay`` after
+the transfer started, which is what lets consecutive hops overlap.
 """
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .coro import (Event, EventLoop, VirtualClock, call_at, event_complete,
-                   schedule_completion)
+from .coro import Event, EventLoop, VirtualClock, call_at, event_complete
 from .errors import ConfigError, UsageError
 from .pipeline import BufferPool, BufferState, Channel, FrameBuffer
 from .trace import Kind, TraceLog
@@ -199,13 +198,12 @@ class Link:
         self.messages_delivered = 0
         self.free_at = src.clock.now    # global time the last queued byte leaves
 
-    def send(self, payload, nbytes: int, done_ev: Optional[Event] = None,
-             meta=None, frame: Optional[int] = None) -> None:
+    def send(self, payload, nbytes: int, meta=None, frame: Optional[int] = None) -> int:
         """Queue a message; it arrives as a ``Received`` on ``rx``.
 
-        ``done_ev`` (if given) completes when the last byte leaves the sender.
-        The sent counters count a message when it is queued, the delivered
-        counters when it arrives.
+        Returns the sender-local time at which its last byte leaves the
+        sender. The sent counters count a message when it is queued, the
+        delivered counters when it arrives.
         """
         if nbytes < 0:
             raise UsageError("negative message size")
@@ -229,8 +227,7 @@ class Link:
         first_byte = start + cfg.base_latency_us + cfg.injected_delay_us + dst.offset_us
         received = Received(payload, nbytes, meta, first_byte)
         call_at(dst, first_byte + ser, lambda: self._deliver(received, frame))
-        if done_ev is not None:
-            schedule_completion(src, done_ev, self.free_at + src.offset_us)
+        return self.free_at + src.offset_us
 
     def _deliver(self, received: Received, frame: Optional[int]) -> None:
         self.trace.emit(self.dst, Kind.LINK_RX_END, self.cfg.name, frame)

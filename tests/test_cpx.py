@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanopipe.coro import (EventLoop, VirtualClock, coroutine, ctx_init, done, event_init,
+from nanopipe.coro import (EventLoop, VirtualClock, coroutine, ctx_init, done,
                            loop_run, spawn, wait)
 from nanopipe.cpx import (BASELINE, FUNCTION_APP_STREAM, MAX_FRAGMENT_PAYLOAD, NODE_IDS,
                           ZEROCOPY, CpxPacket, Router, RouterQueue, estimate_clock_offset,
@@ -244,8 +244,7 @@ def _stream_sender_body(ctx):
                 st.trace.emit(loop, Kind.QUEUE_FULL, st.queue.name, st.sent)
                 st.ev = st.queue.register_credit_waiter(loop)
                 return wait(st.ev, then=2)
-            st.ev = event_init("spi-tx-done")
-            st.link.send(st.pkt, st.pkt.wire_bytes, st.ev, frame=st.sent)
+            st.ev = sleep_until(loop, st.link.send(st.pkt, st.pkt.wire_bytes, frame=st.sent))
             return wait(st.ev, then=3)
         st.sent += 1
         st.pkt = None

@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from nanopipe.coro import (EventLoop, VirtualClock, call_at, coroutine, ctx_init, done,
-                           event_complete, event_init, loop_run, pulse, sleep_until, spawn,
-                           wait)
+from nanopipe.coro import (END, RESTART, EventLoop, Task, TaskState, VirtualClock, call_at,
+                           coroutine, ctx_init, done, event_complete, event_init, guard,
+                           loop_run, pulse, sleep_until, spawn, spawn_task, wait)
 from nanopipe.errors import ConfigError, UsageError
-from nanopipe.pipeline import (END, PIPELINED, RESTART, SERIALIZED, BufferState, Channel,
-                               Stage, guard, pipeline_run, pool_create, spawn_task,
-                               stage_end_gaps)
+from nanopipe.pipeline import (PIPELINED, SERIALIZED, BufferState, Channel, Stage, pipeline_run,
+                               pool_create, stage_end_gaps)
 from nanopipe.trace import Kind, TraceLog
 
 
@@ -454,8 +453,93 @@ def test_last_step_wraps_to_the_first():
     assert times == [10, 20, 30]
 
 
-def test_step_returning_anything_else_is_rejected():
+@pytest.mark.parametrize("ahead", [-5, 0])
+def test_due_deadline_goes_on_without_suspending(ahead):
+    loop = fresh_loop()
+    loop_run(loop, until=100)
+    log = []
+
+    def sleep(t):
+        return loop.now + ahead         # already due: no suspension, no heap push
+
+    def after(t):
+        log.append((loop.now, loop.clock._timer_seq, len(loop.clock.timers)))
+        return END
+
+    spawn_task(loop, "due", [sleep, after])
+    loop_run(loop)
+    assert log == [(100, 0, 0)]
+    assert loop.dispatch_count == 1
+    assert loop._trace.count(Kind.SUSPEND) == 0
+
+
+def test_guard_returning_a_deadline_runs_again_after_it():
     loop = EventLoop(VirtualClock(), name="n0")
-    spawn_task(loop, "bad", [lambda t: 42])
+    log = []
+
+    @guard
+    def poll(t):
+        log.append(("poll", loop.now))
+        if loop.now < 30:
+            return loop.now + 10
+
+    def after(t):
+        log.append(("after", loop.now))
+        return END
+
+    spawn_task(loop, "poller", [poll, after])
+    loop_run(loop)
+    assert log == [("poll", 0), ("poll", 10), ("poll", 20), ("poll", 30), ("after", 30)]
+
+
+@pytest.mark.parametrize("order", [("deadline", "event"), ("event", "deadline")])
+def test_deadline_and_event_timer_due_together_fire_in_push_order(order):
+    loop = EventLoop(VirtualClock(), name="n0")
+    log = []
+    sleeps = {"deadline": lambda t: 50, "event": lambda t: sleep_until(loop, 50)}
+
+    def woken(t):
+        log.append((t.label, loop.now))
+        return END
+
+    for label in order:                 # each task pushes its timer when it first runs
+        spawn_task(loop, label, [sleeps[label], woken])
+    loop_run(loop)
+    assert log == [(label, 50) for label in order]
+
+
+def test_deadline_sleep_records_suspend_and_resume():
+    # a traced loop records the sleep like a wait, minus the EventComplete
+    loop = fresh_loop()
+    spawn_task(loop, "sleeper", [lambda t: 40, lambda t: END])
+    loop_run(loop)
+    assert [(e.kind, e.subject, e.t_us) for e in loop._trace.events] == [
+        (Kind.SPAWN, "sleeper", 0), (Kind.SUSPEND, "sleeper", 0), (Kind.RESUME, "sleeper", 40)]
+
+
+def test_task_rejects_illegal_transitions():
+    legal = {(TaskState.START, TaskState.RUNNING), (TaskState.RUNNING, TaskState.SUSPENDED),
+             (TaskState.RUNNING, TaskState.ENDED), (TaskState.SUSPENDED, TaskState.RUNNING)}
+    loop = EventLoop(VirtualClock(), name="n0")
+    for src in TaskState:
+        for dst in TaskState:
+            task = Task(loop, "t", [lambda t: END])
+            task.state = src
+            if (src, dst) in legal:
+                task._transition(dst)
+            else:
+                with pytest.raises(UsageError):
+                    task._transition(dst)
+    task = spawn_task(loop, "once", [lambda t: END])
+    loop_run(loop)
+    assert task.state == TaskState.ENDED
+    with pytest.raises(UsageError):
+        spawn(loop, task)
+
+
+@pytest.mark.parametrize("out", ["later", 4.2, True])
+def test_step_returning_anything_else_is_rejected(out):
+    loop = EventLoop(VirtualClock(), name="n0")
+    spawn_task(loop, "bad", [lambda t: out])
     with pytest.raises(UsageError):
         loop_run(loop)

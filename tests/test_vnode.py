@@ -177,8 +177,7 @@ def test_transfer_time_formula():
 def test_delivery_time_matches_formula():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=20_000_000, base_latency_us=1000, mtu=65536))
-    done_ev = event_init("tx-done")
-    link.send(b"", 25600, done_ev)
+    sleep_until(src, link.send(b"", 25600))
     loop_run(src)
     assert link.trace.times(Kind.LINK_RX_END, "l") == [11240]
     assert dst.now == 11240
@@ -189,8 +188,7 @@ def test_delivery_time_matches_formula():
 def test_sender_done_at_last_byte_out():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=5000, mtu=65536))
-    done_ev = event_init("tx-done")
-    link.send(b"", 1000, done_ev)    # 1 ms on the wire, 5 ms latency
+    done_ev = sleep_until(src, link.send(b"", 1000))    # 1 ms on the wire, 5 ms latency
     loop_run(src, until=1000)
     assert done_ev.completed          # sender freed at 1 ms
     loop_run(src)
@@ -217,9 +215,8 @@ def test_queued_sends_serialize_back_to_back_without_tasks():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=300, mtu=65536),
         off_dst=50)
-    done = [event_init(f"done{i}") for i in range(3)]
-    for i, ev in enumerate(done):
-        link.send(b"", 1000, ev, frame=i)          # 1 ms on the wire each
+    done = [sleep_until(src, link.send(b"", 1000, frame=i))    # 1 ms on the wire each
+            for i in range(3)]
     loop_run(src, until=2000)
     assert [ev.completed for ev in done] == [True, True, False]
     loop_run(src)
