@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="override the scenario's seed")
     run.add_argument("--check", action="store_true",
                      help="fail unless measured throughput matches the analytic oracle "
-                          f"within {CHECK_TOLERANCE:.0%}")
+                          f"within {CHECK_TOLERANCE * 100:.0f}%%")   # argparse %-formats help
     run.add_argument("--out", default="out", help="output directory (default: out)")
 
     bench = sub.add_parser("bench", help="run a microbenchmark")

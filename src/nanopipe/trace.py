@@ -6,6 +6,7 @@ from different nodes can only be compared after offset correction.
 from __future__ import annotations
 
 import csv
+import itertools
 from typing import NamedTuple, Optional
 
 
@@ -68,9 +69,11 @@ class TraceLog:
         return "".join(self._csv_lines())
 
     def write_csv(self, path) -> None:
-        """Write the CSV line by line, never holding the whole text in memory."""
+        """Write the CSV 4,096 lines at a time, never holding the whole text."""
+        lines = self._csv_lines()
         with open(path, "w", newline="") as fp:
-            fp.writelines(self._csv_lines())
+            while chunk := "".join(itertools.islice(lines, 4096)):
+                fp.write(chunk)
 
     @staticmethod
     def from_csv(path) -> "TraceLog":

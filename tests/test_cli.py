@@ -7,7 +7,7 @@ import pytest
 
 from nanopipe.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from nanopipe.scenarios import compute_metrics
-from nanopipe.trace import CSV_HEADER, TraceLog
+from nanopipe.trace import CSV_HEADER, Kind, TraceEvent, TraceLog
 
 
 def run_cli(*argv):
@@ -187,6 +187,23 @@ def test_metrics_recomputed_from_csv_match_json(tmp_path):
         offsets_estimated_us=stored["offsets_estimated_us"],
     )
     assert again.to_dict() == stored
+
+
+def test_write_csv_in_chunks_matches_to_csv(tmp_path):
+    # more records than one 4,096-line chunk, and a last chunk that is partial
+    trace = TraceLog()
+    trace.events = [TraceEvent(i, "gap8", Kind.STAGE_END, "inference", i if i % 3 else None)
+                    for i in range(4096 * 2 + 5)]
+    trace.write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == trace.to_csv().encode()
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "list-scenarios"])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nanopipe")
 
 
 def test_bench_command_prints_report(capsys):
