@@ -478,28 +478,6 @@ def loop_run(loop: EventLoop, until: Optional[int] = None) -> None:
     run_all(loop.clock, None if until is None else until - loop.offset_us)
 
 
-class _JoinState:
-    __slots__ = ("events", "index", "out", "loop")
-
-    def __init__(self, events, out, loop):
-        self.events = events
-        self.index = 0
-        self.out = out
-        self.loop = loop
-
-
-@coroutine
-def _join_collector(ctx):
-    st = ctx.args
-    while st.index < len(st.events):
-        ev = st.events[st.index]
-        if not ev.completed:
-            return wait(ev, then=0)
-        st.index += 1
-    event_complete(st.loop, st.out)
-    return done()
-
-
 def join_all(loop: EventLoop, events: list) -> Event:
     """Event that completes once every input event has completed.
 
@@ -510,5 +488,15 @@ def join_all(loop: EventLoop, events: list) -> Event:
     if not events:
         event_complete(loop, out)
         return out
-    spawn(loop, ctx_init(_join_collector, _JoinState(list(events), out, loop), label="join"))
+    pending = deque(events)
+
+    @guard
+    def collect(t):
+        while pending:
+            if not pending[0].completed:
+                return pending[0]
+            pending.popleft()
+        event_complete(loop, out)
+        return END
+    spawn_task(loop, "join", [collect])
     return out

@@ -134,14 +134,21 @@ class Scenario:
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _require(self.kind in KINDS, f"unknown scenario kind {self.kind!r}")
-        _require(self.mode in MODES, f"unknown mode {self.mode!r}")
-        _require(self.router_mode in ROUTER_MODES, f"unknown router mode {self.router_mode!r}")
-        _require(self.frames >= 50, "steady-state metrics need a run length of >= 50 frames")
-        _require(self.pool_size >= 1, "pool_size must be >= 1")
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown scenario kind {self.kind!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.router_mode not in ROUTER_MODES:
+            raise ConfigError(f"unknown router mode {self.router_mode!r}")
+        if self.frames < 50:
+            raise ConfigError("steady-state metrics need a run length of >= 50 frames")
+        if self.pool_size < 1:
+            raise ConfigError("pool_size must be >= 1")
         if self.kind == "stream":
-            _require(self.mode == PIPELINED, "stream scenarios only run pipelined")
-            _require(self.rate_hz is None, "stream scenarios free-run; rate_hz is not supported")
+            if self.mode != PIPELINED:
+                raise ConfigError("stream scenarios only run pipelined")
+            if self.rate_hz is not None:
+                raise ConfigError("stream scenarios free-run; rate_hz is not supported")
         elif self.rate_hz is None:
             raise ConfigError(f"{self.kind} scenarios need a rate_hz pacing value")
         _require(isinstance(self.links, dict), "links must be a JSON object")
@@ -383,7 +390,11 @@ def _captured(t):
 
 
 def _filled(t):
-    _captured(t)        # then the frame goes on to the next task
+    # _captured, then the frame goes on to the next task
+    t.trace.emit(t.loop, Kind.STAGE_END, "capture", t.frame)
+    t.buf.fill()
+    t.buf.make_ready(t.frame)
+    t.pool.attach(t.buf)
     for ch in t.outs:
         ch.put((t.frame, t.buf))
     t.frame += 1
