@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from heapq import heappop, heappush
 from enum import IntEnum
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .errors import ConfigError, UsageError
@@ -147,11 +147,14 @@ def guard(step: Callable) -> Callable:
 
 
 class Task:
-    """A step-list task: its state, its resume point (the index of the next
-    step), its steps, and the fields its steps keep across waits. Shared steps
-    read frame, frames, count, buf, pool, inbox, outs, period, t0, link, queue,
-    pkt and nbytes; the rest serve one kind of task. With slots, not a dict per
-    task, a shared step reads the fields of every task the same fast way."""
+    """A step-list task: its state, its resume point (the index of the step to
+    run next), its steps and loop, and the fields its steps keep across waits.
+    Shared steps read frame, frames and count (the frame or round at hand, how
+    many, how many done), buf and pool, inbox and outs (channels in and out),
+    period and t0 (frame n starts at t0 + n * period), and link, queue, pkt and
+    nbytes (where and what a task sends); the rest serve one kind of task. With
+    slots, not a dict per task, a shared step reads every task's fields alike.
+    """
 
     __slots__ = ("state", "resume_point", "label", "loop", "steps", "next", "after_wait",
                  "frame", "frames", "count", "buf", "pool", "inbox", "outs", "period", "t0",

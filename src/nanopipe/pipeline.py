@@ -247,7 +247,7 @@ def _validate_stages(stages):
     return plan
 
 
-# --- shared steps; t.frame is the frame a task works on, t.buf its buffer ----------
+# shared steps; t.frame is the frame a task works on, t.buf its buffer
 
 def next_frame(t):
     """End after ``t.frames`` frames; with a ``t.period``, wait for the next
