@@ -5,12 +5,12 @@
         NAME=CHECKOUT [NAME=CHECKOUT ...]
 
 Each CHECKOUT is the root of a checkout of this repository. For every
-workload and both ``--trace 0`` (end to end) and ``--trace 1`` (per layer),
-the script runs ``python3 perfbench/run.py`` in each checkout in turn, so that
-a slow spell on the machine reaches every checkout alike. It writes the
-parsed result of each run, each checkout's git revision (and whether its tree
-had uncommitted changes), the interpreter's ``sys.version`` and
-``os.cpu_count()``.
+workload that the first checkout's ``BENCHMARK.json`` lists, and both
+``--trace 0`` (end to end) and ``--trace 1`` (per layer), the script runs
+``python3 perfbench/run.py`` in each checkout in turn, so that a slow spell
+on the machine reaches every checkout alike. It writes the parsed result of
+each run, each checkout's git revision (and whether its tree had uncommitted
+changes), the interpreter's ``sys.version`` and ``os.cpu_count()``.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ import os
 import pathlib
 import subprocess
 import sys
-
-WORKLOADS = ("remote-jitter", "stream-backpressure")
 
 
 def revision(checkout: pathlib.Path) -> dict:
@@ -59,9 +57,11 @@ def main() -> int:
             parser.error(f"{item!r} is not NAME=CHECKOUT with a perfbench/run.py")
         checkouts[name] = root
 
-    runs = {name: {**revision(root), "results": {w: {} for w in WORKLOADS}}
+    spec = json.loads((next(iter(checkouts.values())) / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    runs = {name: {**revision(root), "results": {w: {} for w in workloads}}
             for name, root in checkouts.items()}
-    for workload in WORKLOADS:
+    for workload in workloads:
         for trace in (0, 1):
             for name, root in checkouts.items():
                 print(f"{name}: {workload} --trace {trace}", file=sys.stderr, flush=True)
