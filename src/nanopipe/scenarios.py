@@ -164,7 +164,7 @@ class Scenario:
             _require(1e6 / self.rate_hz < math.inf, f"rate_hz {self.rate_hz} gives no frame period")
             period = self.frame_period_us
             if self.camera_mode == TRIGGER:
-                ceiling = 1e6 / (self.trigger_setup_us + self.readout_us)
+                ceiling = 1e6 / self.capture_us
                 if self.rate_hz > ceiling + 1e-9:
                     raise ConfigError(
                         f"trigger rate {self.rate_hz} Hz above the camera ceiling "
@@ -177,6 +177,13 @@ class Scenario:
         if self.rate_hz is None:
             return 0
         return round(1e6 / self.rate_hz)
+
+    @property
+    def capture_us(self) -> int:
+        """How long one capture takes: a trigger camera sets up, then reads out."""
+        if self.camera_mode == TRIGGER:
+            return self.trigger_setup_us + self.readout_us
+        return self.readout_us
 
     @property
     def frame_bytes(self) -> int:
@@ -539,7 +546,7 @@ def _run_onboard(spec: Scenario):
         spawn_task(gap8, "serialized", [next_frame, acquire, _capture, _captured, _infer,
                                         _report_and_wait, retire],
                    frames=spec.frames, period=spec.frame_period_us, t0=gap8.now,
-                   readout_us=spec.readout_us, **fields)
+                   readout_us=spec.capture_us, **fields)
     else:
         frame_ch = Channel(gap8, "frames")
         spawn_task(gap8, "inference", [take, _infer, _report], inbox=frame_ch, **fields)
@@ -608,7 +615,7 @@ def _run_remote(spec: Scenario):
                                         _send_image, retire, _await_receipt],
                    pool=pool, queue=wifi_q, link=links["spi_up"], trace=graph.trace,
                    frames=spec.frames, period=spec.frame_period_us, t0=gap8.now,
-                   readout_us=spec.readout_us, nbytes=spec.frame_bytes, pending=pending,
+                   readout_us=spec.capture_us, nbytes=spec.frame_bytes, pending=pending,
                    frame=0, buf=None)
     else:
         frame_ch = Channel(gap8, "frames")
@@ -683,16 +690,16 @@ def expected_period_us(spec: Scenario) -> int:
             "no closed form for a camera-paced pipeline with a single buffer")
     if spec.kind == "onboard":
         uart = spec.link_cfg("uart_down").serialization_us(spec.result_bytes)
-        stages = [spec.readout_us, spec.inference_us, uart]
+        stages = [spec.capture_us, spec.inference_us, uart]
     else:
         if spec.mode == SERIALIZED:
             raise OracleUnavailable("no closed form for a serialized remote loop")
         spi = spec.link_cfg("spi_up").serialization_us(wire)
         wifi = spec.link_cfg("wifi_up").serialization_us(wire)
-        stages = [spec.readout_us, spi, wifi]
+        stages = [spec.capture_us, spi, wifi]
         if spec.router_mode == BASELINE:
             copy_us = math.ceil(spec.frame_bytes * spec.copy_ns_per_byte / 1000.0)
-            stages = [spec.readout_us, spi + copy_us + wifi]
+            stages = [spec.capture_us, spi + copy_us + wifi]
         if spec.kind == "remote":
             stages.append(spec.host_compute_us)
     return max(analytic_oracle(stages, spec.mode, spec.pool_size), spec.frame_period_us)

@@ -311,3 +311,19 @@ def test_trigger_camera_numbers_captures_by_tick_when_ticks_drop():
     captured = {f for f, _ in trace.frames_of(Kind.STAGE_END, "capture")}
     inferred = {f for f, _ in trace.frames_of(Kind.STAGE_END, "inference")}
     assert captured and captured <= inferred, sorted(captured - inferred)[:5]
+
+
+def test_serialized_trigger_loop_pays_the_camera_setup():
+    # a trigger capture takes setup + readout in either mode, so the serialized
+    # loop's latency equals the pipelined one's and its period adds inference
+    spec = load_scenario("imav-30")
+    assert spec.capture_us == spec.trigger_setup_us + spec.readout_us
+    _, (trace, serial) = run_named("imav-30", mode="serialized")
+    _, (_, piped) = run_named("imav-30", mode="pipelined")
+    assert serial.e2e_ms_mean == pytest.approx(piped.e2e_ms_mean, abs=1e-9)
+    starts = dict(trace.frames_of(Kind.STAGE_START, "capture"))
+    ends = dict(trace.frames_of(Kind.STAGE_END, "capture"))
+    assert {ends[f] - starts[f] for f in ends} == {spec.capture_us}
+    serial_spec = dataclasses.replace(spec, mode="serialized")
+    assert serial.closed_loop_hz == pytest.approx(1e6 / expected_period_us(serial_spec),
+                                                  rel=0.001)
