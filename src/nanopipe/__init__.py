@@ -1,17 +1,16 @@
 """Deterministic desk-scale simulator for pipelined perception stacks.
 
 The package models a small flying robot's software stack on a virtual clock:
-stackless cooperative coroutines (``coro``), multi-buffered frame pipelines
+stackless cooperative step-list tasks (``coro``), multi-buffered frame pipelines
 (``pipeline``), virtual cameras and links (``vnode``), a zero-copy packet
 router (``cpx``), canned closed-loop workloads (``scenarios``), and a CLI with
 microbenchmarks (``cli``, ``bench``).
 """
 
 from .bench import BenchReport, microbench
-from .coro import (CoroutineContext, Event, EventLoop, TaskState, VirtualClock, call_at,
-                   coroutine, ctx_init, defer, done, event_complete, event_init,
-                   event_reset, join_all, loop_run, pulse, schedule_completion,
-                   sleep_until, spawn, wait)
+from .coro import (Event, EventLoop, Task, TaskState, VirtualClock, call_at, event_complete,
+                   event_init, event_reset, loop_run, pulse, schedule_completion, spawn,
+                   spawn_task)
 from .cpx import (BASELINE, CpxPacket, NODE_IDS, Router, RouterQueue, ZEROCOPY,
                   estimate_clock_offset, fragment_payload, packet_decode, packet_encode,
                   reassemble, router_forward, timestamp_ingress)

@@ -12,8 +12,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .coro import (CoroutineContext, EventLoop, VirtualClock, coroutine, ctx_init, defer,
-                   done, event_complete, event_init, event_reset, loop_run, spawn, wait)
+from .coro import (END, YIELD, EventLoop, Task, VirtualClock, event_complete, event_init,
+                   event_reset, loop_run, spawn_task)
 from .cpx import CpxPacket, packet_encode
 from .errors import ConfigError
 
@@ -57,26 +57,12 @@ def _batched(op, batch: int, batches: int):
     return samples
 
 
-@coroutine
-def _perpetual_waiter(ctx):
-    return wait(ctx.args, then=0)
-
-
-class _Yielder:
-    __slots__ = ("left",)
-
-    def __init__(self, left):
-        self.left = left
-
-
-@coroutine
-def _yielder_body(ctx):
+def _yield(t):
     # every dispatch is exactly one resume + one suspend through the scheduler
-    st = ctx.args
-    if st.left == 0:
-        return done()
-    st.left -= 1
-    return defer(0)
+    if t.count == t.frames:
+        return END
+    t.count += 1
+    return YIELD
 
 
 def bench_ctx_switch(switches_per_batch: int = 1000, batches: int = 1000) -> BenchReport:
@@ -90,7 +76,7 @@ def bench_ctx_switch(switches_per_batch: int = 1000, batches: int = 1000) -> Ben
     loop = EventLoop(VirtualClock(), name="bench")
 
     def op(n):
-        spawn(loop, ctx_init(_yielder_body, _Yielder(n), label="yielder"))
+        spawn_task(loop, "yielder", [_yield], frames=n, count=0)
         loop_run(loop)
     samples = _batched(op, switches_per_batch, batches)
     return BenchReport(
@@ -127,11 +113,11 @@ def bench_packet_encode(batch: int = 2000, batches: int = 500) -> BenchReport:
 
 
 def context_size_report() -> dict:
-    ctx = ctx_init(_perpetual_waiter, None)
+    task = Task(EventLoop(VirtualClock(), name="size"), "size", [_yield])
     return {
-        "context_bookkeeping_bytes": CoroutineContext.BOOKKEEPING_BYTES,
+        "context_bookkeeping_bytes": Task.BOOKKEEPING_BYTES,
         "reference_task_bytes_32bit_mcu": REFERENCE_TASK_BYTES_32BIT,
-        "interpreter_object_bytes": sys.getsizeof(ctx),
+        "interpreter_object_bytes": sys.getsizeof(task),
     }
 
 

@@ -2,12 +2,9 @@
 
 A task is a list of steps (``spawn_task``), plain functions of the task's
 state. The loop runs them itself (``_dispatch``), with the step index as the
-resume point. A step may return a loop-local deadline in µs to sleep until;
-the sleeping task then waits on the timer heap itself, with no ``Event``.
-
-A ``@coroutine`` body, which tests and the microbenchmarks use, is the
-hand-written form: a function of its context that returns ``wait(event,
-then)``, ``defer(then)`` or ``done()`` and dispatches on ``ctx.resume_point``.
+resume point. A step goes on to the next step, waits for an ``Event``, sleeps
+until a loop-local deadline in µs (the sleeping task waits on the timer heap
+itself, with no ``Event``), yields to the back of the ready queue, or ends.
 
 Only code that blocks on something is a task. Devices that make no decisions
 run as ``call_at`` callbacks off the timer heap, and a channel reader that
@@ -30,7 +27,7 @@ from enum import IntEnum
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
-from .errors import ConfigError, UsageError
+from .errors import UsageError
 from .trace import Kind, TraceLog
 
 
@@ -41,7 +38,7 @@ class TaskState(IntEnum):
     ENDED = 3
 
 
-# The only transitions a context may take. Everything else is rejected.
+# The only transitions a task may take. Everything else is rejected.
 _ALLOWED_TRANSITIONS = frozenset({
     (TaskState.START, TaskState.RUNNING),
     (TaskState.RUNNING, TaskState.SUSPENDED),
@@ -49,95 +46,15 @@ _ALLOWED_TRANSITIONS = frozenset({
     (TaskState.SUSPENDED, TaskState.RUNNING),
 })
 
-# Step directive tags. Bodies return (tag, event, resume_point) tuples built
-# by wait()/defer(), or the _DONE sentinel from done().
-_WAIT = 0
-_DEFER = 1
-_DONE = object()
-
 # hot-path aliases: class-attribute lookups cost on every dispatch
 _START = TaskState.START
 _RUNNING = TaskState.RUNNING
 _SUSPENDED = TaskState.SUSPENDED
 _ENDED = TaskState.ENDED
 
-# Registry of coroutine bodies; a context stores only the 16-bit index.
-_BODIES: list = []
-
-# Context currently being dispatched (single-threaded, so a module global).
-_CURRENT: Optional["CoroutineContext"] = None
-
-
-def coroutine(fn: Callable) -> Callable:
-    """Register a coroutine body and assign it a 16-bit id."""
-    if len(_BODIES) >= 0xFFFF:
-        raise ConfigError("coroutine registry full")
-    fn.coroutine_id = len(_BODIES)
-    _BODIES.append(fn)
-    return fn
-
-
-class CoroutineContext:
-    """Per-instance bookkeeping for one running coroutine.
-
-    The runtime state is exactly what ``pack()`` serializes: the coroutine id,
-    the resume point, and the task state, plus the cached body reference that
-    is re-derivable from the id. User data hangs off ``args`` and is excluded
-    from the bookkeeping budget. ``label`` only names the task in traces.
-    """
-
-    __slots__ = ("coroutine_id", "resume_point", "state", "args", "resume_task", "label")
-
-    # coroutine_id:u16, resume_point:u16, state:u8, resume_task as a u64 address
-    _PACK = struct.Struct("<HHBQ")
-    BOOKKEEPING_BYTES = _PACK.size
-
-    def __init__(self, body, args=None, label=None):
-        self.coroutine_id = body.coroutine_id
-        self.resume_point = 0
-        self.state = TaskState.START
-        self.args = args
-        self.resume_task = body
-        self.label = label if label is not None else body.__name__
-
-    def _transition(self, new: TaskState) -> None:
-        if (self.state, new) not in _ALLOWED_TRANSITIONS:
-            raise UsageError(
-                f"illegal transition {TaskState(self.state).name} -> {new.name} for {self.label!r}")
-        self.state = new
-
-    def pack(self) -> bytes:
-        """Serialize the full bookkeeping state (excluding user args)."""
-        return self._PACK.pack(self.coroutine_id, self.resume_point, self.state,
-                               id(self.resume_task) & 0xFFFFFFFFFFFFFFFF)
-
-    @classmethod
-    def unpack(cls, raw: bytes, args=None, label=None) -> "CoroutineContext":
-        """Rebuild a context from packed bookkeeping plus its args reference.
-
-        The packed body address is informational; the body is re-bound from
-        the registry, the way a pointer is relocated on restore.
-        """
-        cid, point, state, _addr = cls._PACK.unpack(raw)
-        ctx = cls(_BODIES[cid], args=args, label=label)
-        ctx.resume_point = point
-        ctx.state = TaskState(state)
-        return ctx
-
-
-def ctx_init(body, args=None, label=None) -> CoroutineContext:
-    """Create a fresh Start-state context for a registered coroutine body."""
-    if isinstance(body, int):
-        if not 0 <= body < len(_BODIES):
-            raise ConfigError(f"unknown coroutine id {body}")
-        body = _BODIES[body]
-    elif getattr(body, "coroutine_id", None) is None:
-        raise ConfigError(f"{body!r} is not a registered coroutine body")
-    return CoroutineContext(body, args=args, label=label)
-
-
 END = object()          # a step's return: the task is over
 RESTART = object()      # a step's return: go back to the first step
+YIELD = object()        # a step's return: go to the back of the ready queue
 
 
 def guard(step: Callable) -> Callable:
@@ -154,6 +71,11 @@ class Task:
     period and t0 (frame n starts at t0 + n * period), and link, queue, pkt and
     nbytes (where and what a task sends); the rest serve one kind of task. With
     slots, not a dict per task, a shared step reads every task's fields alike.
+
+    The runtime state is exactly what ``pack()`` serializes: the resume point,
+    the state, and the step table's address; ``next`` and ``after_wait`` are
+    derived from the steps. The fields are user data and are left out of the
+    bookkeeping budget; ``label`` only names the task in traces.
     """
 
     __slots__ = ("state", "resume_point", "label", "loop", "steps", "next", "after_wait",
@@ -174,43 +96,47 @@ class Task:
         for name, value in fields.items():
             setattr(self, name, value)
 
-    _transition = CoroutineContext._transition
+    # resume_point:u16, state:u8, the step table as a u64 address
+    _PACK = struct.Struct("<HBQ")
+    BOOKKEEPING_BYTES = _PACK.size
+
+    def _transition(self, new: TaskState) -> None:
+        if (self.state, new) not in _ALLOWED_TRANSITIONS:
+            raise UsageError(
+                f"illegal transition {TaskState(self.state).name} -> {new.name} for {self.label!r}")
+        self.state = new
+
+    def pack(self) -> bytes:
+        """Serialize the bookkeeping state (not the fields)."""
+        return self._PACK.pack(self.resume_point, self.state,
+                               id(self.steps) & 0xFFFFFFFFFFFFFFFF)
+
+    @classmethod
+    def unpack(cls, raw: bytes, loop: "EventLoop", label: str, steps, **fields) -> "Task":
+        """Rebuild a task from packed bookkeeping plus its steps and fields.
+
+        The packed step-table address is informational; the steps are re-bound
+        from the caller, the way a pointer is relocated on restore.
+        """
+        point, state, _addr = cls._PACK.unpack(raw)
+        task = cls(loop, label, steps, **fields)
+        task.resume_point = point
+        task.state = TaskState(state)
+        return task
 
 
 def spawn_task(loop: "EventLoop", label: str, steps, **fields) -> Task:
     """Run ``steps`` as one task on ``loop``, with ``fields`` as its state.
 
     A step returns None to go on to the next step; an ``Event`` to wait for,
-    or an ``int`` loop-local deadline to sleep until, before the next step
-    (or before running again, for a ``guard``); ``END``; or ``RESTART``. A
-    completed event or a deadline at or before now goes on without suspending.
+    an ``int`` loop-local deadline to sleep until, or ``YIELD`` to go to the
+    back of the ready queue, before the next step (or before running again,
+    for a ``guard``); ``END``; or ``RESTART``. A completed event or a deadline
+    at or before now goes on without suspending.
     """
     task = Task(loop, label, steps, **fields)
     spawn(loop, task)
     return task
-
-
-def wait(event: "Event", then: int):
-    """Suspend the running coroutine until ``event`` completes.
-
-    If the event has already completed the dispatcher re-enters the body at
-    ``then`` immediately, without recording a suspension.
-    """
-    if _CURRENT is None:
-        raise UsageError("wait() called outside a coroutine body")
-    return (_WAIT, event, then)
-
-
-def defer(then: int):
-    """Yield to the loop; the task is re-queued and resumes at ``then``."""
-    if _CURRENT is None:
-        raise UsageError("defer() called outside a coroutine body")
-    return (_DEFER, None, then)
-
-
-def done():
-    """End the coroutine."""
-    return _DONE
 
 
 class Event:
@@ -246,10 +172,10 @@ def event_complete(loop: "EventLoop", ev: Event) -> None:
     waiters = ev.waiters
     ready = loop.ready
     while waiters:
-        ctx = waiters.popleft()
+        task = waiters.popleft()
         if tr is not None:
-            tr.emit(loop, Kind.RESUME, ctx.label)
-        ready.append(ctx)
+            tr.emit(loop, Kind.RESUME, task.label)
+        ready.append(task)
 
 
 def event_reset(ev: Event) -> None:
@@ -284,7 +210,7 @@ class VirtualClock:
 class EventLoop:
     """FIFO ready queue on a shared clock, whose heap holds the loop's timers.
 
-    The ready queue holds tasks, coroutine contexts and due ``call_at`` callbacks.
+    The ready queue holds tasks, due ``call_at`` callbacks and channel drains.
     """
 
     def __init__(self, clock=None, name: str = "node0", offset_us: int = 0,
@@ -303,14 +229,14 @@ class EventLoop:
         return self.clock.now + self.offset_us
 
 
-def spawn(loop: EventLoop, ctx) -> None:
-    """Enqueue a Start-state context or task; it runs on the next loop pass."""
-    if ctx.state != TaskState.START:
-        raise UsageError(f"spawn of non-Start context {ctx.label!r} "
-                         f"(state {TaskState(ctx.state).name})")
+def spawn(loop: EventLoop, task: Task) -> None:
+    """Enqueue a Start-state task; it runs on the next loop pass."""
+    if task.state != TaskState.START:
+        raise UsageError(f"spawn of non-Start task {task.label!r} "
+                         f"(state {TaskState(task.state).name})")
     if loop._trace is not None:
-        loop._trace.emit(loop, Kind.SPAWN, ctx.label)
-    loop.ready.append(ctx)
+        loop._trace.emit(loop, Kind.SPAWN, task.label)
+    loop.ready.append(task)
 
 
 def schedule_completion(loop: EventLoop, ev: Event, deadline_us: int) -> None:
@@ -339,13 +265,6 @@ def call_at(loop: EventLoop, deadline_us: int, fn: Callable[[], None]) -> None:
     clock = loop.clock
     clock._timer_seq += 1
     heappush(clock.timers, (deadline_us - loop.offset_us, clock._timer_seq, loop, fn))
-
-
-def sleep_until(loop: EventLoop, deadline_us: int, label: str = "timer") -> Event:
-    """Event that completes when the loop's local clock reaches ``deadline_us``."""
-    ev = Event(label)
-    schedule_completion(loop, ev, deadline_us)
-    return ev
 
 
 def _dispatch(loop: EventLoop, task: Task) -> None:
@@ -379,53 +298,18 @@ def _dispatch(loop: EventLoop, task: Task) -> None:
             return
         elif out is RESTART:
             i = 0
+        elif out is YIELD:
+            i = task.after_wait[i]
+            loop.ready.append(task)     # a suspension that is ready again at once
+            break
         else:
             raise UsageError(f"step {steps[i].__name__} of {task.label!r} returned {out!r}")
     task.resume_point = i
     task.state = _SUSPENDED
     if loop._trace is not None:
         loop._trace.emit(loop, Kind.SUSPEND, task.label)
-
-
-def _dispatch_body(loop: EventLoop, ctx: CoroutineContext) -> None:
-    global _CURRENT
-    loop.dispatch_count += 1
-    state = ctx.state
-    if state != _START and state != _SUSPENDED:
-        ctx._transition(_RUNNING)            # unreachable legally: reject loudly
-    ctx.state = _RUNNING
-    tr = loop._trace
-    _CURRENT = ctx
-    try:
-        body = ctx.resume_task
-        while True:
-            step = body(ctx)
-            if step is _DONE:
-                ctx.state = _ENDED           # Running -> Ended, legal by construction
-                return
-            try:
-                tag, ev, then = step
-            except TypeError:
-                raise UsageError(
-                    f"coroutine {ctx.label!r} returned invalid step {step!r}") from None
-            ctx.resume_point = then
-            if tag == _WAIT:
-                if ev.completed:
-                    continue    # no suspension: re-enter at `then` right away
-                ev.waiters.append(ctx)
-                ctx.state = _SUSPENDED
-                if tr is not None:
-                    tr.emit(loop, Kind.SUSPEND, ctx.label)
-                return
-            # defer: a suspension that is immediately ready again
-            ctx.state = _SUSPENDED
-            if tr is not None:
-                tr.emit(loop, Kind.SUSPEND, ctx.label)
-                tr.emit(loop, Kind.RESUME, ctx.label)
-            loop.ready.append(ctx)
-            return
-    finally:
-        _CURRENT = None
+        if out is YIELD:
+            loop._trace.emit(loop, Kind.RESUME, task.label)
 
 
 def _drain(clock) -> None:
@@ -437,11 +321,8 @@ def _drain(clock) -> None:
             ready = loop.ready
             while ready:
                 item = ready.popleft()
-                cls = item.__class__
-                if cls is Task:
+                if item.__class__ is Task:
                     _dispatch(loop, item)
-                elif cls is CoroutineContext:
-                    _dispatch_body(loop, item)
                 else:
                     item()
                 progressed = True
@@ -479,27 +360,3 @@ def loop_run(loop: EventLoop, until: Optional[int] = None) -> None:
     """Run the loop's whole clock group until idle (``until=None``) or until
     the loop-local time ``until`` is reached."""
     run_all(loop.clock, None if until is None else until - loop.offset_us)
-
-
-def join_all(loop: EventLoop, events: list) -> Event:
-    """Event that completes once every input event has completed.
-
-    An empty list completes immediately (degenerate case). The join fires
-    exactly once, at the moment the last input completes.
-    """
-    out = Event("join")
-    if not events:
-        event_complete(loop, out)
-        return out
-    pending = deque(events)
-
-    @guard
-    def collect(t):
-        while pending:
-            if not pending[0].completed:
-                return pending[0]
-            pending.popleft()
-        event_complete(loop, out)
-        return END
-    spawn_task(loop, "join", [collect])
-    return out

@@ -94,7 +94,8 @@ class BufferPool:
     def try_acquire(self) -> Optional[FrameBuffer]:
         """Take a Free buffer (now Filling), or None when the pool is exhausted.
 
-        Inside a coroutine, block by retrying after ``wait(pool.free_event, p)``.
+        A task blocks in a ``guard`` step that returns ``pool.free_event``
+        while this is None (see ``acquire``).
         """
         if not self._free:
             return None

@@ -14,8 +14,8 @@ import pytest
 
 from nanopipe.bench import bench_ctx_switch, context_size_report
 from nanopipe.cli import EXIT_OK, main as cli_main
-from nanopipe.coro import (CoroutineContext, EventLoop, TaskState, VirtualClock, coroutine,
-                           ctx_init, done, event_complete, event_init, loop_run, spawn, wait)
+from nanopipe.coro import (END, EventLoop, Task, TaskState, VirtualClock, event_complete,
+                           event_init, loop_run, spawn_task)
 from nanopipe.errors import UsageError
 from nanopipe.oracle import analytic_oracle
 from nanopipe.pipeline import PIPELINED, SERIALIZED, Stage, pipeline_run, pool_create
@@ -124,12 +124,11 @@ def test_criterion_06_oracle_equivalence():
         assert elapsed < 30.0, f"sweep took {elapsed:.1f}s"
 
 
-@coroutine
-def _acc_waiter(ctx):
-    if ctx.resume_point == 0:
-        return wait(ctx.args["ev"], then=1)
-    ctx.args["log"].append(ctx.args["tag"])
-    return done()
+def _acc_waiter(ev, log, tag):
+    def record(t):
+        log.append(tag)
+        return END
+    return [lambda t: ev, record]
 
 
 def test_criterion_07_coroutine_semantics():
@@ -142,8 +141,7 @@ def test_criterion_07_coroutine_semantics():
         ev = event_init("e")
         log = []
         for i in range(5):
-            spawn(loop, ctx_init(_acc_waiter, {"ev": ev, "log": log, "tag": i},
-                                 label=f"w{i}"))
+            spawn_task(loop, f"w{i}", _acc_waiter(ev, log, i))
         loop_run(loop)
         event_complete(loop, ev)
         loop_run(loop)
@@ -156,8 +154,7 @@ def test_criterion_07_coroutine_semantics():
         ev2 = event_init("e2")
         event_complete(loop, ev2)
         log2 = []
-        spawn(loop, ctx_init(_acc_waiter, {"ev": ev2, "log": log2, "tag": "x"},
-                             label="pre"))
+        spawn_task(loop, "pre", _acc_waiter(ev2, log2, "x"))
         loop_run(loop)
         assert log2 == ["x"]
         assert tr.count(Kind.SUSPEND, "pre") == 0
@@ -169,13 +166,13 @@ def test_criterion_07_coroutine_semantics():
                  (TaskState.SUSPENDED, TaskState.RUNNING)}
         for src in TaskState:
             for dst in TaskState:
-                ctx = ctx_init(_acc_waiter, None)
-                ctx.state = src
+                task = Task(loop, "t", _acc_waiter(ev, [], None))
+                task.state = src
                 if (src, dst) in legal:
-                    ctx._transition(dst)
+                    task._transition(dst)
                 else:
                     with pytest.raises(UsageError):
-                        ctx._transition(dst)
+                        task._transition(dst)
 
         # double-complete is an error; FIFO fairness of same-instant spawns
         with pytest.raises(UsageError):
@@ -227,7 +224,7 @@ def test_criterion_10_microbenchmarks():
         sizes = context_size_report()
         assert sizes["context_bookkeeping_bytes"] <= 32
         assert sizes["reference_task_bytes_32bit_mcu"] == 18
-        assert CoroutineContext.BOOKKEEPING_BYTES == sizes["context_bookkeeping_bytes"]
+        assert Task.BOOKKEEPING_BYTES == sizes["context_bookkeeping_bytes"]
         print(f"      context switch median {report.median_ns:.0f} ns (p99 "
               f"{report.p99_ns:.0f} ns); bookkeeping "
               f"{sizes['context_bookkeeping_bytes']} B vs the 18 B reference "

@@ -27,7 +27,7 @@ def test_packet_encode_header_only_under_budget():
 
 def test_context_size_report_fields():
     sizes = context_size_report()
-    assert sizes["context_bookkeeping_bytes"] == 13
+    assert sizes["context_bookkeeping_bytes"] == 11
     assert sizes["reference_task_bytes_32bit_mcu"] == 18
     assert sizes["interpreter_object_bytes"] > sizes["context_bookkeeping_bytes"]
 

@@ -1,17 +1,15 @@
-"""Semantics of the stackless coroutine runtime."""
+"""Semantics of the stackless task runtime."""
 
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanopipe.coro import (CoroutineContext, Event, EventLoop, TaskState, VirtualClock,
-                           call_at, coroutine, ctx_init, defer, done, event_complete,
-                           event_init, event_reset, join_all, loop_run, schedule_completion,
-                           sleep_until, spawn, wait)
-from nanopipe.errors import ConfigError, UsageError
+from nanopipe.coro import (END, YIELD, Event, EventLoop, Task, TaskState, VirtualClock, call_at,
+                           event_complete, event_init, event_reset, loop_run,
+                           schedule_completion, spawn, spawn_task)
+from nanopipe.errors import UsageError
 from nanopipe.trace import Kind, TraceLog
 
 
@@ -21,102 +19,102 @@ def fresh_loop(trace=False):
     return loop, tr
 
 
-# --- bodies used across tests ---
-
-@coroutine
-def noop(ctx):
-    return done()
-
-
-@coroutine
-def recorder(ctx):
-    # args: (log, tag) -- appends its tag once and ends
-    log, tag = ctx.args
-    log.append(tag)
-    return done()
+def timer_event(loop, deadline, label="timer"):
+    """An event that completes when the loop's local clock reaches ``deadline``."""
+    ev = Event(label)
+    schedule_completion(loop, ev, deadline)
+    return ev
 
 
-@coroutine
-def yields_n(ctx):
-    # args: dict with "left" counter
-    if ctx.args["left"] > 0:
-        ctx.args["left"] -= 1
-        return defer(0)
-    return done()
+# --- step lists used across tests ---
+
+def noop():
+    return [lambda t: END]
 
 
-@coroutine
-def single_waiter(ctx):
-    # args: dict(event=..., log=[])
-    if ctx.resume_point == 0:
-        ctx.args["log"].append("before")
-        return wait(ctx.args["event"], then=1)
-    ctx.args["log"].append("after")
-    return done()
+def recorder(log, tag):
+    # appends its tag once and ends
+    def record(t):
+        log.append(tag)
+        return END
+    return [record]
 
 
-@coroutine
-def timed_waiter(ctx):
-    # args: (event, log, tag, loop) -- appends (tag, local time) once the event completes
-    ev, log, tag, loop = ctx.args
-    if ctx.resume_point == 0:
-        return wait(ev, then=1)
-    log.append((tag, loop.now))
-    return done()
+def yields_n(left):
+    # yields ``left`` times, then ends
+    def step(t):
+        nonlocal left
+        if left > 0:
+            left -= 1
+            return YIELD
+        return END
+    return [step]
 
 
-@coroutine
-def two_phase(ctx):
+def single_waiter(ev, log):
+    def before(t):
+        log.append("before")
+        return ev
+
+    def after(t):
+        log.append("after")
+        return END
+    return [before, after]
+
+
+def timed_waiter(ev, log, tag, loop):
+    # appends (tag, local time) once the event completes
+    def record(t):
+        log.append((tag, loop.now))
+        return END
+    return [lambda t: ev, record]
+
+
+def two_phase(ev1, ev2, points):
     # waits two events in sequence, recording the resume points it passes
-    a = ctx.args
-    if ctx.resume_point == 0:
-        return wait(a["ev1"], then=1)
-    if ctx.resume_point == 1:
-        a["points"].append(1)
-        return wait(a["ev2"], then=2)
-    a["points"].append(2)
-    return done()
+    def second(t):
+        points.append(1)
+        return ev2
+
+    def third(t):
+        points.append(2)
+        return END
+    return [lambda t: ev1, second, third]
 
 
-@coroutine
-def stepper(ctx):
+def stepper(tag, total, log):
     # interleaving probe: appends (tag, step) and yields between steps
-    a = ctx.args
-    if a["step"] < a["total"]:
-        a["log"].append((a["tag"], a["step"]))
-        a["step"] += 1
-        return defer(0)
-    return done()
+    step = 0
+
+    def run(t):
+        nonlocal step
+        if step < total:
+            log.append((tag, step))
+            step += 1
+            return YIELD
+        return END
+    return [run]
 
 
-def test_ctx_init_fresh_state():
-    ctx = ctx_init(noop, None)
-    assert ctx.state == TaskState.START
-    assert ctx.resume_point == 0
-
-
-def test_ctx_init_unknown_id_rejected():
-    with pytest.raises(ConfigError):
-        ctx_init(0xFFFE)
-    with pytest.raises(ConfigError):
-        ctx_init(lambda ctx: done())
+def test_task_fresh_state():
+    loop, _ = fresh_loop()
+    task = Task(loop, "noop", noop())
+    assert task.state == TaskState.START
+    assert task.resume_point == 0
 
 
 def test_spawn_and_run_to_ended():
     loop, _ = fresh_loop()
-    ctx = ctx_init(noop)
-    spawn(loop, ctx)
+    task = spawn_task(loop, "noop", noop())
     loop_run(loop)
-    assert ctx.state == TaskState.ENDED
+    assert task.state == TaskState.ENDED
 
 
 def test_two_instances_interleave_without_corruption():
     loop, _ = fresh_loop()
     log = []
-    a = ctx_init(stepper, {"tag": "a", "step": 0, "total": 3, "log": log})
-    b = ctx_init(stepper, {"tag": "b", "step": 0, "total": 3, "log": log})
-    spawn(loop, a)
-    spawn(loop, b)
+    a = spawn_task(loop, "a", stepper("a", 3, log))
+    b = spawn_task(loop, "b", stepper("b", 3, log))
     loop_run(loop)
     # strict alternation: both progress one step per pass, no state leaking
     assert log == [("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2)]
@@ -127,25 +125,24 @@ def test_spawn_order_is_execution_order():
     loop, _ = fresh_loop()
     log = []
     for tag in ("t1", "t2", "t3"):
-        spawn(loop, ctx_init(recorder, (log, tag)))
+        spawn_task(loop, tag, recorder(log, tag))
     loop_run(loop)
     assert log == ["t1", "t2", "t3"]
 
 
-def test_respawn_non_start_context_rejected():
+def test_respawn_non_start_task_rejected():
     loop, _ = fresh_loop()
-    ctx = ctx_init(noop)
-    spawn(loop, ctx)
+    task = spawn_task(loop, "noop", noop())
     loop_run(loop)
     with pytest.raises(UsageError):
-        spawn(loop, ctx)
+        spawn(loop, task)
 
 
 def test_counting_oracle_1000_tasks_10_yields():
     # each task is dispatched 10 times for its yields plus one terminal pass
     loop, _ = fresh_loop()
     for _ in range(1000):
-        spawn(loop, ctx_init(yields_n, {"left": 10}))
+        spawn_task(loop, "y", yields_n(10))
     loop_run(loop)
     assert loop.dispatch_count == 10_000 + 1000
 
@@ -173,17 +170,14 @@ def test_three_waiters_resumed_in_registration_order():
     loop, _ = fresh_loop()
     ev = event_init("e")
     log = []
-    ctxs = [ctx_init(single_waiter, {"event": ev, "log": log}, label=f"w{i}")
-            for i in range(3)]
-    for c in ctxs:
-        spawn(loop, c)
+    tasks = [spawn_task(loop, f"w{i}", single_waiter(ev, log)) for i in range(3)]
     loop_run(loop)
     assert log == ["before", "before", "before"]
     event_complete(loop, ev)
     loop_run(loop)
     assert log[3:] == ["after", "after", "after"]
     assert list(ev.waiters) == []
-    assert all(c.state == TaskState.ENDED for c in ctxs)
+    assert all(t.state == TaskState.ENDED for t in tasks)
 
 
 def test_wait_on_completed_event_records_no_suspension():
@@ -191,7 +185,7 @@ def test_wait_on_completed_event_records_no_suspension():
     ev = event_init("e")
     event_complete(loop, ev)
     log = []
-    spawn(loop, ctx_init(single_waiter, {"event": ev, "log": log}, label="w"))
+    spawn_task(loop, "w", single_waiter(ev, log))
     loop_run(loop)
     assert log == ["before", "after"]
     assert tr.count(Kind.SUSPEND, "w") == 0
@@ -203,7 +197,7 @@ def test_complete_before_wait_resumes_in_same_pass():
     ev = event_init("e")
     event_complete(loop, ev)
     log = []
-    spawn(loop, ctx_init(single_waiter, {"event": ev, "log": log}, label="w"))
+    spawn_task(loop, "w", single_waiter(ev, log))
     loop_run(loop)
     kinds = [e.kind for e in tr.events if e.subject == "w"]
     assert kinds == [Kind.SPAWN]  # no Suspend, no Resume: ran straight through
@@ -214,8 +208,7 @@ def test_fork_join_records_two_distinct_suspension_points():
     loop, _ = fresh_loop()
     ev1, ev2 = event_init("e1"), event_init("e2")
     points = []
-    ctx = ctx_init(two_phase, {"ev1": ev1, "ev2": ev2, "points": points}, label="main")
-    spawn(loop, ctx)
+    task = spawn_task(loop, "main", two_phase(ev1, ev2, points))
     loop_run(loop)
     event_complete(loop, ev1)
     loop_run(loop)
@@ -223,7 +216,7 @@ def test_fork_join_records_two_distinct_suspension_points():
     loop_run(loop)
     assert points == [1, 2]
     assert len(set(points)) == 2
-    assert ctx.state == TaskState.ENDED
+    assert task.state == TaskState.ENDED
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -232,7 +225,7 @@ def test_n_waiters_suspended_and_resumed_exactly_once(n):
     ev = event_init("e")
     log = []
     for i in range(n):
-        spawn(loop, ctx_init(single_waiter, {"event": ev, "log": log}, label=f"w{i}"))
+        spawn_task(loop, f"w{i}", single_waiter(ev, log))
     loop_run(loop)
     event_complete(loop, ev)
     loop_run(loop)
@@ -247,8 +240,7 @@ def test_exactly_once_resumption_counters():
     for round_no in range(3):
         ev = event_init(f"e{round_no}")
         for i in range(4):
-            spawn(loop, ctx_init(single_waiter, {"event": ev, "log": []},
-                                 label=f"r{round_no}w{i}"))
+            spawn_task(loop, f"r{round_no}w{i}", single_waiter(ev, []))
         loop_run(loop)
         event_complete(loop, ev)
         loop_run(loop)
@@ -259,44 +251,38 @@ def test_exactly_once_resumption_counters():
 
 # --- fork-join ---
 
-@coroutine
-def timed_subtask(ctx):
-    # runs for args["dur"] of virtual time, then signals completion
-    a = ctx.args
-    if ctx.resume_point == 0:
-        a["log"].append((a["name"], "start", a["loop"].now))
-        a["timer"] = sleep_until(a["loop"], a["loop"].now + a["dur"], a["name"])
-        return wait(a["timer"], then=1)
-    a["log"].append((a["name"], "end", a["loop"].now))
-    event_complete(a["loop"], a["done"])
-    return done()
+def timed_subtask(loop, name, dur, done_ev, log):
+    # runs for ``dur`` of virtual time, then signals completion
+    def start(t):
+        log.append((name, "start", loop.now))
+        return timer_event(loop, loop.now + dur, name)
+
+    def end(t):
+        log.append((name, "end", loop.now))
+        event_complete(loop, done_ev)
+        return END
+    return [start, end]
 
 
-@coroutine
-def forkjoin_main(ctx):
+def forkjoin_main(loop, d1, d2, ev1, ev2, log):
     # spawns two sub-tasks, keeps working, then waits for both to finish
-    a = ctx.args
-    loop = a["loop"]
-    if ctx.resume_point == 0:
-        for name, dur, done_ev in (("task1", a["d1"], a["ev1"]),
-                                   ("task2", a["d2"], a["ev2"])):
-            sub = {"name": name, "dur": dur, "done": done_ev, "loop": loop,
-                   "log": a["log"], "timer": None}
-            spawn(loop, ctx_init(timed_subtask, sub, label=name))
-        a["log"].append(("main", "forked", loop.now))
-        return wait(a["ev1"], then=1)
-    if ctx.resume_point == 1:
-        return wait(a["ev2"], then=2)
-    a["log"].append(("main", "joined", loop.now))
-    return done()
+    def fork(t):
+        for name, dur, done_ev in (("task1", d1, ev1), ("task2", d2, ev2)):
+            spawn_task(loop, name, timed_subtask(loop, name, dur, done_ev, log))
+        log.append(("main", "forked", loop.now))
+        return ev1
+
+    def joined(t):
+        log.append(("main", "joined", loop.now))
+        return END
+    return [fork, lambda t: ev2, joined]
 
 
 def test_fork_join_main_waits_both_subtasks():
     loop, _ = fresh_loop()
     log = []
-    args = {"loop": loop, "log": log, "d1": 300, "d2": 120,
-            "ev1": event_init("done1"), "ev2": event_init("done2")}
-    spawn(loop, ctx_init(forkjoin_main, args, label="main"))
+    spawn_task(loop, "main", forkjoin_main(loop, 300, 120, event_init("done1"),
+                                           event_init("done2"), log))
     loop_run(loop)
     # both sub-tasks ran in the background while main was suspended, and main
     # resumed only after the slower one finished
@@ -306,75 +292,27 @@ def test_fork_join_main_waits_both_subtasks():
     assert loop.now == 300
 
 
-# --- join_all ---
-
-def test_join_all_of_completed_events():
-    loop, _ = fresh_loop()
-    evs = [event_init("a"), event_init("b")]
-    for ev in evs:
-        event_complete(loop, ev)
-    out = join_all(loop, evs)
-    loop_run(loop)
-    assert out.completed
-
-
-def test_join_all_empty_completes_immediately():
-    loop, _ = fresh_loop()
-    out = join_all(loop, [])
-    assert out.completed
-
-
-def test_join_all_fork_join_timeline():
-    # main forks two timed sub-tasks and proceeds only after both finish
-    loop, _ = fresh_loop()
-    e1 = sleep_until(loop, 100, "t1")
-    e2 = sleep_until(loop, 250, "t2")
-    out = join_all(loop, [e1, e2])
-    loop_run(loop)
-    assert out.completed
-    assert loop.now == 250
-
-
-@pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
-def test_join_all_fires_at_max_over_all_completion_orders(order):
-    loop, _ = fresh_loop()
-    deadlines = [(i + 1) * 10 for i in order]   # completion times permuted
-    evs = [sleep_until(loop, d, f"t{i}") for i, d in enumerate(deadlines)]
-    out = join_all(loop, evs)
-    loop_run(loop)
-    assert out.completed and out.completion_count == 1
-    assert loop.now == max(deadlines)
-
-
 # --- timers ---
 
-def test_sleep_until_now_is_immediate():
+def test_schedule_completion_now_is_immediate():
     loop, _ = fresh_loop()
-    ev = sleep_until(loop, loop.now)
+    ev = timer_event(loop, loop.now)
     assert ev.completed
 
 
-def test_sleep_until_past_is_immediate():
+def test_schedule_completion_past_is_immediate():
     loop, _ = fresh_loop()
     loop.clock.now = 500
-    ev = sleep_until(loop, 100)
+    ev = timer_event(loop, 100)
     assert ev.completed
 
 
 def test_timers_fire_in_deadline_order():
     loop, tr = fresh_loop(trace=True)
     fired = []
-
-    @coroutine
-    def waits_one(ctx):
-        if ctx.resume_point == 0:
-            return wait(ctx.args["ev"], then=1)
-        fired.append((ctx.args["tag"], loop.now))
-        return done()
-
     for tag, deadline in (("c", 30), ("a", 10), ("b", 20)):
-        ev = sleep_until(loop, deadline, f"t-{tag}")
-        spawn(loop, ctx_init(waits_one, {"ev": ev, "tag": tag}, label=tag))
+        ev = timer_event(loop, deadline, f"t-{tag}")
+        spawn_task(loop, tag, timed_waiter(ev, fired, tag, loop))
     loop_run(loop)
     assert fired == [("a", 10), ("b", 20), ("c", 30)]
     assert loop.now == 30
@@ -397,9 +335,9 @@ def test_call_at_callback_keeps_its_place_among_tasks_woken_at_the_same_instant(
     # order at a tie follows the order the timers were set in
     loop, _ = fresh_loop()
     log = []
-    ev = sleep_until(loop, 100, "first")
+    ev = timer_event(loop, 100, "first")
     call_at(loop, 100, lambda: log.append("callback"))
-    spawn(loop, ctx_init(single_waiter, {"event": ev, "log": log}))
+    spawn_task(loop, "w", single_waiter(ev, log))
     loop_run(loop)
     assert log == ["before", "after", "callback"]
 
@@ -419,7 +357,7 @@ def test_clock_wide_timer_heap_keeps_each_loops_order_at_shared_instants():
         tag = (deadline, index, push)
         if rng.random() < 0.5:
             ev = event_init(f"t{push}")
-            spawn(loop, ctx_init(timed_waiter, (ev, ran, tag, loop)))
+            spawn_task(loop, f"w{push}", timed_waiter(ev, ran, tag, loop))
             schedule_completion(loop, ev, local)
         else:
             call_at(loop, local, lambda lp=loop, t=tag: ran.append((t, lp.now)))
@@ -437,7 +375,7 @@ def test_clock_wide_timer_heap_keeps_each_loops_order_at_shared_instants():
 
 def test_loop_run_until_time_stops_clock_there():
     loop, _ = fresh_loop()
-    ev = sleep_until(loop, 1000)
+    ev = timer_event(loop, 1000)
     loop_run(loop, until=400)
     assert loop.now == 400
     assert not ev.completed
@@ -451,20 +389,12 @@ def test_deterministic_trace_with_random_timers_and_tasks():
     def run_once(seed):
         loop, tr = fresh_loop(trace=True)
         rng = random.Random(seed)
-
-        @coroutine
-        def sleeper(ctx):
-            a = ctx.args
-            if ctx.resume_point == 0:
-                a["ev"] = sleep_until(loop, a["deadline"], f"tm{a['i']}")
-                return wait(a["ev"], then=1)
-            return done()
-
         for i in range(100):
-            spawn(loop, ctx_init(sleeper, {"deadline": rng.randrange(0, 5000), "i": i},
-                                 label=f"s{i}"))
+            deadline = rng.randrange(0, 5000)
+            spawn_task(loop, f"s{i}", [lambda t, d=deadline, i=i: timer_event(loop, d, f"tm{i}"),
+                                       lambda t: END])
         for i in range(20):
-            spawn(loop, ctx_init(yields_n, {"left": rng.randrange(1, 5)}, label=f"y{i}"))
+            spawn_task(loop, f"y{i}", yields_n(rng.randrange(1, 5)))
         loop_run(loop)
         return tr.to_csv()
 
@@ -480,20 +410,21 @@ def test_fifo_fairness_execution_matches_enqueue_order(order):
     loop, _ = fresh_loop()
     log = []
     for i in order:
-        spawn(loop, ctx_init(recorder, (log, i)))
+        spawn_task(loop, f"r{i}", recorder(log, i))
     loop_run(loop)
     assert log == list(order)
 
 
-@coroutine
-def tagged_waiter(ctx):
+def tagged_waiter(ev, log, tag):
     # records its own tag on each side of the suspension
-    a = ctx.args
-    if ctx.resume_point == 0:
-        a["log"].append(("waiting", a["tag"]))
-        return wait(a["event"], then=1)
-    a["log"].append(("resumed", a["tag"]))
-    return done()
+    def waiting(t):
+        log.append(("waiting", tag))
+        return ev
+
+    def resumed(t):
+        log.append(("resumed", tag))
+        return END
+    return [waiting, resumed]
 
 
 def test_fifo_among_tasks_made_ready_at_same_instant():
@@ -502,7 +433,7 @@ def test_fifo_among_tasks_made_ready_at_same_instant():
     ev = event_init("e")
     log = []
     for i in range(5):
-        spawn(loop, ctx_init(tagged_waiter, {"event": ev, "log": log, "tag": i}))
+        spawn_task(loop, f"w{i}", tagged_waiter(ev, log, i))
     loop_run(loop)
     assert log == [("waiting", i) for i in range(5)]
     event_complete(loop, ev)
@@ -517,24 +448,39 @@ def test_all_illegal_transitions_rejected():
              (TaskState.RUNNING, TaskState.SUSPENDED),
              (TaskState.RUNNING, TaskState.ENDED),
              (TaskState.SUSPENDED, TaskState.RUNNING)}
+    loop, _ = fresh_loop()
     for src in TaskState:
         for dst in TaskState:
-            ctx = ctx_init(noop)
-            ctx.state = src
+            task = Task(loop, "noop", noop())
+            task.state = src
             if (src, dst) in legal:
-                ctx._transition(dst)
-                assert ctx.state == dst
+                task._transition(dst)
+                assert task.state == dst
             else:
                 with pytest.raises(UsageError):
-                    ctx._transition(dst)
+                    task._transition(dst)
 
 
-def test_wait_outside_coroutine_rejected():
-    ev = event_init("e")
-    with pytest.raises(UsageError):
-        wait(ev, then=1)
-    with pytest.raises(UsageError):
-        defer(0)
+# --- yielding ---
+
+def test_yield_requeues_behind_ready_tasks_and_goes_on_at_the_next_step():
+    loop, tr = fresh_loop(trace=True)
+    log = []
+
+    def first(t):
+        log.append("first")
+        return YIELD
+
+    def second(t):
+        log.append("second")
+        return END
+
+    spawn_task(loop, "y", [first, second])
+    spawn_task(loop, "r", recorder(log, "other"))
+    loop_run(loop)
+    assert log == ["first", "other", "second"]
+    assert [(e.kind, e.subject) for e in tr.events if e.subject == "y"] == [
+        (Kind.SPAWN, "y"), (Kind.SUSPEND, "y"), (Kind.RESUME, "y")]
 
 
 # --- no stack retention ---
@@ -547,25 +493,27 @@ def _scribble(depth):
     return 0
 
 
-@coroutine
-def stack_scribbler(ctx):
-    if ctx.args["left"] > 0:
-        ctx.args["left"] -= 1
-        _scribble(40)
-        return defer(0)
-    return done()
+def stack_scribbler(left):
+    def step(t):
+        nonlocal left
+        if left > 0:
+            left -= 1
+            _scribble(40)
+            return YIELD
+        return END
+    return [step]
 
 
-def test_behavior_is_pure_function_of_args_and_resume_point():
+def test_behavior_is_pure_function_of_fields_and_resume_point():
     # the same tasks produce the same observable log whether or not other
     # tasks churn the shared (Python call) stack between their suspensions
     def run(with_scribblers):
         loop, _ = fresh_loop()
         log = []
         for i in range(4):
-            spawn(loop, ctx_init(stepper, {"tag": i, "step": 0, "total": 5, "log": log}))
+            spawn_task(loop, f"s{i}", stepper(i, 5, log))
             if with_scribblers:
-                spawn(loop, ctx_init(stack_scribbler, {"left": 5}))
+                spawn_task(loop, f"x{i}", stack_scribbler(5))
         loop_run(loop)
         return log
 
@@ -575,26 +523,26 @@ def test_behavior_is_pure_function_of_args_and_resume_point():
 
 
 def test_bookkeeping_packs_into_at_most_32_bytes():
-    assert CoroutineContext.BOOKKEEPING_BYTES <= 32
-    ctx = ctx_init(noop)
-    assert len(ctx.pack()) == CoroutineContext.BOOKKEEPING_BYTES
+    assert Task.BOOKKEEPING_BYTES <= 32
+    loop, _ = fresh_loop()
+    task = Task(loop, "noop", noop())
+    assert len(task.pack()) == Task.BOOKKEEPING_BYTES
 
 
-def test_packed_context_round_trips_and_resumes_identically():
-    # suspend a task, clone it from its packed bookkeeping + args, swap the
+def test_packed_task_round_trips_and_resumes_identically():
+    # suspend a task, clone it from its packed bookkeeping + steps, swap the
     # clone into the waiter list, and check it finishes exactly like the
     # original would: the packed fields are the whole runtime state
     loop, _ = fresh_loop()
     ev = event_init("e")
     log = []
-    ctx = ctx_init(single_waiter, {"event": ev, "log": log}, label="orig")
-    spawn(loop, ctx)
+    task = spawn_task(loop, "orig", single_waiter(ev, log))
     loop_run(loop)
-    assert ctx.state == TaskState.SUSPENDED
+    assert task.state == TaskState.SUSPENDED
 
-    clone = CoroutineContext.unpack(ctx.pack(), args=ctx.args, label="clone")
-    assert (clone.coroutine_id, clone.resume_point, clone.state) == \
-           (ctx.coroutine_id, ctx.resume_point, ctx.state)
+    clone = Task.unpack(task.pack(), loop, "clone", task.steps)
+    assert (clone.steps, clone.resume_point, clone.state) == \
+           (task.steps, task.resume_point, task.state)
     ev.waiters.clear()
     ev.waiters.append(clone)
     event_complete(loop, ev)
@@ -606,8 +554,8 @@ def test_packed_context_round_trips_and_resumes_identically():
 def test_trace_timestamps_monotone_per_node():
     loop, tr = fresh_loop(trace=True)
     for i in range(10):
-        ev = sleep_until(loop, i * 7, f"t{i}")
-    spawn(loop, ctx_init(yields_n, {"left": 3}))
+        ev = timer_event(loop, i * 7, f"t{i}")
+    spawn_task(loop, "y", yields_n(3))
     loop_run(loop)
     stamps = [e.t_us for e in tr.events]
     assert stamps == sorted(stamps)

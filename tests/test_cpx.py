@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanopipe.coro import (EventLoop, VirtualClock, coroutine, ctx_init, done,
-                           loop_run, spawn, wait)
+from nanopipe.coro import EventLoop, VirtualClock, guard, loop_run, spawn_task
 from nanopipe.cpx import (BASELINE, FUNCTION_APP_STREAM, MAX_FRAGMENT_PAYLOAD, NODE_IDS,
                           ZEROCOPY, CpxPacket, Router, RouterQueue, estimate_clock_offset,
-                          fragment_payload, packet_decode, packet_encode, reassemble,
+                          fragment_payload, packet_decode, packet_encode, reassemble, reserve,
                           router_forward, timestamp_ingress)
 from nanopipe.errors import ConfigError, ProtocolError, UsageError
-from nanopipe.pipeline import pool_create
+from nanopipe.pipeline import next_frame, pool_create
 from nanopipe.trace import Kind, TraceLog
 from nanopipe.vnode import Link, LinkConfig, NodeGraph
 
@@ -202,75 +201,42 @@ def build_router_rig(mode, t_spi_us, t_wifi_us, nbytes, capacity=4,
     return graph, router, spi_up
 
 
-class _StreamSender:
-    __slots__ = ("link", "queue", "trace", "frames", "nbytes", "period_us",
-                 "sent", "pkt", "ev", "t0", "made")
-
-    def __init__(self, link, queue, trace, frames, nbytes, period_us):
-        self.link = link
-        self.queue = queue
-        self.trace = trace
-        self.frames = frames
-        self.nbytes = nbytes
-        self.period_us = period_us      # 0 = free-run
-        self.sent = 0
-        self.pkt = None
-        self.ev = None
-        self.t0 = link.src.now
-        self.made = []
+def _make_image(t):
+    t.pkt = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_APP_STREAM,
+                      memoryview(bytes(t.nbytes)), meta=t.frame)
 
 
-@coroutine
-def _stream_sender_body(ctx):
-    """Credit-gated image sender on the gap8 loop."""
-    from nanopipe.coro import sleep_until
-    st = ctx.args
-    loop = st.link.src
-    while True:
-        if ctx.resume_point == 0:
-            if st.sent == st.frames:
-                return done()
-            if st.period_us:
-                st.ev = sleep_until(loop, st.t0 + st.sent * st.period_us, "pace")
-                return wait(st.ev, then=1)
-            ctx.resume_point = 1
-        if ctx.resume_point == 1:
-            st.pkt = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_APP_STREAM,
-                               memoryview(bytes(st.nbytes)), meta=st.sent)
-            st.made.append(st.pkt)
-            ctx.resume_point = 2
-        if ctx.resume_point == 2:
-            if not st.queue.try_reserve():
-                st.trace.emit(loop, Kind.QUEUE_FULL, st.queue.name, st.sent)
-                st.ev = st.queue.register_credit_waiter(loop)
-                return wait(st.ev, then=2)
-            st.ev = sleep_until(loop, st.link.send(st.pkt, st.pkt.wire_bytes, frame=st.sent))
-            return wait(st.ev, then=3)
-        st.sent += 1
-        st.pkt = None
-        ctx.resume_point = 0
+def _send_image(t):
+    return t.link.send(t.pkt, t.pkt.wire_bytes, frame=t.frame)
+
+
+def _sent(t):
+    t.frame += 1
+    t.pkt = None
 
 
 def run_stream(mode, t_spi_us, t_wifi_us, nbytes=25600, frames=40, capacity=4,
                copy_ns_per_byte=0.0, period_us=0):
     graph, router, spi_up = build_router_rig(mode, t_spi_us, t_wifi_us, nbytes,
                                              capacity, copy_ns_per_byte)
-    wifi_q = router.queues["wifi"]
-    sender = _StreamSender(spi_up, wifi_q, graph.trace, frames, nbytes, period_us)
-    spawn(graph.loop("gap8"), ctx_init(_stream_sender_body, sender, label="image-tx"))
+    # credit-gated image sender on the gap8 loop, paced when period_us > 0
+    gap8 = graph.loop("gap8")
+    sender = spawn_task(gap8, "image-tx", [next_frame, _make_image, reserve, _send_image, _sent],
+                        link=spi_up, queue=router.queues["wifi"], trace=graph.trace,
+                        frames=frames, nbytes=nbytes, period=period_us, t0=gap8.now,
+                        frame=0, pkt=None)
     arrivals = []
+    link = graph.links["wifi_up"]
 
-    @coroutine
-    def host_sink(ctx):
-        link = graph.links["wifi_up"]
-        while True:
-            msg = link.rx.try_get()
-            if msg is None:
-                return wait(link.rx.ready_event, then=0)
-            arrivals.append((msg.payload.meta, graph.loop("host").now, msg.payload))
+    @guard
+    def host_sink(t):
+        msg = link.rx.try_get()
+        if msg is None:
+            return link.rx.ready_event
+        arrivals.append((msg.payload.meta, graph.loop("host").now, msg.payload))
 
-    spawn(graph.loop("host"), ctx_init(host_sink, None, label="host-sink"))
-    loop_run(graph.loop("gap8"))
+    spawn_task(graph.loop("host"), "host-sink", [host_sink])
+    loop_run(gap8)
     return graph, router, sender, arrivals
 
 
@@ -309,7 +275,7 @@ def test_backpressure_no_loss_under_2x_overload_for_10s():
     frames = 2000                            # 2000 * 5 ms of offered load
     graph, router, sender, arrivals = run_stream(ZEROCOPY, 2000, 10000,
                                                  frames=frames, period_us=5000)
-    assert sender.sent == frames
+    assert sender.frame == frames
     assert [a[0] for a in arrivals] == list(range(frames))
     q = router.queues["wifi"]
     assert q.enqueued == q.delivered == frames

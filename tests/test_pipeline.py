@@ -6,8 +6,8 @@ import random
 import pytest
 
 from nanopipe.coro import (END, RESTART, EventLoop, Task, TaskState, VirtualClock, call_at,
-                           coroutine, ctx_init, done, event_complete, event_init, guard,
-                           loop_run, pulse, sleep_until, spawn, spawn_task, wait)
+                           event_complete, event_init, guard, loop_run, pulse,
+                           schedule_completion, spawn, spawn_task)
 from nanopipe.errors import ConfigError, UsageError
 from nanopipe.pipeline import (PIPELINED, SERIALIZED, BufferState, Channel, Stage, pipeline_run,
                                pool_create, stage_end_gaps)
@@ -16,6 +16,13 @@ from nanopipe.trace import Kind, TraceLog
 
 def fresh_loop():
     return EventLoop(VirtualClock(), name="n0", trace=TraceLog())
+
+
+def timer_event(loop, deadline):
+    """An event that completes when the loop's local clock reaches ``deadline``."""
+    ev = event_init("timer")
+    schedule_completion(loop, ev, deadline)
+    return ev
 
 
 # --- independent scheduling oracle -----------------------------------------
@@ -97,19 +104,21 @@ def test_second_acquire_suspends_until_release():
     pool = pool_create(loop, 1, 64)
     got = []
 
-    @coroutine
-    def grabber(ctx):
-        buf = pool.try_acquire()
-        if buf is None:
-            return wait(pool.free_event, then=0)
-        got.append((ctx.args, loop.now))
-        pool.mark_ready(buf, 0)
-        pool.attach(buf)
-        pool.release(buf)
-        return done()
+    def grabber(tag):
+        @guard
+        def grab(t):
+            buf = pool.try_acquire()
+            if buf is None:
+                return pool.free_event
+            got.append((tag, loop.now))
+            pool.mark_ready(buf, 0)
+            pool.attach(buf)
+            pool.release(buf)
+            return END
+        return [grab]
 
-    spawn(loop, ctx_init(grabber, "first"))
-    spawn(loop, ctx_init(grabber, "second"))
+    spawn_task(loop, "first", grabber("first"))
+    spawn_task(loop, "second", grabber("second"))
     # hold the only buffer before running, releasing it via a timed task
     held = pool.try_acquire()
     loop_run(loop)
@@ -295,23 +304,21 @@ def test_stage_end_gaps_helper():
 
 # --- channel readers -----------------------------------------------------------
 
-@coroutine
-def _channel_reader(ctx):
-    ch, on_item = ctx.args
-    while True:
+def _channel_reader(ch, on_item):
+    @guard
+    def read(t):
         item = ch.try_get()
         if item is None:
-            return wait(ch.ready_event, then=0)
+            return ch.ready_event
         on_item(item)
+    return [read]
 
 
-@coroutine
-def _tagged_waiter(ctx):
-    ev, tag, log = ctx.args
-    if ctx.resume_point == 0:
-        return wait(ev, then=1)
-    log.append(tag)
-    return done()
+def _tagged_waiter(ev, tag, log):
+    def record(t):
+        log.append(tag)
+        return END
+    return [lambda t: ev, record]
 
 
 @pytest.mark.parametrize("reader", ["task", "handler"])
@@ -331,12 +338,12 @@ def test_channel_handler_runs_where_a_reader_task_would(reader):
             ch.put("b")
 
     if reader == "task":
-        spawn(loop, ctx_init(_channel_reader, (ch, on_item)))
+        spawn_task(loop, "reader", _channel_reader(ch, on_item))
     else:
         ch.consume(on_item)
     call_at(loop, 100, lambda: ch.put("a"))
-    spawn(loop, ctx_init(_tagged_waiter, (sleep_until(loop, 100), "tick", log)))
-    spawn(loop, ctx_init(_tagged_waiter, (woken, "woken", log)))
+    spawn_task(loop, "tick", _tagged_waiter(timer_event(loop, 100), "tick", log))
+    spawn_task(loop, "woken", _tagged_waiter(woken, "woken", log))
     loop_run(loop)
     assert log == ["tick", "a", "b", "woken"]
     assert loop.dispatch_count == (6 if reader == "task" else 4)   # the handler is no task
@@ -349,7 +356,7 @@ def test_channel_takes_one_reader():
     with pytest.raises(UsageError):
         ch.consume(lambda item: None)
     waited = Channel(loop, "in2")
-    spawn(loop, ctx_init(_channel_reader, (waited, lambda item: None)))
+    spawn_task(loop, "reader", _channel_reader(waited, lambda item: None))
     loop_run(loop)
     with pytest.raises(UsageError):
         waited.consume(lambda item: None)
@@ -393,7 +400,7 @@ def test_other_wait_resumes_at_the_next_step():
     def sleep(t):
         assert not log, "the step before a plain wait ran again"
         log.append(("sleep", loop.now))
-        return sleep_until(loop, 50)
+        return timer_event(loop, 50)
 
     def done_already(t):
         log.append(("done-already", loop.now))
@@ -442,7 +449,7 @@ def test_last_step_wraps_to_the_first():
     def tick(t):
         if len(times) == 3:
             return END
-        return sleep_until(loop, loop.now + 10)
+        return timer_event(loop, loop.now + 10)
 
     def record(t):
         assert len(times) < 3, "the last step did not wrap to the first"
@@ -496,7 +503,7 @@ def test_guard_returning_a_deadline_runs_again_after_it():
 def test_deadline_and_event_timer_due_together_fire_in_push_order(order):
     loop = EventLoop(VirtualClock(), name="n0")
     log = []
-    sleeps = {"deadline": lambda t: 50, "event": lambda t: sleep_until(loop, 50)}
+    sleeps = {"deadline": lambda t: 50, "event": lambda t: timer_event(loop, 50)}
 
     def woken(t):
         log.append((t.label, loop.now))

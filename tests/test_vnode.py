@@ -2,8 +2,8 @@
 
 import pytest
 
-from nanopipe.coro import (EventLoop, VirtualClock, coroutine, ctx_init, done, event_init,
-                           loop_run, sleep_until, spawn, wait)
+from nanopipe.coro import (END, EventLoop, VirtualClock, event_init, guard, loop_run,
+                           schedule_completion, spawn_task)
 from nanopipe.errors import ConfigError, UsageError
 from nanopipe.pipeline import BufferState, FrameBuffer, ResourceBusy, pool_create
 from nanopipe.trace import Kind, TraceLog
@@ -13,6 +13,13 @@ from nanopipe.vnode import (CRTP_PRESET, Camera, CameraConfig, LinkConfig, Link,
 
 def fresh_loop(name="n0", offset=0, clock=None):
     return EventLoop(clock or VirtualClock(), name=name, offset_us=offset, trace=TraceLog())
+
+
+def timer_event(loop, deadline, label="timer"):
+    """An event that completes when the loop's local clock reaches ``deadline``."""
+    ev = event_init(label)
+    schedule_completion(loop, ev, deadline)
+    return ev
 
 
 # --- camera: trigger mode ---
@@ -79,21 +86,21 @@ def _stream_with_holder(period, hold, pool_n, frames, readout):
     pool = pool_create(loop, pool_n, cam.config.frame_bytes)
     engine = ResourceBusy(loop, "consumer")
 
-    @coroutine
-    def holder(ctx):
-        st = ctx.args
-        if ctx.resume_point == 0:
-            if not engine.try_acquire():
-                return wait(engine.free_event, then=0)
-            st["ev"] = sleep_until(loop, loop.now + hold, "hold")
-            return wait(st["ev"], then=1)
+    @guard
+    def take_engine(t):
+        if not engine.try_acquire():
+            return engine.free_event
+
+    def free(t):
         engine.release()
-        pool.release(st["buf"])
-        return done()
+        pool.release(t.buf)
+        return END
 
     def on_frame(buf, seq):
         pool.attach(buf)
-        spawn(loop, ctx_init(holder, {"buf": buf}, label=f"hold{seq}"))
+        spawn_task(loop, f"hold{seq}",
+                   [take_engine, lambda t: timer_event(loop, loop.now + hold, "hold"), free],
+                   buf=buf)
 
     stats = camera_stream(cam, pool, on_frame, frames)
     loop_run(loop)
@@ -177,7 +184,7 @@ def test_transfer_time_formula():
 def test_delivery_time_matches_formula():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=20_000_000, base_latency_us=1000, mtu=65536))
-    sleep_until(src, link.send(b"", 25600))
+    timer_event(src, link.send(b"", 25600))
     loop_run(src)
     assert link.trace.times(Kind.LINK_RX_END, "l") == [11240]
     assert dst.now == 11240
@@ -188,7 +195,7 @@ def test_delivery_time_matches_formula():
 def test_sender_done_at_last_byte_out():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=5000, mtu=65536))
-    done_ev = sleep_until(src, link.send(b"", 1000))    # 1 ms on the wire, 5 ms latency
+    done_ev = timer_event(src, link.send(b"", 1000))    # 1 ms on the wire, 5 ms latency
     loop_run(src, until=1000)
     assert done_ev.completed          # sender freed at 1 ms
     loop_run(src)
@@ -215,7 +222,7 @@ def test_queued_sends_serialize_back_to_back_without_tasks():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=300, mtu=65536),
         off_dst=50)
-    done = [sleep_until(src, link.send(b"", 1000, frame=i))    # 1 ms on the wire each
+    done = [timer_event(src, link.send(b"", 1000, frame=i))    # 1 ms on the wire each
             for i in range(3)]
     loop_run(src, until=2000)
     assert [ev.completed for ev in done] == [True, True, False]
