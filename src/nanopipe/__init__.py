@@ -20,7 +20,7 @@ from .oracle import analytic_oracle
 from .pipeline import (BufferPool, BufferState, Channel, FrameBuffer, PIPELINED,
                        ResourceBusy, SERIALIZED, Stage, pipeline_run, pool_create)
 from .scenarios import (Metrics, Scenario, compute_metrics, expected_period_us,
-                        list_scenarios, load_scenario, run_remote_scenario, run_scenario)
+                        list_scenarios, load_scenario, run_scenario)
 from .trace import Kind, TraceEvent, TraceLog
 from .vnode import (CRTP_PRESET, Camera, CameraConfig, Link, LinkConfig, NodeGraph,
                     STREAMING, StreamStats, TRIGGER, camera_capture, camera_stream)

@@ -128,10 +128,5 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
-def cli_run(argv) -> int:
-    """Programmatic entry point mirroring the console script."""
-    return main(argv)
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -20,8 +20,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .coro import (END, Event, EventLoop, event_init, guard, loop_run, pulse,
-                   schedule_completion, spawn_task)
+from .coro import (END, Event, EventLoop, event_complete, event_init, guard, loop_run,
+                   pulse, spawn_task)
 from .errors import ConfigError, ProtocolError, UsageError
 from .trace import Kind
 from .vnode import Link, NodeGraph
@@ -181,7 +181,7 @@ class RouterQueue:
         if self._credit_waiters:
             ev, waiter_loop = self._credit_waiters.popleft()
             # wake the sender on its own node, at the current instant
-            schedule_completion(waiter_loop, ev, waiter_loop.now)
+            event_complete(waiter_loop, ev)
 
     def enqueue(self, pkt: CpxPacket) -> None:
         if len(self.items) >= self.capacity:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coro import RESTART, event_init, loop_run, schedule_completion, spawn_task
+from .coro import RESTART, event_complete, event_init, loop_run, spawn_task
 from .cpx import (BASELINE, FUNCTION_APP_STREAM, NODE_IDS, ROUTER_MODES, ZEROCOPY,
                   CpxPacket, Router, estimate_clock_offset, reserve)
 from .errors import ConfigError, MetricsError, OracleUnavailable
@@ -359,7 +359,7 @@ def _sink(trace, loop, notify_loop=None, pending=None):
         trace.emit(loop, Kind.STAGE_START, "sink", frame)
         trace.emit(loop, Kind.STAGE_END, "sink", frame)
         if notify_loop is not None:
-            schedule_completion(notify_loop, pending.pop(0), notify_loop.now)
+            event_complete(notify_loop, pending.pop(0))
     return receive
 
 
@@ -665,14 +665,8 @@ def run_scenario(spec: Scenario):
     if spec.kind == "onboard":
         return _run_onboard(spec)
     if spec.kind == "remote":
-        return run_remote_scenario(spec)
+        return _run_remote(spec)
     return _run_stream(spec)
-
-
-def run_remote_scenario(spec: Scenario):
-    if spec.kind != "remote":
-        raise ConfigError(f"scenario {spec.name!r} is not a remote scenario")
-    return _run_remote(spec)
 
 
 def expected_period_us(spec: Scenario) -> int:

@@ -8,8 +8,8 @@ import pytest
 from nanopipe.coro import EventLoop, VirtualClock
 from nanopipe.errors import ConfigError, MetricsError
 from nanopipe.scenarios import (Metrics, Scenario, compute_metrics, expected_period_us,
-                                list_scenarios, load_scenario, run_remote_scenario,
-                                run_scenario, scenario_from_dict)
+                                list_scenarios, load_scenario, run_scenario,
+                                scenario_from_dict)
 from nanopipe.trace import Kind, TraceLog
 
 
@@ -91,11 +91,6 @@ def test_streaming_rate_beyond_sensor_ceiling_rejected():
     spec = load_scenario("pulp-frontnet-48")
     with pytest.raises(ConfigError):
         dataclasses.replace(spec, rate_hz=200.0)
-
-
-def test_run_remote_scenario_rejects_other_kinds():
-    with pytest.raises(ConfigError):
-        run_remote_scenario(load_scenario("pulp-frontnet-48"))
 
 
 # --- compute_metrics on synthetic traces ---
