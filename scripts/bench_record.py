@@ -10,7 +10,8 @@ workload that the first checkout's ``BENCHMARK.json`` lists, and both
 ``python3 perfbench/run.py`` in each checkout in turn, so that a slow spell
 on the machine reaches every checkout alike. It writes the parsed result of
 each run, each checkout's git revision (and whether its tree had uncommitted
-changes), the interpreter's ``sys.version`` and ``os.cpu_count()``.
+changes) and ``src_lines``, the line count of its ``src/nanopipe/*.py``, the
+interpreter's ``sys.version`` and ``os.cpu_count()``.
 """
 from __future__ import annotations
 
@@ -27,7 +28,10 @@ def revision(checkout: pathlib.Path) -> dict:
         proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
         return proc.stdout.strip() if proc.returncode == 0 else None
     rev = git("rev-parse", "HEAD")
-    return {"revision": rev, "dirty": None if rev is None else bool(git("status", "--porcelain"))}
+    src_lines = sum(path.read_bytes().count(b"\n")
+                    for path in (checkout / "src" / "nanopipe").glob("*.py"))
+    return {"revision": rev, "dirty": None if rev is None else bool(git("status", "--porcelain")),
+            "src_lines": src_lines}
 
 
 def bench(checkout: pathlib.Path, workload: str, trace: int, seed: int, seconds: int) -> dict:
