@@ -6,23 +6,18 @@ import random
 import pytest
 
 from nanopipe.coro import (END, RESTART, EventLoop, Task, TaskState, VirtualClock, call_at,
-                           event_complete, event_init, guard, loop_run, pulse,
-                           schedule_completion, spawn, spawn_task)
+                           event_complete, event_init, guard, loop_run, pulse, spawn,
+                           spawn_task)
 from nanopipe.errors import ConfigError, UsageError
 from nanopipe.pipeline import (PIPELINED, SERIALIZED, BufferState, Channel, Stage, pipeline_run,
                                pool_create, stage_end_gaps)
 from nanopipe.trace import Kind, TraceLog
 
+from test_coro import timer_event
+
 
 def fresh_loop():
     return EventLoop(VirtualClock(), name="n0", trace=TraceLog())
-
-
-def timer_event(loop, deadline):
-    """An event that completes when the loop's local clock reaches ``deadline``."""
-    ev = event_init("timer")
-    schedule_completion(loop, ev, deadline)
-    return ev
 
 
 # --- independent scheduling oracle -----------------------------------------

@@ -2,24 +2,18 @@
 
 import pytest
 
-from nanopipe.coro import (END, EventLoop, VirtualClock, event_init, guard, loop_run,
-                           schedule_completion, spawn_task)
+from nanopipe.coro import END, EventLoop, VirtualClock, event_init, guard, loop_run, spawn_task
 from nanopipe.errors import ConfigError, UsageError
 from nanopipe.pipeline import BufferState, FrameBuffer, ResourceBusy, pool_create
 from nanopipe.trace import Kind, TraceLog
 from nanopipe.vnode import (CRTP_PRESET, Camera, CameraConfig, LinkConfig, Link, NodeGraph,
                             STREAMING, TRIGGER, camera_capture, camera_stream)
 
+from test_coro import timer_event
+
 
 def fresh_loop(name="n0", offset=0, clock=None):
     return EventLoop(clock or VirtualClock(), name=name, offset_us=offset, trace=TraceLog())
-
-
-def timer_event(loop, deadline, label="timer"):
-    """An event that completes when the loop's local clock reaches ``deadline``."""
-    ev = event_init(label)
-    schedule_completion(loop, ev, deadline)
-    return ev
 
 
 # --- camera: trigger mode ---
