@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanopipe.coro import (END, YIELD, Event, EventLoop, Task, TaskState, VirtualClock, call_at,
-                           event_complete, event_init, event_reset, loop_run,
+                           event_complete, event_init, event_reset, guard, loop_run,
                            schedule_completion, spawn, spawn_task)
 from nanopipe.errors import UsageError
 from nanopipe.trace import Kind, TraceLog
@@ -463,7 +463,8 @@ def test_all_illegal_transitions_rejected():
 
 # --- yielding ---
 
-def test_yield_requeues_behind_ready_tasks_and_goes_on_at_the_next_step():
+def test_yield_requeues_behind_ready_tasks_and_goes_on_as_after_a_wait():
+    # a plain step goes on at the next step, a guard runs again
     loop, tr = fresh_loop(trace=True)
     log = []
 
@@ -471,16 +472,22 @@ def test_yield_requeues_behind_ready_tasks_and_goes_on_at_the_next_step():
         log.append("first")
         return YIELD
 
-    def second(t):
-        log.append("second")
+    @guard
+    def poll(t):
+        log.append("poll")
+        if log.count("poll") == 1:
+            return YIELD
+
+    def last(t):
+        log.append("last")
         return END
 
-    spawn_task(loop, "y", [first, second])
+    spawn_task(loop, "y", [first, poll, last])
     spawn_task(loop, "r", recorder(log, "other"))
     loop_run(loop)
-    assert log == ["first", "other", "second"]
+    assert log == ["first", "other", "poll", "poll", "last"]
     assert [(e.kind, e.subject) for e in tr.events if e.subject == "y"] == [
-        (Kind.SPAWN, "y"), (Kind.SUSPEND, "y"), (Kind.RESUME, "y")]
+        (Kind.SPAWN, "y")] + [(Kind.SUSPEND, "y"), (Kind.RESUME, "y")] * 2
 
 
 # --- no stack retention ---
