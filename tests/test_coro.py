@@ -1,5 +1,6 @@
 """Semantics of the stackless task runtime."""
 
+import itertools
 import random
 
 import pytest
@@ -292,6 +293,62 @@ def test_fork_join_main_waits_both_subtasks():
     assert loop.now == 300
 
 
+def join(loop, events):
+    """An event that one task completes once every event in ``events`` has."""
+    out = Event("join")
+    pending = list(events)
+
+    @guard
+    def collect(t):
+        while pending:
+            if not pending[0].completed:
+                return pending[0]
+            pending.pop(0)
+        event_complete(loop, out)
+        return END
+    spawn_task(loop, "join", [collect])
+    return out
+
+
+def test_join_of_completed_events():
+    loop, _ = fresh_loop()
+    evs = [event_init("a"), event_init("b")]
+    for ev in evs:
+        event_complete(loop, ev)
+    out = join(loop, evs)
+    loop_run(loop)
+    assert out.completed
+
+
+def test_join_of_no_events_completes_at_once():
+    loop, _ = fresh_loop()
+    out = join(loop, [])
+    loop_run(loop)
+    assert out.completed and loop.now == 0
+
+
+def test_join_fork_join_timeline():
+    # main forks two timed sub-tasks and proceeds only after both finish
+    loop, _ = fresh_loop()
+    e1 = timer_event(loop, 100, "t1")
+    e2 = timer_event(loop, 250, "t2")
+    out = join(loop, [e1, e2])
+    loop_run(loop)
+    assert out.completed
+    assert loop.now == 250
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+def test_join_fires_at_max_over_all_completion_orders(order):
+    loop, _ = fresh_loop()
+    deadlines = [(i + 1) * 10 for i in order]   # completion times permuted
+    evs = [timer_event(loop, d, f"t{i}") for i, d in enumerate(deadlines)]
+    out = join(loop, evs)
+    loop_run(loop)
+    assert out.completed and out.completion_count == 1
+    assert loop.now == max(deadlines)
+
+
 # --- timers ---
 
 def test_schedule_completion_now_is_immediate():
@@ -459,6 +516,17 @@ def test_all_illegal_transitions_rejected():
             else:
                 with pytest.raises(UsageError):
                     task._transition(dst)
+
+
+def test_dispatch_of_an_ended_task_rejected():
+    # a task resumed after it ended would run twice; the dispatcher refuses it
+    loop, _ = fresh_loop()
+    task = spawn_task(loop, "once", noop())
+    loop_run(loop)
+    assert task.state == TaskState.ENDED
+    loop.ready.append(task)
+    with pytest.raises(UsageError):
+        loop_run(loop)
 
 
 # --- yielding ---
