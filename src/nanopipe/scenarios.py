@@ -31,7 +31,7 @@ from .pipeline import (MODES, PIPELINED, SERIALIZED, Channel, acquire, next_fram
                        retire, take)
 from .trace import Kind, TraceLog
 from .vnode import (NODE_NAMES, STREAMING, TRIGGER, Camera, CameraConfig, LinkConfig,
-                    NodeGraph, camera_capture, camera_stream)
+                    NodeGraph, camera_capture, camera_stream, trigger_capture_us)
 
 FUNCTION_PING = 6
 
@@ -164,7 +164,8 @@ class Scenario:
             _require(1e6 / self.rate_hz < math.inf, f"rate_hz {self.rate_hz} gives no frame period")
             period = self.frame_period_us
             if self.camera_mode == TRIGGER:
-                ceiling = 1e6 / self.capture_us
+                # a capture that takes no time sets no ceiling
+                ceiling = 1e6 / self.capture_us if self.capture_us else math.inf
                 if self.rate_hz > ceiling + 1e-9:
                     raise ConfigError(
                         f"trigger rate {self.rate_hz} Hz above the camera ceiling "
@@ -180,9 +181,10 @@ class Scenario:
 
     @property
     def capture_us(self) -> int:
-        """How long one capture takes: a trigger camera sets up, then reads out."""
+        """How long one capture takes: a trigger camera sets up, then reads out
+        (``vnode.trigger_capture_us``)."""
         if self.camera_mode == TRIGGER:
-            return self.trigger_setup_us + self.readout_us
+            return trigger_capture_us(self.trigger_setup_us, self.readout_us, self.frame_bytes)
         return self.readout_us
 
     @property

@@ -75,6 +75,12 @@ class Camera:
         self.free_at = loop.now         # local time a trigger request can next start
 
 
+def trigger_capture_us(setup_us: int, readout_us: int, nbytes: int) -> int:
+    """How long one trigger capture of ``nbytes`` takes: setup, then readout;
+    a frame of no bytes has nothing to read out."""
+    return setup_us + (readout_us if nbytes > 0 else 0)
+
+
 def camera_capture(cam: Camera, buf: FrameBuffer, frame: int, done_ev: Event) -> None:
     """Request a single image of ``frame`` (trigger mode): after setup +
     readout the buffer is Ready and ``done_ev`` completes. Requests queue on
@@ -88,7 +94,7 @@ def camera_capture(cam: Camera, buf: FrameBuffer, frame: int, done_ev: Event) ->
     loop = cam.loop
     cfg = cam.config
     start = max(loop.now, cam.free_at)
-    cam.free_at = start + cfg.trigger_setup_us + (cfg.readout_us if buf.capacity > 0 else 0)
+    cam.free_at = start + trigger_capture_us(cfg.trigger_setup_us, cfg.readout_us, buf.capacity)
 
     def finish():
         cam.trace.emit(loop, Kind.STAGE_END, "capture", frame)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from nanopipe.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
-from nanopipe.scenarios import compute_metrics
+from nanopipe.scenarios import compute_metrics, fixture_dir
 from nanopipe.trace import CSV_HEADER, Kind, TraceEvent, TraceLog
 
 
@@ -124,6 +124,19 @@ def test_malformed_scenario_field_is_config_error(tmp_path, capsys, where, value
     rc = run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "o"))
     assert rc == EXIT_CONFIG
     assert where[-1] in capsys.readouterr().err
+
+
+def test_trigger_capture_of_no_time_runs(tmp_path, capsys):
+    # setup and readout both 0: the camera sets no rate ceiling
+    doc = json.loads((fixture_dir() / "imav-30.json").read_text())
+    doc["camera"].update(trigger_setup_us=0, readout_us=0)
+    path = tmp_path / "instant.json"
+    path.write_text(json.dumps(doc))
+    for mode in ("pipelined", "serialized"):
+        rc = run_cli("run", "--scenario", str(path), "--mode", mode,
+                     "--out", str(tmp_path / mode))
+        assert rc == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_directory_as_scenario_is_config_error(tmp_path, capsys):

@@ -322,3 +322,12 @@ def test_serialized_trigger_loop_pays_the_camera_setup():
     serial_spec = dataclasses.replace(spec, mode="serialized")
     assert serial.closed_loop_hz == pytest.approx(1e6 / expected_period_us(serial_spec),
                                                   rel=0.001)
+
+
+def test_zero_byte_trigger_capture_takes_the_same_time_in_both_modes():
+    # a frame of no bytes has nothing to read out, in the camera model and in
+    # the serialized loop alike
+    spec, (_, piped) = run_named("imav-30", mode="pipelined", image_bytes=0)
+    _, (_, serial) = run_named("imav-30", mode="serialized", image_bytes=0)
+    assert spec.capture_us == spec.trigger_setup_us
+    assert serial.e2e_ms_mean == pytest.approx(piped.e2e_ms_mean, abs=1e-9)
