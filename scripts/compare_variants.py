@@ -7,7 +7,9 @@ Each ``*_SRC`` is a ``src`` directory holding a ``nanopipe`` package, such as
 that of a checkout of the parent commit and that of the working tree. The
 script draws COUNT seeded variants of the shipped fixtures (those of NEW_SRC),
 varying mode, router mode, pool size, queue depth, link latencies (0
-included), bandwidth, jitter, clock offsets and RTT probes, and runs every
+included), bandwidth, jitter, clock offsets, RTT probes and the stage
+durations and sizes: camera readout and trigger setup, on-board and host
+compute, and the image size (0 included for each), and runs every
 variant in both trees, each tree in its own child process. A legal variant
 must give the same ``metrics.json`` and the same SHA-256 of ``trace.csv`` in
 both; an illegal one must raise the same exception type. It prints a summary
@@ -32,6 +34,11 @@ import tempfile
 NODES = ("stm32", "nrf51", "gap8", "esp32", "host")
 
 
+def _duration(rng: random.Random, current: int) -> int:
+    """The current duration, 0, or a fresh one up to twice the current."""
+    return rng.choice((current, current, 0, rng.randrange(2 * current + 1000)))
+
+
 def variant(fixture: dict, rng: random.Random) -> dict:
     """One random variant of a fixture document; some of them are illegal."""
     doc = copy.deepcopy(fixture)
@@ -51,6 +58,15 @@ def variant(fixture: dict, rng: random.Random) -> dict:
             link["injected_delay_us"] = rng.randrange(20000)
     doc["offsets_us"] = {node: rng.choice((0, rng.randrange(5000))) for node in NODES
                          if rng.random() < 0.6}
+    camera = doc.setdefault("camera", {})
+    for key, default in (("readout_us", 8000), ("trigger_setup_us", 25333)):
+        if key in camera or rng.random() < 0.5:
+            camera[key] = _duration(rng, camera.get(key, default))
+    compute = {"onboard": "inference_us", "remote": "host_compute_us"}.get(doc["kind"])
+    if compute:
+        doc[compute] = _duration(rng, doc.get(compute, 0))
+    if rng.random() < 0.5:
+        doc["image_bytes"] = rng.choice((0, rng.randrange(1, 40000)))
     if "rate_hz" in doc and rng.random() < 0.5:
         doc["rate_hz"] = round(doc["rate_hz"] * rng.uniform(0.5, 1.5), 3)
     return doc
