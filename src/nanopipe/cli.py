@@ -9,7 +9,7 @@ import sys
 
 from .bench import BENCH_KINDS, microbench
 from .cpx import ROUTER_MODES
-from .errors import ConfigError, MetricsError, NanopipeError, OracleUnavailable
+from .errors import NanopipeError, OracleUnavailable
 from .pipeline import MODES
 from .scenarios import (expected_period_us, fixture_dir, list_scenarios, load_scenario,
                         run_scenario)
@@ -120,9 +120,6 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_list()
-    except (ConfigError, MetricsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NanopipeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

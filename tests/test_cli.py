@@ -139,6 +139,17 @@ def test_trigger_capture_of_no_time_runs(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_too_few_steady_receipts_is_exit_2(tmp_path, capsys):
+    # 50 frames from frame 45 on leave 5 receipts: a MetricsError
+    doc = json.loads((fixture_dir() / "fcnn-39.json").read_text())
+    doc.update(frames=50, steady_start_frame=45)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    rc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "o"))
+    assert rc == EXIT_CONFIG
+    assert "steady-state receipts" in capsys.readouterr().err
+
+
 def test_directory_as_scenario_is_config_error(tmp_path, capsys):
     rc = run_cli("run", "--scenario", str(tmp_path), "--out", str(tmp_path / "o"))
     assert rc == EXIT_CONFIG
