@@ -17,8 +17,8 @@ from .cpx import (BASELINE, CpxPacket, NODE_IDS, Router, RouterQueue, ZEROCOPY,
 from .errors import (ConfigError, MetricsError, NanopipeError, OracleUnavailable,
                      ProtocolError, UsageError)
 from .oracle import analytic_oracle
-from .pipeline import (BufferPool, BufferState, Channel, FrameBuffer, PIPELINED,
-                       ResourceBusy, SERIALIZED, Stage, pipeline_run, pool_create)
+from .pipeline import (BufferPool, BufferState, Channel, FrameBuffer, PIPELINED, SERIALIZED,
+                       pipeline_run, pool_create)
 from .scenarios import (Metrics, Scenario, compute_metrics, expected_period_us,
                         list_scenarios, load_scenario, run_scenario)
 from .trace import Kind, TraceEvent, TraceLog

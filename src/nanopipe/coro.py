@@ -80,9 +80,8 @@ class Task:
 
     __slots__ = ("state", "resume_point", "label", "loop", "steps", "next", "after_wait",
                  "frame", "frames", "count", "buf", "pool", "inbox", "outs", "period", "t0",
-                 "readout_us", "compute_us", "link", "queue", "pkt", "nbytes", "reply",
-                 "trace", "pending", "cam", "holders", "copy_ns_per_byte", "up", "down",
-                 "samples", "t1")
+                 "link", "queue", "pkt", "nbytes", "reply", "trace", "pending", "cam",
+                 "copy_ns_per_byte", "up", "down", "samples", "t1")
 
     def __init__(self, loop: "EventLoop", label: str, steps, **fields):
         self.state = TaskState.START

@@ -1,22 +1,20 @@
 """Buffer pools and stage scheduling: serialized vs. pipelined frame execution.
 
-A pipeline is an ordered list of stages rooted at a producer. The producer
-fills a frame buffer; every downstream stage is attached to that buffer when
-it becomes Ready and releases it when its own work on the frame completes, so
-the buffer returns to Free only after the last consumer is done. Stages bound
-to distinct resources overlap across frames; one resource never runs two
-stages at once. A ``Channel`` hands items to a reader task, or to a plain
-handler when the reader blocks on nothing else.
+A pipeline is a chain of stages, each a name and a duration, that starts at
+a producer. The producer fills a frame buffer and holds it once it is Ready;
+that hold passes down the chain with the frame, and the last stage releases
+it, so the buffer returns to Free only when the frame is done. A chain has
+no branches and no shared resources: each stage runs on its own task, so
+stages overlap across frames. A ``Channel`` hands items to a reader task, or
+to a plain handler when the reader blocks on nothing else.
 
 Every task is a list of steps that the loop runs itself (``coro.spawn_task``);
-the shared steps here and in ``cpx`` build the stage runs below and every
-task of the scenarios.
+the shared steps here and in ``cpx`` (``stage``, ``ready``, ``publish`` and
+the rest) build ``pipeline_run`` and every task of the scenarios.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
 
@@ -176,78 +174,6 @@ class Channel:
         return len(self.items)
 
 
-class ResourceBusy:
-    """Cooperative single-server resource: one holder at a time, FIFO wakeup."""
-
-    __slots__ = ("loop", "name", "busy", "free_event")
-
-    def __init__(self, loop: EventLoop, name: str):
-        self.loop = loop
-        self.name = name
-        self.busy = False
-        self.free_event = event_init(f"res-{name}")
-
-    def try_acquire(self) -> bool:
-        if self.busy:
-            return False
-        self.busy = True
-        return True
-
-    def release(self) -> None:
-        if not self.busy:
-            raise UsageError(f"release of idle resource {self.name}")
-        self.busy = False
-        pulse(self.loop, self.free_event)
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One pipeline step bound to a single-server resource.
-
-    Duration is a fixed time, a per-byte rate applied to the frame size, or
-    the sum of both. Roles default to a simple chain: each stage consumes the
-    previous stage's product.
-    """
-    name: str
-    resource: str
-    duration_us: int = 0
-    ns_per_byte: float = 0.0
-    consumes: Optional[str] = None
-    produces: Optional[str] = None
-
-    def duration_for(self, nbytes: int) -> int:
-        d = self.duration_us
-        if self.ns_per_byte:
-            d += math.ceil(nbytes * self.ns_per_byte / 1000.0)
-        return d
-
-
-def _validate_stages(stages):
-    if not stages:
-        raise ConfigError("pipeline needs at least one stage")
-    produced = {}
-    plan = []
-    prev_role = None
-    for i, stage in enumerate(stages):
-        role_out = stage.produces or stage.name
-        if i == 0:
-            if stage.consumes is not None:
-                raise ConfigError("first stage must be the producer (consumes nothing)")
-            role_in = None
-        else:
-            role_in = stage.consumes or prev_role
-            if role_in not in produced:
-                raise ConfigError(
-                    f"stage {stage.name!r} consumes {role_in!r}, which no earlier stage "
-                    f"produces; the stage graph must be a producer-rooted DAG")
-        if role_out in produced:
-            raise ConfigError(f"role {role_out!r} produced twice")
-        produced[role_out] = i
-        plan.append((stage, role_in, role_out))
-        prev_role = role_out
-    return plan
-
-
 # shared steps; t.frame is the frame a task works on, t.buf its buffer
 
 def next_frame(t):
@@ -285,106 +211,70 @@ def retire(t):
     t.frame += 1
 
 
-def _stage_steps(stage: Stage, res: ResourceBusy, nbytes: int) -> list:
-    """Hold the stage's resource, run the stage for its duration, free it."""
-    @guard
-    def hold(t):
-        if not res.try_acquire():
-            return res.free_event
-
-    def run(t):
-        t.trace.emit(t.loop, Kind.STAGE_START, stage.name, t.frame)
-        return t.loop.now + stage.duration_for(nbytes)
+def stage(name: str, duration_us: int) -> list:
+    """The two steps of one stage: record its start and sleep ``duration_us``,
+    then record its end."""
+    def start(t):
+        t.trace.emit(t.loop, Kind.STAGE_START, name, t.frame)
+        return t.loop.now + duration_us
 
     def end(t):
-        t.trace.emit(t.loop, Kind.STAGE_END, stage.name, t.frame)
-        res.release()
-    return [hold, run, end]
+        t.trace.emit(t.loop, Kind.STAGE_END, name, t.frame)
+    return [start, end]
 
 
-def _ready(t):
-    # the producing stage is done: the frame is Ready and this task holds it
+def ready(t):
+    """The producing stage is done: the frame is Ready and this task holds it."""
     t.buf.fill()
-    t.pool.mark_ready(t.buf, t.frame)
+    t.buf.make_ready(t.frame)
     t.pool.attach(t.buf)
 
 
-def _publish(t):
-    _ready(t)
-    for _ in range(t.holders - 1):
-        t.pool.attach(t.buf)                 # one hold per downstream stage
-    if not t.holders:
-        t.pool.release(t.buf)                # single-stage pipeline: nobody downstream
+def pass_on(t):
+    """Hand the frame, and this task's hold on its buffer, to the next task."""
     for ch in t.outs:
         ch.put((t.frame, t.buf))
+
+
+def publish(t):
+    """``ready``, then ``pass_on``; go on to the next frame."""
+    ready(t)
+    pass_on(t)
     t.frame += 1
 
 
-def _pass_on(t):
-    t.pool.release(t.buf)
-    for ch in t.outs:
-        ch.put((t.frame, t.buf))
-    t.count += 1
-    if t.count == t.frames:
-        return END
-
-
 def pipeline_run(stages: list, mode: str, pool: BufferPool, frames: int) -> TraceLog:
-    """Run ``frames`` frames through the stages and return the full trace.
+    """Run ``frames`` frames through a chain of ``(name, duration_us)`` stages
+    and return the full trace.
 
     Serialized mode runs each frame's stages back to back on one task.
-    Pipelined mode runs one task per stage; the producer is self-paced by
-    buffer availability, so throughput is bounded by the slowest resource
-    (pool >= 2) or collapses to the serialized period (pool of 1).
+    Pipelined mode runs one task per stage, and the frame's hold on its
+    buffer passes down the chain to the last stage, which releases it. The
+    producer is self-paced by buffer availability, so throughput is bounded
+    by the slowest stage (pool >= 2) or collapses to the serialized period
+    (pool of 1).
     """
     if mode not in MODES:
         raise ConfigError(f"unknown pipeline mode {mode!r}")
-    plan = _validate_stages(stages)
+    if not stages:
+        raise ConfigError("pipeline needs at least one stage")
     loop = pool.loop
     trace = loop._trace
     if trace is None:
-        trace = TraceLog()
-        loop._trace = trace
-    nbytes = pool.capacity
-    resources = {}
-    for stage, _, _ in plan:
-        if stage.resource not in resources:
-            resources[stage.resource] = ResourceBusy(loop, stage.resource)
-
-    steps = {i: _stage_steps(stage, resources[stage.resource], nbytes)
-             for i, (stage, _, _) in enumerate(plan)}
-    if mode == SERIALIZED:
-        serial = [acquire, *steps[0], _ready]
-        for i in range(1, len(plan)):
-            serial += steps[i]
-        spawn_task(loop, "serialized", serial + [retire], trace=trace, pool=pool,
-                   frames=frames, frame=0, buf=None)
-        loop_run(loop)
-        return trace
-
-    # channel per (producer role -> consumer) edge
-    out_chs = {i: [] for i in range(len(plan))}
-    in_ch_of = {}
-    role_owner = {role_out: i for i, (_, _, role_out) in enumerate(plan)}
-    for i, (stage, role_in, _) in enumerate(plan):
-        if i == 0:
-            continue
-        ch = Channel(loop, f"{stage.name}-in")
-        in_ch_of[i] = ch
-        out_chs[role_owner[role_in]].append(ch)
-
-    spawn_task(loop, plan[0][0].name, [acquire, *steps[0], _publish], trace=trace,
-               pool=pool, outs=out_chs[0], frames=frames, holders=len(plan) - 1,
-               frame=0, buf=None)
-    for i in range(1, len(plan)):
-        spawn_task(loop, plan[i][0].name, [take, *steps[i], _pass_on], trace=trace,
-                   pool=pool, inbox=in_ch_of[i], outs=out_chs[i], frames=frames, count=0)
+        trace = loop._trace = TraceLog()
+    steps = [stage(name, duration_us) for name, duration_us in stages]
+    fields = dict(trace=trace, pool=pool, frames=frames, frame=0, buf=None)
+    if mode == SERIALIZED or len(stages) == 1:
+        chain = [acquire, *steps[0], ready]
+        for more in steps[1:]:
+            chain += more
+        spawn_task(loop, "serialized", chain + [retire], **fields)
+    else:
+        chans = [Channel(loop, f"{name}-in") for name, _ in stages[1:]]
+        spawn_task(loop, stages[0][0], [acquire, *steps[0], publish], outs=chans[:1], **fields)
+        for i in range(1, len(stages)):
+            last = i == len(stages) - 1
+            spawn_task(loop, stages[i][0], [take, *steps[i], retire if last else pass_on],
+                       inbox=chans[i - 1], outs=chans[i:i + 1], **fields)
     loop_run(loop)
     return trace
-
-
-def stage_end_gaps(trace: TraceLog, stage_name: str, skip: int = 10) -> list:
-    """Inter-completion gaps of one stage from frame ``skip`` onward."""
-    times = [t for _, t in sorted(trace.frames_of(Kind.STAGE_END, stage_name))]
-    steady = times[skip:]
-    return [b - a for a, b in zip(steady, steady[1:])]

@@ -28,7 +28,7 @@ from .cpx import (BASELINE, FUNCTION_APP_STREAM, NODE_IDS, ROUTER_MODES, ZEROCOP
 from .errors import ConfigError, MetricsError, OracleUnavailable
 from .oracle import analytic_oracle
 from .pipeline import (MODES, PIPELINED, SERIALIZED, Channel, acquire, next_frame, pool_create,
-                       retire, take)
+                       pass_on, publish, ready, retire, stage, take)
 from .trace import Kind, TraceLog
 from .vnode import (NODE_NAMES, STREAMING, TRIGGER, Camera, CameraConfig, LinkConfig,
                     NodeGraph, camera_capture, camera_stream, trigger_capture_us)
@@ -380,54 +380,18 @@ def _trigger(t):
 
 def _triggered(t):
     t.pool.attach(t.buf)
-    for ch in t.outs:
-        ch.put((t.frame, t.buf))
+    pass_on(t)
     t.frame += 1
-
-
-def _capture(t):
-    t.trace.emit(t.loop, Kind.STAGE_START, "capture", t.frame)
-    return t.loop.now + t.readout_us
-
-
-def _captured(t):
-    # readout done: the frame is Ready and this task holds it
-    t.trace.emit(t.loop, Kind.STAGE_END, "capture", t.frame)
-    t.buf.fill()
-    t.buf.make_ready(t.frame)
-    t.pool.attach(t.buf)
-
-
-def _filled(t):
-    # _captured, then the frame goes on to the next task
-    t.trace.emit(t.loop, Kind.STAGE_END, "capture", t.frame)
-    t.buf.fill()
-    t.buf.make_ready(t.frame)
-    t.pool.attach(t.buf)
-    for ch in t.outs:
-        ch.put((t.frame, t.buf))
-    t.frame += 1
-
-
-def _infer(t):
-    t.trace.emit(t.loop, Kind.STAGE_START, "inference", t.frame)
-    return t.loop.now + t.compute_us
-
-
-def _inferred(t):
-    t.trace.emit(t.loop, Kind.STAGE_END, "inference", t.frame)
 
 
 def _report(t):
     # pipelined onboard: free the image, send the result over the uart
-    _inferred(t)
     t.pool.release(t.buf)
     t.link.send(b"", t.nbytes, meta=t.frame, frame=t.frame)
 
 
 def _report_and_wait(t):
     # serialized onboard: the result must be out before the image is freed
-    _inferred(t)
     return t.link.send(b"", t.nbytes, meta=t.frame, frame=t.frame)
 
 
@@ -542,16 +506,16 @@ def _run_onboard(spec: Scenario):
 
     uart.rx.consume(_sink(graph.trace, stm32))
 
-    fields = dict(pool=pool, link=uart, trace=graph.trace, compute_us=spec.inference_us,
-                  nbytes=spec.result_bytes, frame=0, buf=None)
+    fields = dict(pool=pool, link=uart, trace=graph.trace, nbytes=spec.result_bytes,
+                  frame=0, buf=None)
+    infer = stage("inference", spec.inference_us)
     if spec.mode == SERIALIZED:
-        spawn_task(gap8, "serialized", [next_frame, acquire, _capture, _captured, _infer,
-                                        _report_and_wait, retire],
-                   frames=spec.frames, period=spec.frame_period_us, t0=gap8.now,
-                   readout_us=spec.capture_us, **fields)
+        spawn_task(gap8, "serialized", [next_frame, acquire, *stage("capture", spec.capture_us),
+                                        ready, *infer, _report_and_wait, retire],
+                   frames=spec.frames, period=spec.frame_period_us, t0=gap8.now, **fields)
     else:
         frame_ch = Channel(gap8, "frames")
-        spawn_task(gap8, "inference", [take, _infer, _report], inbox=frame_ch, **fields)
+        spawn_task(gap8, "inference", [take, *infer, _report], inbox=frame_ch, **fields)
         _spawn_camera_producer(spec, graph, pool, frame_ch)
     loop_run(gap8)
 
@@ -601,9 +565,10 @@ def _run_remote(spec: Scenario):
     links["wifi_up"].rx.consume(host_rx)
     host_fields = dict(queue=spi_q, link=links["wifi_down"], trace=graph.trace,
                        frame=None, buf=None)
-    spawn_task(host, "host-compute", [take, _infer, _inferred, reserve, _send_reply],
-               inbox=job_ch, compute_us=spec.host_compute_us, reply=("stm32", FUNCTION_APP_STREAM),
-               nbytes=spec.result_bytes, **host_fields)
+    spawn_task(host, "host-compute",
+               [take, *stage("inference", spec.host_compute_us), reserve, _send_reply],
+               inbox=job_ch, reply=("stm32", FUNCTION_APP_STREAM), nbytes=spec.result_bytes,
+               **host_fields)
     spawn_task(host, "host-echo", [take, reserve, _send_reply], inbox=ping_ch,
                reply=("gap8", FUNCTION_PING), nbytes=0, **host_fields)
     links["spi_down"].rx.consume(gap8_relay)
@@ -613,12 +578,11 @@ def _run_remote(spec: Scenario):
                           gap8 if spec.mode == SERIALIZED else None, pending))
 
     if spec.mode == SERIALIZED:
-        spawn_task(gap8, "serialized", [next_frame, acquire, _capture, _captured, reserve,
-                                        _send_image, retire, _await_receipt],
+        spawn_task(gap8, "serialized", [next_frame, acquire, *stage("capture", spec.capture_us),
+                                        ready, reserve, _send_image, retire, _await_receipt],
                    pool=pool, queue=wifi_q, link=links["spi_up"], trace=graph.trace,
                    frames=spec.frames, period=spec.frame_period_us, t0=gap8.now,
-                   readout_us=spec.capture_us, nbytes=spec.frame_bytes, pending=pending,
-                   frame=0, buf=None)
+                   nbytes=spec.frame_bytes, pending=pending, frame=0, buf=None)
     else:
         frame_ch = Channel(gap8, "frames")
         _spawn_image_sender(spec, graph, pool, frame_ch, wifi_q, links["spi_up"])
@@ -650,8 +614,8 @@ def _run_stream(spec: Scenario):
     links["wifi_up"].rx.consume(_sink(graph.trace, host))
     _spawn_image_sender(spec, graph, pool, frame_ch, router.queues["wifi"], links["spi_up"])
     # free-running frame source: fill each buffer for the capture time
-    spawn_task(gap8, "fill-producer", [acquire, _capture, _filled], pool=pool, outs=[frame_ch],
-               frames=spec.frames, readout_us=spec.readout_us, trace=graph.trace,
+    spawn_task(gap8, "fill-producer", [acquire, *stage("capture", spec.readout_us), publish],
+               pool=pool, outs=[frame_ch], frames=spec.frames, trace=graph.trace,
                frame=0, buf=None)
     loop_run(gap8)
 

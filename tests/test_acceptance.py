@@ -18,7 +18,7 @@ from nanopipe.coro import (END, EventLoop, Task, TaskState, VirtualClock, event_
                            event_init, loop_run, spawn_task)
 from nanopipe.errors import UsageError
 from nanopipe.oracle import analytic_oracle
-from nanopipe.pipeline import PIPELINED, SERIALIZED, Stage, pipeline_run, pool_create
+from nanopipe.pipeline import PIPELINED, SERIALIZED, pipeline_run, pool_create
 from nanopipe.scenarios import load_scenario, run_scenario
 from nanopipe.trace import Kind, TraceLog
 
@@ -103,16 +103,14 @@ def test_criterion_06_oracle_equivalence():
         t0 = time.perf_counter()
         base = [1000, 2000, 3000, 5000, 8000]
         names = ["capture", "inference", "tx"]
-        resources = ["cam", "cluster", "spi"]
         for k in (2, 3):
             for durations in itertools.permutations(base, k):
                 for pool_n in (1, 2, 3):
                     for mode in (SERIALIZED, PIPELINED):
                         loop = EventLoop(VirtualClock(), name="n0", trace=TraceLog())
                         pool = pool_create(loop, pool_n, 64)
-                        stages = [Stage(names[i], resources[i], d)
-                                  for i, d in enumerate(durations)]
-                        trace = pipeline_run(stages, mode, pool, frames=25)
+                        trace = pipeline_run(list(zip(names, durations)), mode, pool,
+                                             frames=25)
                         times = sorted(t for _, t in
                                        trace.frames_of(Kind.STAGE_END, names[k - 1]))
                         gaps = [b - a for a, b in zip(times[10:], times[11:])]

@@ -9,8 +9,7 @@ from nanopipe.coro import (END, RESTART, EventLoop, Task, TaskState, VirtualCloc
                            event_complete, event_init, guard, loop_run, pulse, spawn,
                            spawn_task)
 from nanopipe.errors import ConfigError, UsageError
-from nanopipe.pipeline import (PIPELINED, SERIALIZED, BufferState, Channel, Stage, pipeline_run,
-                               pool_create, stage_end_gaps)
+from nanopipe.pipeline import PIPELINED, SERIALIZED, BufferState, Channel, pipeline_run, pool_create
 from nanopipe.trace import Kind, TraceLog
 
 from test_coro import timer_event
@@ -42,20 +41,12 @@ def serialized_receipts(durations, frames):
     return [(f + 1) * total for f in range(frames)]
 
 
-def sim_receipts(durations, mode, pool_n, frames, branch=False):
+def sim_receipts(durations, mode, pool_n, frames):
     loop = fresh_loop()
     pool = pool_create(loop, pool_n, 1000)
-    if branch:
-        stages = [Stage("capture", "cam", durations[0]),
-                  Stage("inference", "cluster", durations[1], consumes="capture"),
-                  Stage("tx", "spi", durations[2], consumes="capture")]
-        last = "tx"
-    else:
-        names = ["capture", "inference", "tx", "s3", "s4"]
-        resources = ["cam", "cluster", "spi", "r3", "r4"]
-        stages = [Stage(names[i], resources[i], d) for i, d in enumerate(durations)]
-        last = names[len(durations) - 1]
-    trace = pipeline_run(stages, mode, pool, frames)
+    names = ["capture", "inference", "tx", "s3", "s4"]
+    trace = pipeline_run(list(zip(names, durations)), mode, pool, frames)
+    last = names[len(durations) - 1]
     return [t for _, t in sorted(trace.frames_of(Kind.STAGE_END, last))], trace
 
 
@@ -228,73 +219,11 @@ def test_pipelined_matches_recurrence_oracle(durations, pool_n):
     assert receipts == chain_receipts(list(durations), pool_n, 20)
 
 
-def test_branch_two_consumers_share_buffer_and_overlap():
-    # capture feeds inference and tx in parallel on distinct resources;
-    # the buffer frees only after both have released it
-    receipts, trace = sim_receipts([8000, 20830, 6000], PIPELINED, 2, 25, branch=True)
-    inf = dict(trace.frames_of(Kind.STAGE_START, "inference"))
-    inf_end = dict(trace.frames_of(Kind.STAGE_END, "inference"))
-    tx = dict(trace.frames_of(Kind.STAGE_START, "tx"))
-    tx_end = dict(trace.frames_of(Kind.STAGE_END, "tx"))
-    cap = dict(trace.frames_of(Kind.STAGE_START, "capture"))
-    # both consumers start together at frame-ready and overlap in time
-    assert inf[0] == tx[0] == 8000
-    assert tx_end[0] < inf_end[0]
-    # frame 2 needs frame 0's buffer: capture can only start once the last
-    # holder (inference, the slower consumer) released it
-    assert cap[2] >= inf_end[0]
-    gaps = [b - a for a, b in zip(receipts[10:], receipts[11:])]
-    assert all(g == 20830 for g in gaps)
-
-
-def test_resource_exclusivity_no_overlap_on_shared_resource():
-    # two stages bound to one resource must serialize even when pipelined
-    loop = fresh_loop()
-    pool = pool_create(loop, 3, 100)
-    stages = [Stage("capture", "cam", 2000),
-              Stage("s1", "shared", 5000),
-              Stage("s2", "shared", 3000)]
-    trace = pipeline_run(stages, PIPELINED, pool, 15)
-    intervals = []
-    for name in ("s1", "s2"):
-        starts = dict(trace.frames_of(Kind.STAGE_START, name))
-        ends = dict(trace.frames_of(Kind.STAGE_END, name))
-        intervals += [(starts[f], ends[f]) for f in starts]
-    intervals.sort()
-    for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
-        assert s2 >= e1, f"overlap on shared resource: {(s1, e1)} vs {(s2, e2)}"
-
-
-def test_stage_graph_must_be_producer_rooted():
-    loop = fresh_loop()
-    pool = pool_create(loop, 2, 100)
-    bad = [Stage("a", "r1", 10, consumes="ghost"), Stage("b", "r2", 10)]
-    with pytest.raises(ConfigError):
-        pipeline_run(bad, PIPELINED, pool, 5)
-    forward_ref = [Stage("a", "r1", 10), Stage("b", "r2", 10, consumes="c"),
-                   Stage("c", "r3", 10, produces="c")]
-    with pytest.raises(ConfigError):
-        pipeline_run(forward_ref, PIPELINED, pool_create(fresh_loop(), 2, 100), 5)
-
-
 def test_unknown_mode_rejected():
     loop = fresh_loop()
     pool = pool_create(loop, 2, 100)
     with pytest.raises(ConfigError):
-        pipeline_run([Stage("a", "r", 10)], "warp", pool, 5)
-
-
-def test_per_byte_duration_model():
-    stage = Stage("tx", "link", duration_us=100, ns_per_byte=500.0)
-    # 1000 bytes * 500 ns = 500 us, plus the fixed part
-    assert stage.duration_for(1000) == 600
-    assert stage.duration_for(0) == 100
-
-
-def test_stage_end_gaps_helper():
-    receipts, trace = sim_receipts([1000, 4000], PIPELINED, 2, 20)
-    gaps = stage_end_gaps(trace, "inference", skip=10)
-    assert all(g == 4000 for g in gaps)
+        pipeline_run([("a", 10)], "warp", pool, 5)
 
 
 # --- channel readers -----------------------------------------------------------

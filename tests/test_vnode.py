@@ -2,9 +2,9 @@
 
 import pytest
 
-from nanopipe.coro import END, EventLoop, VirtualClock, event_init, guard, loop_run, spawn_task
+from nanopipe.coro import EventLoop, VirtualClock, event_init, loop_run, spawn_task
 from nanopipe.errors import ConfigError, UsageError
-from nanopipe.pipeline import BufferState, FrameBuffer, ResourceBusy, pool_create
+from nanopipe.pipeline import BufferState, Channel, FrameBuffer, pool_create, retire, take
 from nanopipe.trace import Kind, TraceLog
 from nanopipe.vnode import (CRTP_PRESET, Camera, CameraConfig, LinkConfig, Link, NodeGraph,
                             STREAMING, TRIGGER, camera_capture, camera_stream)
@@ -78,23 +78,13 @@ def _stream_with_holder(period, hold, pool_n, frames, readout):
                                     frame_period_us=period, readout_us=readout),
                  loop._trace)
     pool = pool_create(loop, pool_n, cam.config.frame_bytes)
-    engine = ResourceBusy(loop, "consumer")
-
-    @guard
-    def take_engine(t):
-        if not engine.try_acquire():
-            return engine.free_event
-
-    def free(t):
-        engine.release()
-        pool.release(t.buf)
-        return END
+    frames_ch = Channel(loop, "frames")
+    spawn_task(loop, "holder", [take, lambda t: loop.now + hold, retire],
+               inbox=frames_ch, pool=pool, frame=None, buf=None)
 
     def on_frame(buf, seq):
         pool.attach(buf)
-        spawn_task(loop, f"hold{seq}",
-                   [take_engine, lambda t: timer_event(loop, loop.now + hold, "hold"), free],
-                   buf=buf)
+        frames_ch.put((seq, buf))
 
     stats = camera_stream(cam, pool, on_frame, frames)
     loop_run(loop)
