@@ -614,7 +614,7 @@ def _run_stream(spec: Scenario):
     links["wifi_up"].rx.consume(_sink(graph.trace, host))
     _spawn_image_sender(spec, graph, pool, frame_ch, router.queues["wifi"], links["spi_up"])
     # free-running frame source: fill each buffer for the capture time
-    spawn_task(gap8, "fill-producer", [acquire, *stage("capture", spec.readout_us), publish],
+    spawn_task(gap8, "fill-producer", [acquire, *stage("capture", spec.capture_us), publish],
                pool=pool, outs=[frame_ch], frames=spec.frames, trace=graph.trace,
                frame=0, buf=None)
     loop_run(gap8)

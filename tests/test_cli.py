@@ -139,6 +139,17 @@ def test_trigger_capture_of_no_time_runs(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_stream_with_trigger_camera_passes_check(tmp_path, capsys):
+    # the fill producer captures for the trigger camera's setup and readout,
+    # the capture time the oracle assumes
+    doc = json.loads((fixture_dir() / "streaming-72hz.json").read_text())
+    doc["camera"]["mode"] = "trigger"
+    path = tmp_path / "stream-trigger.json"
+    path.write_text(json.dumps(doc))
+    rc = run_cli("run", "--scenario", str(path), "--check", "--out", str(tmp_path / "o"))
+    assert rc == EXIT_OK, capsys.readouterr().err
+
+
 def test_too_few_steady_receipts_is_exit_2(tmp_path, capsys):
     # 50 frames from frame 45 on leave 5 receipts: a MetricsError
     doc = json.loads((fixture_dir() / "fcnn-39.json").read_text())
