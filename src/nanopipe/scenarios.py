@@ -30,8 +30,9 @@ from .oracle import analytic_oracle
 from .pipeline import (MODES, PIPELINED, SERIALIZED, Channel, acquire, next_frame, pool_create,
                        pass_on, publish, ready, retire, stage, take)
 from .trace import Kind, TraceLog
-from .vnode import (NODE_NAMES, STREAMING, TRIGGER, Camera, CameraConfig, LinkConfig,
-                    NodeGraph, camera_capture, camera_stream, trigger_capture_us)
+from .vnode import (NODE_NAMES, STREAMING, STREAMING_MIN_PERIOD_US, TRIGGER, Camera,
+                    CameraConfig, LinkConfig, NodeGraph, camera_capture, camera_stream,
+                    trigger_capture_us)
 
 FUNCTION_PING = 6
 
@@ -172,6 +173,11 @@ class Scenario:
                         f"{ceiling:.2f} Hz")
             elif self.readout_us > period:
                 raise ConfigError("readout does not fit the requested frame period")
+            elif self.mode == PIPELINED and period < STREAMING_MIN_PERIOD_US:
+                # the pipelined producer free-runs the sensor at this period
+                raise ConfigError(
+                    f"streaming period {period} us below the {STREAMING_MIN_PERIOD_US} us "
+                    f"(150 frame/s) sensor ceiling")
 
     @property
     def frame_period_us(self) -> int:

@@ -93,6 +93,14 @@ def test_streaming_rate_beyond_sensor_ceiling_rejected():
         dataclasses.replace(spec, rate_hz=200.0)
 
 
+def test_streaming_period_floor_checked_at_load():
+    # 160 Hz is a 6,250 us period: the readout fits, the 150 frame/s sensor does not
+    spec = load_scenario("frontnet-latency")
+    with pytest.raises(ConfigError):
+        dataclasses.replace(spec, rate_hz=160.0)
+    dataclasses.replace(spec, rate_hz=160.0, mode="serialized")
+
+
 # --- compute_metrics on synthetic traces ---
 
 def synthetic_trace(receipts, capture_starts=None):
