@@ -7,13 +7,13 @@ Each ``*_SRC`` is a ``src`` directory holding a ``nanopipe`` package, such as
 that of a checkout of the parent commit and that of the working tree. The
 script draws COUNT seeded variants of the shipped fixtures (those of NEW_SRC),
 varying mode, router mode, pool size, queue depth, link latencies (0
-included), bandwidth, jitter, clock offsets, RTT probes and the stage
-durations and sizes: camera readout and trigger setup, on-board and host
-compute, and the image size (0 included for each), and runs every
-variant in both trees, each tree in its own child process. A legal variant
-must give the same ``metrics.json`` and the same SHA-256 of ``trace.csv`` in
-both; an illegal one must raise the same exception type. It prints a summary
-and exits 1 on any difference.
+included), bandwidth, jitter, clock offsets, RTT probes, the camera mode
+and the stage durations and sizes: camera readout and trigger setup,
+on-board and host compute, and the image size (0 included for each), and
+runs every variant in both trees, each tree in its own child process. A
+legal variant must give the same ``metrics.json`` and the same SHA-256 of
+``trace.csv`` in both; an illegal one must raise the same exception type.
+It prints a summary and exits 1 on any difference.
 
 A change that claims to keep every simulated number runs this against its
 parent, with a count in the thousands, so that tie orders the fixtures never
@@ -59,6 +59,7 @@ def variant(fixture: dict, rng: random.Random) -> dict:
     doc["offsets_us"] = {node: rng.choice((0, rng.randrange(5000))) for node in NODES
                          if rng.random() < 0.6}
     camera = doc.setdefault("camera", {})
+    camera["mode"] = rng.choice(("trigger", "streaming"))
     for key, default in (("readout_us", 8000), ("trigger_setup_us", 25333)):
         if key in camera or rng.random() < 0.5:
             camera[key] = _duration(rng, camera.get(key, default))
