@@ -2,7 +2,7 @@
 
 The package models a small flying robot's software stack on a virtual clock:
 stackless cooperative step-list tasks (``coro``), multi-buffered frame pipelines
-(``pipeline``), virtual cameras and links (``vnode``), a zero-copy packet
+(``pipeline``), camera timing and virtual links (``vnode``), a zero-copy packet
 router (``cpx``), canned closed-loop workloads (``scenarios``), and a CLI with
 microbenchmarks (``cli``, ``bench``).
 """
@@ -22,7 +22,6 @@ from .pipeline import (BufferPool, BufferState, Channel, FrameBuffer, PIPELINED,
 from .scenarios import (Metrics, Scenario, compute_metrics, expected_period_us,
                         list_scenarios, load_scenario, run_scenario)
 from .trace import Kind, TraceEvent, TraceLog
-from .vnode import (CRTP_PRESET, Camera, CameraConfig, Link, LinkConfig, NodeGraph,
-                    STREAMING, StreamStats, TRIGGER, camera_capture, camera_stream)
+from .vnode import CRTP_PRESET, Link, LinkConfig, NodeGraph, STREAMING, TRIGGER
 
 __version__ = "0.1.0"

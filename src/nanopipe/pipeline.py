@@ -18,7 +18,7 @@ from collections import deque
 from enum import IntEnum
 from typing import Callable, Optional
 
-from .coro import END, EventLoop, event_init, guard, loop_run, pulse, spawn_task
+from .coro import END, RESTART, EventLoop, event_init, guard, loop_run, pulse, spawn_task
 from .errors import ConfigError, UsageError
 from .trace import Kind, TraceLog
 
@@ -193,6 +193,17 @@ def acquire(t):
     buf = t.pool.try_acquire()
     if buf is None:
         return t.pool.free_event
+    t.buf = buf
+
+
+def grab(t):
+    """Take a Free buffer from ``t.pool`` for the frame, or lose the frame:
+    record its ``Drop`` and start over with the next one."""
+    buf = t.pool.try_acquire()
+    if buf is None:
+        t.trace.emit(t.loop, Kind.DROP, "capture", t.frame)
+        t.frame += 1
+        return RESTART
     t.buf = buf
 
 

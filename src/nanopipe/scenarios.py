@@ -22,17 +22,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coro import RESTART, event_complete, event_init, loop_run, spawn_task
+from .coro import YIELD, event_complete, event_init, loop_run, spawn_task
 from .cpx import (BASELINE, FUNCTION_APP_STREAM, NODE_IDS, ROUTER_MODES, ZEROCOPY,
                   CpxPacket, Router, estimate_clock_offset, reserve)
 from .errors import ConfigError, MetricsError, OracleUnavailable
 from .oracle import analytic_oracle
-from .pipeline import (MODES, PIPELINED, SERIALIZED, Channel, acquire, next_frame, pool_create,
-                       pass_on, publish, ready, retire, stage, take)
+from .pipeline import (MODES, PIPELINED, SERIALIZED, Channel, acquire, grab, next_frame,
+                       pool_create, publish, ready, retire, stage, take)
 from .trace import Kind, TraceLog
-from .vnode import (NODE_NAMES, STREAMING, STREAMING_MIN_PERIOD_US, TRIGGER, Camera,
-                    CameraConfig, LinkConfig, NodeGraph, camera_capture, camera_stream,
-                    trigger_capture_us)
+from .vnode import (DEFAULT_TRIGGER_SETUP_US, NODE_NAMES, STREAMING, STREAMING_MIN_PERIOD_US,
+                    TRIGGER, LinkConfig, NodeGraph, trigger_capture_us)
 
 FUNCTION_PING = 6
 
@@ -121,7 +120,7 @@ class Scenario:
     camera_mode: str = STREAMING
     resolution: tuple = (160, 160)
     readout_us: int = 8000
-    trigger_setup_us: int = 25333
+    trigger_setup_us: int = DEFAULT_TRIGGER_SETUP_US
     inference_us: int = 0                  # on-board compute time
     host_compute_us: int = 0               # remote compute time
     image_bytes: Optional[int] = None      # defaults to the resolution product
@@ -371,23 +370,8 @@ def _sink(trace, loop, notify_loop=None, pending=None):
     return receive
 
 
-def _trigger(t):
-    # paced single-shot capture request; a tick that finds no Free buffer drops
-    buf = t.pool.try_acquire()
-    if buf is None:
-        t.trace.emit(t.loop, Kind.DROP, "capture", t.frame)
-        t.frame += 1
-        return RESTART
-    t.buf = buf
-    ev = event_init("capture-done")
-    camera_capture(t.cam, buf, t.frame, ev)
-    return ev
-
-
-def _triggered(t):
-    t.pool.attach(t.buf)
-    pass_on(t)
-    t.frame += 1
+def _behind_ready(t):
+    return YIELD
 
 
 def _report(t):
@@ -473,25 +457,24 @@ def _estimate_offsets(graph, links, spec):
     return est
 
 
-def _spawn_camera_producer(spec, graph, pool, out_ch):
-    gap8 = graph.loop("gap8")
-    cam_cfg = CameraConfig(spec.camera_mode, resolution=spec.resolution,
-                           frame_period_us=spec.frame_period_us,
-                           readout_us=spec.readout_us,
-                           trigger_setup_us=spec.trigger_setup_us)
-    cam = Camera(gap8, cam_cfg, graph.trace)
-    if spec.camera_mode == TRIGGER:
-        spawn_task(gap8, "trigger-producer", [next_frame, _trigger, _triggered],
-                   cam=cam, pool=pool, outs=[out_ch], frames=spec.frames,
-                   period=spec.frame_period_us, t0=gap8.now, frame=0, buf=None,
-                   trace=graph.trace)
-        return None
+def _spawn_camera(spec, loop, label, steps, **fields):
+    """Spawn a paced frame source: each frame waits for its start, takes a
+    Free buffer or is dropped (``grab``), is captured, then runs ``steps``."""
+    spawn_task(loop, label, [next_frame, grab, *stage("capture", spec.capture_us), *steps],
+               frames=spec.frames, period=spec.frame_period_us, t0=loop.now,
+               frame=0, buf=None, **fields)
 
-    def on_frame(buf, seq):
-        pool.attach(buf)
-        out_ch.put((seq, buf))
 
-    return camera_stream(cam, pool, on_frame, spec.frames)
+def _spawn_producer(spec, loop, pool, out_ch, trace):
+    """The pipelined frame source: capture each frame, then hand it on.
+
+    A trigger camera signals the end of a capture, and the producer takes that
+    signal behind the tasks already ready at the instant; a capture that takes
+    no time is over before the producer would wait for it.
+    """
+    signal = [_behind_ready] if spec.camera_mode == TRIGGER and spec.capture_us else []
+    _spawn_camera(spec, loop, "camera", [*signal, publish], pool=pool, outs=[out_ch],
+                  trace=trace)
 
 
 def _spawn_image_sender(spec, graph, pool, frame_ch, queue, link):
@@ -512,17 +495,16 @@ def _run_onboard(spec: Scenario):
 
     uart.rx.consume(_sink(graph.trace, stm32))
 
-    fields = dict(pool=pool, link=uart, trace=graph.trace, nbytes=spec.result_bytes,
-                  frame=0, buf=None)
+    fields = dict(pool=pool, link=uart, trace=graph.trace, nbytes=spec.result_bytes)
     infer = stage("inference", spec.inference_us)
     if spec.mode == SERIALIZED:
-        spawn_task(gap8, "serialized", [next_frame, acquire, *stage("capture", spec.capture_us),
-                                        ready, *infer, _report_and_wait, retire],
-                   frames=spec.frames, period=spec.frame_period_us, t0=gap8.now, **fields)
+        _spawn_camera(spec, gap8, "serialized", [ready, *infer, _report_and_wait, retire],
+                      **fields)
     else:
         frame_ch = Channel(gap8, "frames")
-        spawn_task(gap8, "inference", [take, *infer, _report], inbox=frame_ch, **fields)
-        _spawn_camera_producer(spec, graph, pool, frame_ch)
+        spawn_task(gap8, "inference", [take, *infer, _report], inbox=frame_ch,
+                   frame=None, buf=None, **fields)
+        _spawn_producer(spec, gap8, pool, frame_ch, graph.trace)
     loop_run(gap8)
 
     metrics = compute_metrics(
@@ -584,15 +566,14 @@ def _run_remote(spec: Scenario):
                           gap8 if spec.mode == SERIALIZED else None, pending))
 
     if spec.mode == SERIALIZED:
-        spawn_task(gap8, "serialized", [next_frame, acquire, *stage("capture", spec.capture_us),
-                                        ready, reserve, _send_image, retire, _await_receipt],
-                   pool=pool, queue=wifi_q, link=links["spi_up"], trace=graph.trace,
-                   frames=spec.frames, period=spec.frame_period_us, t0=gap8.now,
-                   nbytes=spec.frame_bytes, pending=pending, frame=0, buf=None)
+        _spawn_camera(spec, gap8, "serialized",
+                      [ready, reserve, _send_image, retire, _await_receipt],
+                      pool=pool, queue=wifi_q, link=links["spi_up"], trace=graph.trace,
+                      nbytes=spec.frame_bytes, pending=pending)
     else:
         frame_ch = Channel(gap8, "frames")
         _spawn_image_sender(spec, graph, pool, frame_ch, wifi_q, links["spi_up"])
-        _spawn_camera_producer(spec, graph, pool, frame_ch)
+        _spawn_producer(spec, gap8, pool, frame_ch, graph.trace)
     loop_run(gap8)
 
     if spec.rtt_probe_rounds:

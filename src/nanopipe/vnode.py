@@ -1,9 +1,13 @@
-"""Virtual devices and links: cameras, point-to-point links, the node graph.
+"""Virtual devices and links: camera timing, point-to-point links, the node graph.
 
-Cameras and links make no decisions: each serves one request at a time, in
-arrival order. They are FIFO servers worked out with arithmetic, ``start =
-max(now, free_at)``, that act at the instants it gives through ``call_at``
-timer callbacks rather than as tasks. ``Link.send`` returns the time the
+A camera is not an object: each capture is the ``"capture"`` stage of the
+task that produces frames, which takes a Free buffer or drops the frame
+(``pipeline.grab``). A trigger camera captures when the task asks; a
+streaming one captures every frame period. This module gives the modes and
+how long a capture takes. Links make no decisions: each serves one message at a time,
+in send order. A link is a FIFO server worked out with arithmetic, ``start =
+max(now, free_at)``, that acts at the instants it gives through ``call_at``
+timer callbacks rather than as a task. ``Link.send`` returns the time the
 last byte leaves the sender, for a sender that waits for it, while delivery
 fires at the receiver ``base_latency + serialization + injected_delay`` after
 the transfer started, which is what lets consecutive hops overlap.
@@ -12,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .coro import Event, EventLoop, VirtualClock, call_at, event_complete
+from .coro import EventLoop, VirtualClock, call_at
 from .errors import ConfigError, UsageError
-from .pipeline import BufferPool, BufferState, Channel, FrameBuffer
+from .pipeline import Channel
 from .trace import Kind, TraceLog
 
 TRIGGER = "trigger"
@@ -30,125 +34,10 @@ STREAMING_MIN_PERIOD_US = 6667          # 150 frame/s sensor ceiling
 DEFAULT_TRIGGER_SETUP_US = 25333
 
 
-@dataclass
-class CameraConfig:
-    mode: str
-    resolution: tuple = (160, 160)
-    frame_period_us: int = 0                       # streaming only
-    readout_us: int = 8000
-    trigger_setup_us: int = DEFAULT_TRIGGER_SETUP_US
-
-    def __post_init__(self):
-        if self.mode not in (TRIGGER, STREAMING):
-            raise ConfigError(f"unknown camera mode {self.mode!r}")
-        if self.mode == STREAMING:
-            if self.frame_period_us < STREAMING_MIN_PERIOD_US:
-                raise ConfigError(
-                    f"streaming period {self.frame_period_us} us below the "
-                    f"{STREAMING_MIN_PERIOD_US} us (150 frame/s) sensor ceiling")
-            if self.readout_us > self.frame_period_us:
-                raise ConfigError("readout longer than the streaming frame period")
-
-    @property
-    def frame_bytes(self) -> int:
-        return self.resolution[0] * self.resolution[1]
-
-    @property
-    def trigger_ceiling_hz(self) -> float:
-        return 1e6 / (self.trigger_setup_us + self.readout_us)
-
-
-@dataclass
-class StreamStats:
-    delivered: int = 0
-    dropped: int = 0
-    jitter_us: int = 0
-
-
-class Camera:
-    """Image source on one node; trigger (per-request) or free-running."""
-
-    def __init__(self, loop: EventLoop, config: CameraConfig, trace: TraceLog):
-        self.loop = loop
-        self.config = config
-        self.trace = trace
-        self.free_at = loop.now         # local time a trigger request can next start
-
-
 def trigger_capture_us(setup_us: int, readout_us: int, nbytes: int) -> int:
     """How long one trigger capture of ``nbytes`` takes: setup, then readout;
     a frame of no bytes has nothing to read out."""
     return setup_us + (readout_us if nbytes > 0 else 0)
-
-
-def camera_capture(cam: Camera, buf: FrameBuffer, frame: int, done_ev: Event) -> None:
-    """Request a single image of ``frame`` (trigger mode): after setup +
-    readout the buffer is Ready and ``done_ev`` completes. Requests queue on
-    the camera, so back-to-back captures cannot exceed the trigger-mode ceiling."""
-    if cam.config.mode != TRIGGER:
-        raise UsageError("camera_capture requires trigger mode")
-    if buf.state == BufferState.FREE:
-        buf.begin_fill()
-    elif buf.state != BufferState.FILLING:
-        raise UsageError(f"capture into buffer in state {buf.state.name}")
-    loop = cam.loop
-    cfg = cam.config
-    start = max(loop.now, cam.free_at)
-    cam.free_at = start + trigger_capture_us(cfg.trigger_setup_us, cfg.readout_us, buf.capacity)
-
-    def finish():
-        cam.trace.emit(loop, Kind.STAGE_END, "capture", frame)
-        buf.fill()
-        buf.make_ready(frame)
-        event_complete(loop, done_ev)
-
-    call_at(loop, start, lambda: cam.trace.emit(loop, Kind.STAGE_START, "capture", frame))
-    call_at(loop, cam.free_at, finish)
-
-
-def camera_stream(cam: Camera, pool: BufferPool, on_frame: Callable,
-                  frames: int) -> StreamStats:
-    """Free-run the camera for ``frames`` periods, handing each Ready buffer
-    to ``on_frame(buf, seq)``. Frames that find no Free buffer are dropped
-    and counted; returns the live stats record, final once the loop is idle."""
-    if cam.config.mode != STREAMING:
-        raise UsageError("camera_stream requires streaming mode")
-    loop = cam.loop
-    period = cam.config.frame_period_us
-    readout_us = cam.config.readout_us
-    t0 = loop.now
-    stats = StreamStats()
-    last_delivery = t0
-
-    def tick(n):
-        buf = pool.try_acquire()
-        if buf is None:
-            # no Free buffer at frame start: the sensor output is lost
-            cam.trace.emit(loop, Kind.DROP, "capture", n)
-            stats.dropped += 1
-            next_tick(n + 1)
-            return
-        cam.trace.emit(loop, Kind.STAGE_START, "capture", n)
-        call_at(loop, loop.now + readout_us, lambda: read_out(n, buf))
-
-    def read_out(n, buf):
-        nonlocal last_delivery
-        cam.trace.emit(loop, Kind.STAGE_END, "capture", n)
-        buf.fill()
-        buf.make_ready(n)
-        if stats.delivered:
-            stats.jitter_us = max(stats.jitter_us, abs(loop.now - last_delivery - period))
-        stats.delivered += 1
-        last_delivery = loop.now
-        on_frame(buf, n)
-        next_tick(n + 1)
-
-    def next_tick(n):
-        if n < frames:
-            call_at(loop, t0 + n * period, lambda: tick(n))
-
-    next_tick(0)
-    return stats
 
 
 # --- links -------------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""Camera and link device models."""
+"""Camera capture steps and link device models."""
+
+import dataclasses
 
 import pytest
 
-from nanopipe.coro import EventLoop, VirtualClock, event_init, loop_run, spawn_task
+from nanopipe.coro import EventLoop, VirtualClock, loop_run, spawn_task
 from nanopipe.errors import ConfigError, UsageError
-from nanopipe.pipeline import BufferState, Channel, FrameBuffer, pool_create, retire, take
+from nanopipe.pipeline import (BufferState, Channel, grab, next_frame, pool_create, publish,
+                               retire, stage, take)
+from nanopipe.scenarios import load_scenario
 from nanopipe.trace import Kind, TraceLog
-from nanopipe.vnode import (CRTP_PRESET, Camera, CameraConfig, LinkConfig, Link, NodeGraph,
-                            STREAMING, TRIGGER, camera_capture, camera_stream)
+from nanopipe.vnode import (CRTP_PRESET, DEFAULT_TRIGGER_SETUP_US, LinkConfig, Link, NodeGraph,
+                            trigger_capture_us)
 
 from test_coro import timer_event
 
@@ -16,119 +20,102 @@ def fresh_loop(name="n0", offset=0, clock=None):
     return EventLoop(clock or VirtualClock(), name=name, offset_us=offset, trace=TraceLog())
 
 
+def spawn_camera(loop, pool, capture_us, frames, period=0, outs=()):
+    """A paced frame source built as a scenario's pipelined producer is: wait
+    for the frame's start, take a buffer or drop the frame, capture, publish."""
+    spawn_task(loop, "camera", [next_frame, grab, *stage("capture", capture_us), publish],
+               pool=pool, outs=list(outs), frames=frames, period=period, t0=loop.now,
+               trace=loop._trace, frame=0, buf=None)
+
+
 # --- camera: trigger mode ---
 
 def test_trigger_capture_completes_after_setup_plus_readout():
     loop = fresh_loop()
-    cam = Camera(loop, CameraConfig(TRIGGER, resolution=(160, 96), readout_us=8000,
-                                    trigger_setup_us=0), loop._trace)
-    buf = FrameBuffer(0, 160 * 96)
-    done_ev = event_init("cap")
-    camera_capture(cam, buf, 0, done_ev)
+    pool = pool_create(loop, 1, 160 * 96)
+    frames_ch = Channel(loop, "frames")
+    spawn_camera(loop, pool, trigger_capture_us(0, 8000, pool.capacity), 1, outs=[frames_ch])
     loop_run(loop)
-    assert done_ev.completed
     assert loop.now == 8000
-    assert buf.state == BufferState.READY
-    assert buf.sequence == 0
+    assert loop._trace.times(Kind.STAGE_END, "capture") == [8000]
+    (frame, buf), = frames_ch.items
+    assert frame == 0 and buf.sequence == 0
+    assert buf.state == BufferState.IN_USE
 
 
 def test_back_to_back_trigger_captures_capped_near_30hz():
+    # a free-running trigger producer waits for each capture to end
+    capture_us = trigger_capture_us(DEFAULT_TRIGGER_SETUP_US, 8000, 15360)
+    assert 29.9 < 1e6 / capture_us <= 30.1
     loop = fresh_loop()
-    cfg = CameraConfig(TRIGGER, resolution=(160, 96), readout_us=8000)
-    assert 29.9 < cfg.trigger_ceiling_hz <= 30.1
-    cam = Camera(loop, cfg, loop._trace)
     n = 10
-    for i in range(n):
-        camera_capture(cam, FrameBuffer(0, 15360), i, event_init())
+    spawn_camera(loop, pool_create(loop, n, 15360), capture_us, n)
     loop_run(loop)
-    assert loop.now == n * (cfg.trigger_setup_us + cfg.readout_us)
+    assert len(loop._trace.times(Kind.STAGE_END, "capture")) == n
+    assert loop.now == n * capture_us
     assert n / (loop.now / 1e6) <= 30.1
 
 
 def test_zero_size_frame_takes_setup_time_only():
-    loop = fresh_loop()
-    cam = Camera(loop, CameraConfig(TRIGGER, resolution=(0, 0), readout_us=8000,
-                                    trigger_setup_us=2000), loop._trace)
-    done_ev = event_init()
-    camera_capture(cam, FrameBuffer(0, 0), 0, done_ev)
-    loop_run(loop)
-    assert done_ev.completed and loop.now == 2000
-
-
-def test_capture_in_streaming_mode_rejected():
-    loop = fresh_loop()
-    cam = Camera(loop, CameraConfig(STREAMING, frame_period_us=20833), loop._trace)
-    with pytest.raises(UsageError):
-        camera_capture(cam, FrameBuffer(0, 100), 0, event_init())
+    assert trigger_capture_us(2000, 8000, 0) == 2000
+    assert trigger_capture_us(2000, 8000, 1) == 10000
 
 
 def test_streaming_period_floor_enforced():
+    spec = load_scenario("frontnet-latency")    # pipelined, streaming, 5 ms readout
     with pytest.raises(ConfigError):
-        CameraConfig(STREAMING, frame_period_us=5000)
+        dataclasses.replace(spec, rate_hz=200.0)                     # 5,000 us period
     with pytest.raises(ConfigError):
-        CameraConfig(STREAMING, frame_period_us=10000, readout_us=12000)
+        dataclasses.replace(spec, rate_hz=100.0, readout_us=12000)   # 10,000 us period
 
 
 # --- camera: streaming mode ---
 
 def _stream_with_holder(period, hold, pool_n, frames, readout):
-    """Camera feeding one single-server consumer that holds each buffer."""
+    """A streaming camera's producer feeding one holder task that holds each
+    buffer for ``hold``. Returns (delivered, dropped, jitter_us) from the
+    trace: capture ends, drops, and how far the gaps between capture ends
+    stray from the period."""
     loop = fresh_loop()
-    cam = Camera(loop, CameraConfig(STREAMING, resolution=(160, 160),
-                                    frame_period_us=period, readout_us=readout),
-                 loop._trace)
-    pool = pool_create(loop, pool_n, cam.config.frame_bytes)
+    pool = pool_create(loop, pool_n, 160 * 160)
     frames_ch = Channel(loop, "frames")
     spawn_task(loop, "holder", [take, lambda t: loop.now + hold, retire],
                inbox=frames_ch, pool=pool, frame=None, buf=None)
-
-    def on_frame(buf, seq):
-        pool.attach(buf)
-        frames_ch.put((seq, buf))
-
-    stats = camera_stream(cam, pool, on_frame, frames)
+    spawn_camera(loop, pool, readout, frames, period=period, outs=[frames_ch])
     loop_run(loop)
-    return stats, loop
+    ends = loop._trace.times(Kind.STAGE_END, "capture")
+    jitter_us = max((abs(b - a - period) for a, b in zip(ends, ends[1:])), default=0)
+    return (len(ends), loop._trace.count(Kind.DROP, "capture"), jitter_us), loop
 
 
 def test_matched_rate_drops_zero_jitter_zero():
     # 48 Hz camera, downstream holds each frame 20.83 ms, double buffered
     stats, _ = _stream_with_holder(period=20833, hold=20830, pool_n=2,
                                    frames=100, readout=8000)
-    assert stats.dropped == 0
-    assert stats.delivered == 100
-    assert stats.jitter_us == 0
+    assert stats == (100, 0, 0)
 
 
 def test_oversubscribed_stream_drops_two_thirds():
     # 150 Hz sensor against a 20 ms consumer: delivered rate ~ 1/20 ms
-    stats, loop = _stream_with_holder(period=6667, hold=20000, pool_n=2,
-                                      frames=300, readout=5000)
-    ratio = stats.dropped / 300
-    assert abs(ratio - 2 / 3) < 0.02
-    delivered_rate = stats.delivered / (loop.now / 1e6)
-    assert abs(delivered_rate - 50.0) < 1.0
+    (delivered, dropped, _), loop = _stream_with_holder(period=6667, hold=20000, pool_n=2,
+                                                        frames=300, readout=5000)
+    assert delivered + dropped == 300
+    assert abs(dropped / 300 - 2 / 3) < 0.02
+    assert abs(delivered / (loop.now / 1e6) - 50.0) < 1.0
 
 
 def test_pool_of_one_with_continuous_readout_drops():
     # sensor writes continuously (readout == period): with a single buffer any
     # nonzero downstream hold loses frames
-    stats, _ = _stream_with_holder(period=10000, hold=1, pool_n=1,
-                                   frames=50, readout=10000)
-    assert stats.dropped > 0
-
-
-def test_stream_on_trigger_camera_rejected():
-    loop = fresh_loop()
-    cam = Camera(loop, CameraConfig(TRIGGER), loop._trace)
-    with pytest.raises(UsageError):
-        camera_stream(cam, pool_create(loop, 2, 100), lambda b, s: None, 5)
+    (_, dropped, _), _ = _stream_with_holder(period=10000, hold=1, pool_n=1,
+                                             frames=50, readout=10000)
+    assert dropped > 0
 
 
 def _drop_law_counts(period, hold, pool_n, readout, frames, scale=1):
-    stats, _ = _stream_with_holder(period * scale, hold * scale, pool_n,
-                                   frames, readout * scale)
-    return stats.delivered, stats.dropped
+    (delivered, dropped, _), _ = _stream_with_holder(period * scale, hold * scale, pool_n,
+                                                     frames, readout * scale)
+    return delivered, dropped
 
 
 @pytest.mark.parametrize("period,hold,pool_n", [
