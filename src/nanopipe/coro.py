@@ -6,9 +6,10 @@ resume point. A step goes on to the next step, waits for an ``Event``, sleeps
 until a loop-local deadline in µs (the sleeping task waits on the timer heap
 itself, with no ``Event``), yields to the back of the ready queue, or ends.
 
-Only code that blocks on something is a task. Devices that make no decisions
-run as ``call_at`` callbacks off the timer heap, and a channel reader that
-blocks on nothing else as a handler (``Channel.consume``).
+Only code that blocks on something is a task: a camera capture is a stage of
+the task that waits for each frame. Links, which make no decisions, run as
+``call_at`` callbacks off the timer heap, and a channel reader that blocks on
+nothing else as a handler (``Channel.consume``).
 
 Several loops (one per simulated node, each with a fixed clock offset) may
 share one virtual clock and are driven together; see ``loop_run``. The timer

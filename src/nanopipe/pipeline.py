@@ -10,7 +10,8 @@ to a plain handler when the reader blocks on nothing else.
 
 Every task is a list of steps that the loop runs itself (``coro.spawn_task``);
 the shared steps here and in ``cpx`` (``stage``, ``ready``, ``publish`` and
-the rest) build ``pipeline_run`` and every task of the scenarios.
+the rest) build ``pipeline_run`` and every task of the scenarios. A camera
+is ``next_frame``, ``grab`` (a Free buffer, or drop the frame) and a stage.
 """
 from __future__ import annotations
 

@@ -466,12 +466,10 @@ def _spawn_camera(spec, loop, label, steps, **fields):
 
 
 def _spawn_producer(spec, loop, pool, out_ch, trace):
-    """The pipelined frame source: capture each frame, then hand it on.
-
-    A trigger camera signals the end of a capture, and the producer takes that
+    """The pipelined frame source: capture each frame, then hand it on. A
+    trigger camera signals the end of a capture, and the producer takes that
     signal behind the tasks already ready at the instant; a capture that takes
-    no time is over before the producer would wait for it.
-    """
+    no time is over before the producer would wait for it."""
     signal = [_behind_ready] if spec.camera_mode == TRIGGER and spec.capture_us else []
     _spawn_camera(spec, loop, "camera", [*signal, publish], pool=pool, outs=[out_ch],
                   trace=trace)

@@ -1,16 +1,16 @@
 """Virtual devices and links: camera timing, point-to-point links, the node graph.
 
-A camera is not an object: each capture is the ``"capture"`` stage of the
-task that produces frames, which takes a Free buffer or drops the frame
-(``pipeline.grab``). A trigger camera captures when the task asks; a
-streaming one captures every frame period. This module gives the modes and
-how long a capture takes. Links make no decisions: each serves one message at a time,
-in send order. A link is a FIFO server worked out with arithmetic, ``start =
-max(now, free_at)``, that acts at the instants it gives through ``call_at``
-timer callbacks rather than as a task. ``Link.send`` returns the time the
-last byte leaves the sender, for a sender that waits for it, while delivery
-fires at the receiver ``base_latency + serialization + injected_delay`` after
-the transfer started, which is what lets consecutive hops overlap.
+A capture is the ``"capture"`` stage of the task that produces frames, which
+takes a Free buffer or drops the frame (``pipeline.grab``). A trigger camera
+captures when that task asks, a streaming one every frame period; this module
+gives only the modes and how long a capture takes. Links make no decisions:
+each serves one message at a time, in send order. A link is a FIFO server
+worked out with arithmetic, ``start = max(now, free_at)``, that acts at the
+instants it gives through ``call_at`` timer callbacks rather than as a task.
+``Link.send`` returns the time the last byte leaves the sender, for a sender
+that waits for it, while delivery fires at the receiver ``base_latency +
+serialization + injected_delay`` after the transfer started, which is what
+lets consecutive hops overlap.
 """
 from __future__ import annotations
 
