@@ -1,12 +1,14 @@
 """Timestamped event records emitted by the runtime and device models.
 
 Every record carries the local clock of the node that recorded it, so traces
-from different nodes can only be compared after offset correction.
+from different nodes can only be compared after offset correction. A `TraceLog`
+holds them by column: a time, a frame and a shared (node, kind, subject) key.
 """
 from __future__ import annotations
 
 import csv
 import itertools
+from array import array
 from typing import NamedTuple, Optional
 
 
@@ -27,6 +29,7 @@ class Kind:
 
 
 CSV_HEADER = "t_us,node,kind,subject,frame"
+_NO_FRAME = -1 << 63     # the frame column's value for a record without a frame
 
 
 class TraceEvent(NamedTuple):
@@ -37,33 +40,70 @@ class TraceEvent(NamedTuple):
     frame: Optional[int]
 
 
+class _Events:
+    def __init__(self, log: TraceLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log._t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        log, frame = self._log, self._log._frame[i]
+        key = list(log._codes)[log._code[i]]
+        return TraceEvent(log._t[i], *key, None if frame == _NO_FRAME else frame)
+
+    def clear(self) -> None:
+        self._log.events = ()
+
+
 class TraceLog:
     """Append-only event log shared by all loops of one simulation."""
 
     def __init__(self):
-        self.events: list[TraceEvent] = []
+        self.events = ()
+
+    @property
+    def events(self) -> _Events:
+        """Every record as a `TraceEvent`, built on access; assigning `TraceEvent`s refills."""
+        return _Events(self)
+
+    @events.setter
+    def events(self, records) -> None:
+        codes, code, times, frames = {}, array("I"), array("q"), array("q")
+        for t_us, node, kind, subject, frame in records:
+            code.append(codes.setdefault((node, kind, subject), len(codes)))
+            times.append(t_us)
+            frames.append(_NO_FRAME if frame is None else frame)
+        self._codes, self._code, self._t, self._frame = codes, code, times, frames
 
     def emit(self, loop, kind: str, subject: str, frame: Optional[int] = None) -> None:
-        # the same record as TraceEvent(loop.now, ...), minus two Python-level calls
-        self.events.append(tuple.__new__(
-            TraceEvent, (loop.clock.now + loop.offset_us, loop.name, kind, subject, frame)))
+        self._code.append(self._codes.setdefault((loop.name, kind, subject), len(self._codes)))
+        self._t.append(loop.clock.now + loop.offset_us)
+        self._frame.append(_NO_FRAME if frame is None else frame)
+
+    def _indices(self, kind: str, subject: Optional[str]):
+        """Indexes of the records of `kind`, and of `subject` unless it is None."""
+        codes = {c for (_, k, s), c in self._codes.items() if k == kind and subject in (None, s)}
+        return itertools.compress(range(len(self._t)), map(codes.__contains__, self._code))
 
     def times(self, kind: str, subject: str) -> list[int]:
-        return [e.t_us for e in self.events if e.kind == kind and e.subject == subject]
+        return [self._t[i] for i in self._indices(kind, subject)]
 
     def frames_of(self, kind: str, subject: str) -> list[tuple[int, int]]:
         """(frame, t_us) pairs for the matching events, in emission order."""
-        return [(e.frame, e.t_us) for e in self.events
-                if e.kind == kind and e.subject == subject and e.frame is not None]
+        t, f = self._t, self._frame
+        return [(f[i], t[i]) for i in self._indices(kind, subject) if f[i] != _NO_FRAME]
 
     def count(self, kind: str, subject: Optional[str] = None) -> int:
-        return sum(1 for e in self.events
-                   if e.kind == kind and (subject is None or e.subject == subject))
+        return sum(1 for _ in self._indices(kind, subject))
 
     def _csv_lines(self):
         yield CSV_HEADER + "\n"
-        for t_us, node, kind, subject, frame in self.events:
-            yield f"{t_us},{node},{kind},{subject},{'' if frame is None else frame}\n"
+        prefixes = [",".join(key) for key in self._codes]
+        for code, t_us, frame in zip(self._code, self._t, self._frame):
+            yield f"{t_us},{prefixes[code]},{'' if frame == _NO_FRAME else frame}\n"
 
     def to_csv(self) -> str:
         return "".join(self._csv_lines())
@@ -77,13 +117,15 @@ class TraceLog:
 
     @staticmethod
     def from_csv(path) -> "TraceLog":
+        """Read a `trace.csv`; a malformed row raises ValueError naming its line."""
         log = TraceLog()
         with open(path, newline="") as fp:
             reader = csv.reader(fp)
-            header = next(reader)
-            if ",".join(header) != CSV_HEADER:
+            if ",".join(header := next(reader, [])) != CSV_HEADER:
                 raise ValueError(f"unexpected trace header: {header}")
-            for t_us, node, kind, subject, frame in reader:
-                log.events.append(TraceEvent(
-                    int(t_us), node, kind, subject, int(frame) if frame else None))
+            try:
+                log.events = ((int(t_us), node, kind, subject, int(frame) if frame else None)
+                              for t_us, node, kind, subject, frame in reader)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
         return log
