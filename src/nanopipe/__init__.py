@@ -12,8 +12,7 @@ from .coro import (Event, EventLoop, Task, TaskState, VirtualClock, call_at, eve
                    event_init, event_reset, loop_run, pulse, schedule_completion, spawn,
                    spawn_task)
 from .cpx import (BASELINE, CpxPacket, NODE_IDS, Router, RouterQueue, ZEROCOPY,
-                  estimate_clock_offset, fragment_payload, packet_decode, packet_encode,
-                  reassemble, router_forward, timestamp_ingress)
+                  estimate_clock_offset, packet_decode, packet_encode, router_forward)
 from .errors import (ConfigError, MetricsError, NanopipeError, OracleUnavailable,
                      ProtocolError, UsageError)
 from .oracle import analytic_oracle
@@ -22,6 +21,6 @@ from .pipeline import (BufferPool, BufferState, Channel, FrameBuffer, PIPELINED,
 from .scenarios import (Metrics, Scenario, compute_metrics, expected_period_us,
                         list_scenarios, load_scenario, run_scenario)
 from .trace import Kind, TraceEvent, TraceLog
-from .vnode import CRTP_PRESET, Link, LinkConfig, NodeGraph, STREAMING, TRIGGER
+from .vnode import Link, LinkConfig, NodeGraph, STREAMING, TRIGGER
 
 __version__ = "0.1.0"

@@ -7,6 +7,10 @@ Wire layout, frozen by golden vectors in the test suite:
     function: version[7:6] | function[5:0]
     payload:  up to 1022 B per fragment
 
+That fragment layout is the wire codec's (``packet_encode``, ``packet_decode``).
+The simulated path does not fragment: a message crosses a link whole, and the
+router forwards it as one packet handle.
+
 The router (the esp32 role) forwards packet handles between its interfaces
 without touching payload bytes. Senders hold transmit credits: a sender that
 finds the output queue full suspends until a slot frees, so packets are never
@@ -48,7 +52,6 @@ class CpxPacket:
     payload: object = b""               # bytes or a zero-copy memoryview
     last_fragment: bool = True
     version: int = 0
-    ingress_ts: Optional[int] = None
     copy_count: int = 0
     meta: object = None                 # simulation-side bookkeeping, not on the wire
 
@@ -59,15 +62,6 @@ class CpxPacket:
     @property
     def wire_bytes(self) -> int:
         return 4 + len(self.payload)
-
-    def copy_payload(self) -> bytes:
-        """Materialize the payload; the only operation that copies its bytes."""
-        self.copy_count += 1
-        return bytes(self.payload)
-
-    def header_fields(self):
-        return (self.source, self.destination, self.function,
-                self.last_fragment, self.version)
 
 
 def _check_header(src, dst, function, version):
@@ -89,7 +83,7 @@ def packet_encode(pkt: CpxPacket) -> bytes:
         _check_header(src, dst, fn, ver)
     header = _HEADER.pack(2 + n, (dst << 5) | (src << 2) | (bool(pkt.last_fragment) << 1),
                           (ver << 6) | fn)
-    pkt.copy_count += 1         # what copy_payload() counts, without the call
+    pkt.copy_count += 1         # the payload bytes are copied into the frame
     return header + bytes(pkt.payload) if n else header
 
 
@@ -113,32 +107,6 @@ def packet_decode(data) -> CpxPacket:
     )
     _check_header(pkt.source, pkt.destination, pkt.function, pkt.version)
     return pkt
-
-
-def fragment_payload(payload, source: int, destination: int, function: int,
-                     version: int = 0) -> list:
-    """Split a payload into wire fragments; slices are zero-copy views."""
-    view = memoryview(payload)
-    total = len(view)
-    if total == 0:
-        return [CpxPacket(source, destination, function, view, True, version)]
-    packets = []
-    for off in range(0, total, MAX_FRAGMENT_PAYLOAD):
-        chunk = view[off:off + MAX_FRAGMENT_PAYLOAD]
-        packets.append(CpxPacket(source, destination, function, chunk,
-                                 off + len(chunk) == total, version))
-    return packets
-
-
-def reassemble(packets) -> bytes:
-    if not packets or not packets[-1].last_fragment:
-        raise ProtocolError("fragment list does not end with a last-fragment packet")
-    return b"".join(p.copy_payload() for p in packets)
-
-
-def timestamp_ingress(loop: EventLoop, pkt: CpxPacket, first_byte_ts: Optional[int] = None):
-    """Stamp the packet with this node's clock; a later hop overwrites it."""
-    pkt.ingress_ts = loop.now if first_byte_ts is None else first_byte_ts
 
 
 class RouterQueue:
@@ -237,9 +205,7 @@ class Router:
         return queue
 
     def _ingress(self, msg) -> None:
-        pkt = msg.payload
-        timestamp_ingress(self.loop, pkt, msg.first_byte_ts)
-        router_forward(self, pkt)
+        router_forward(self, msg.payload)
 
 
 def router_forward(router: Router, pkt: CpxPacket) -> None:

@@ -86,10 +86,6 @@ class BufferPool:
     def __len__(self):
         return len(self.buffers)
 
-    @property
-    def total_bytes(self) -> int:
-        return len(self.buffers) * self.capacity
-
     def try_acquire(self) -> Optional[FrameBuffer]:
         """Take a Free buffer (now Filling), or None when the pool is exhausted.
 

@@ -89,7 +89,7 @@ _FIELDS = {
         "readout_us": _int_min(0), "trigger_setup_us": _int_min(0)},
     "router": {"queue_capacity": _int_min(1), "copy_ns_per_byte": _NON_NEGATIVE},
     "offsets_us": {node: _INT for node in NODE_NAMES},
-    "links": {"bandwidth_bps": _int_min(1), "mtu": _int_min(1), "base_latency_us": _int_min(0),
+    "links": {"bandwidth_bps": _int_min(1), "base_latency_us": _int_min(0),
               "injected_delay_us": _int_min(0), "jitter_us": _int_min(0)},
 }
 
@@ -199,8 +199,8 @@ class Scenario:
         return self.resolution[0] * self.resolution[1]
 
     def link_cfg(self, key: str) -> LinkConfig:
-        # link entry fields are LinkConfig fields; only the mtu default differs
-        return LinkConfig(name=key, **{"mtu": 1 << 20, **self.links[key]})
+        # link entry fields are LinkConfig fields
+        return LinkConfig(name=key, **self.links[key])
 
 
 def _require(cond, msg):
@@ -433,8 +433,15 @@ def _build_graph(spec: Scenario):
     return graph, links
 
 
+# The nodes each kind's offset exchange visits, from the capture node to the
+# sink's node; the last one's estimate corrects the end-to-end latencies.
+_OFFSET_PATH = {"onboard": ("gap8", "stm32"), "remote": ("gap8", "stm32"),
+                "stream": ("gap8", "esp32", "host")}
+
+
 def _estimate_offsets(graph, links, spec):
-    """Pairwise two-way exchanges, run before any scenario traffic.
+    """Two-way exchanges hop by hop along the kind's offset path, run before
+    any scenario traffic; each node's estimate adds up the hops before it.
 
     Clocks are synchronized at setup time: added-latency injection arms only
     after this phase, the way an experiment's delay device sits on the data
@@ -443,15 +450,11 @@ def _estimate_offsets(graph, links, spec):
     injected = {key: link.cfg.injected_delay_us for key, link in links.items()}
     for link in links.values():
         link.cfg.injected_delay_us = 0
-    rounds = 3
-    est = {}
-    if spec.kind == "onboard" or spec.kind == "remote":
-        est["stm32"] = estimate_clock_offset(graph, "gap8", "stm32", rounds)
-    if spec.kind == "stream":
-        to_esp = estimate_clock_offset(graph, "gap8", "esp32", rounds)
-        to_host = estimate_clock_offset(graph, "esp32", "host", rounds)
-        est["esp32"] = to_esp
-        est["host"] = to_esp + to_host
+    path = _OFFSET_PATH[spec.kind]
+    est, total = {}, 0
+    for a, b in zip(path, path[1:]):
+        total += estimate_clock_offset(graph, a, b, rounds=3)
+        est[b] = total
     for key, link in links.items():
         link.cfg.injected_delay_us = injected[key]
     return est
@@ -482,11 +485,9 @@ def _spawn_image_sender(spec, graph, pool, frame_ch, queue, link):
                trace=graph.trace, frame=None, buf=None)
 
 
-def _run_onboard(spec: Scenario):
-    graph, links = _build_graph(spec)
+def _run_onboard(spec: Scenario, graph, links):
     gap8 = graph.loop("gap8")
     stm32 = graph.loop("stm32")
-    offsets = _estimate_offsets(graph, links, spec)
 
     pool = pool_create(gap8, spec.pool_size, spec.frame_bytes)
     uart = links["uart_down"]
@@ -505,12 +506,6 @@ def _run_onboard(spec: Scenario):
         _spawn_producer(spec, gap8, pool, frame_ch, graph.trace)
     loop_run(gap8)
 
-    metrics = compute_metrics(
-        graph.trace, offset_us=offsets.get("stm32", 0.0),
-        inference_hz=spec.inference_hz, steady_start_frame=spec.steady_start_frame,
-        offsets_estimated_us=offsets)
-    return graph.trace, metrics
-
 
 def _attach_router(spec, graph, links):
     router = Router(graph, mode=spec.router_mode, queue_capacity=spec.queue_capacity,
@@ -522,10 +517,8 @@ def _attach_router(spec, graph, links):
     return router
 
 
-def _run_remote(spec: Scenario):
-    graph, links = _build_graph(spec)
+def _run_remote(spec: Scenario, graph, links):
     gap8, host, stm32 = graph.loop("gap8"), graph.loop("host"), graph.loop("stm32")
-    offsets = _estimate_offsets(graph, links, spec)
     router = _attach_router(spec, graph, links)
 
     pool = pool_create(gap8, spec.pool_size, spec.frame_bytes)
@@ -581,17 +574,9 @@ def _run_remote(spec: Scenario):
                    frame=0, buf=None)
         loop_run(gap8)
 
-    metrics = compute_metrics(
-        graph.trace, offset_us=offsets.get("stm32", 0.0),
-        inference_hz=spec.inference_hz, steady_start_frame=spec.steady_start_frame,
-        offsets_estimated_us=offsets)
-    return graph.trace, metrics
 
-
-def _run_stream(spec: Scenario):
-    graph, links = _build_graph(spec)
+def _run_stream(spec: Scenario, graph, links):
     gap8, host = graph.loop("gap8"), graph.loop("host")
-    offsets = _estimate_offsets(graph, links, spec)
     router = _attach_router(spec, graph, links)
 
     pool = pool_create(gap8, spec.pool_size, spec.frame_bytes)
@@ -604,20 +589,20 @@ def _run_stream(spec: Scenario):
                frame=0, buf=None)
     loop_run(gap8)
 
-    metrics = compute_metrics(
-        graph.trace, offset_us=offsets.get("host", 0.0),
-        inference_hz=spec.inference_hz, steady_start_frame=spec.steady_start_frame,
-        offsets_estimated_us=offsets)
-    return graph.trace, metrics
+
+_RUNNERS = {"onboard": _run_onboard, "remote": _run_remote, "stream": _run_stream}
 
 
 def run_scenario(spec: Scenario):
     """Run a scenario to completion; returns (trace, metrics), deterministic per seed."""
-    if spec.kind == "onboard":
-        return _run_onboard(spec)
-    if spec.kind == "remote":
-        return _run_remote(spec)
-    return _run_stream(spec)
+    graph, links = _build_graph(spec)
+    offsets = _estimate_offsets(graph, links, spec)
+    _RUNNERS[spec.kind](spec, graph, links)
+    metrics = compute_metrics(
+        graph.trace, offset_us=offsets[_OFFSET_PATH[spec.kind][-1]],
+        inference_hz=spec.inference_hz, steady_start_frame=spec.steady_start_frame,
+        offsets_estimated_us=offsets)
+    return graph.trace, metrics
 
 
 def expected_period_us(spec: Scenario) -> int:

@@ -54,6 +54,13 @@ class _Events:
         key = list(log._codes)[log._code[i]]
         return TraceEvent(log._t[i], *key, None if frame == _NO_FRAME else frame)
 
+    def __iter__(self):
+        # one key table for the whole pass; tuple.__new__ skips the NamedTuple's own __new__
+        log, new = self._log, tuple.__new__
+        keys = list(log._codes)
+        for code, t_us, frame in zip(log._code, log._t, log._frame):
+            yield new(TraceEvent, (t_us, *keys[code], None if frame == _NO_FRAME else frame))
+
     def clear(self) -> None:
         self._log.events = ()
 
@@ -86,6 +93,8 @@ class TraceLog:
     def _indices(self, kind: str, subject: Optional[str]):
         """Indexes of the records of `kind`, and of `subject` unless it is None."""
         codes = {c for (_, k, s), c in self._codes.items() if k == kind and subject in (None, s)}
+        if not codes:
+            return ()
         return itertools.compress(range(len(self._t)), map(codes.__contains__, self._code))
 
     def times(self, kind: str, subject: str) -> list[int]:

@@ -4,7 +4,7 @@ A capture is the ``"capture"`` stage of the task that produces frames, which
 takes a Free buffer or drops the frame (``pipeline.grab``). A trigger camera
 captures when that task asks, a streaming one every frame period; this module
 gives only the modes and how long a capture takes. Links make no decisions:
-each serves one message at a time, in send order. A link is a FIFO server
+each serves one whole message at a time, in send order. A link is a FIFO server
 worked out with arithmetic, ``start = max(now, free_at)``, that acts at the
 instants it gives through ``call_at`` timer callbacks rather than as a task.
 ``Link.send`` returns the time the last byte leaves the sender, for a sender
@@ -14,7 +14,6 @@ lets consecutive hops overlap.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,9 +46,7 @@ class LinkConfig:
     name: str
     bandwidth_bps: int
     base_latency_us: int = 0
-    mtu: int = 1024
     injected_delay_us: int = 0
-    segmentation: bool = True
     jitter_us: int = 0              # +/- uniform noise on serialization, opt-in
 
     def serialization_us(self, nbytes: int) -> int:
@@ -57,19 +54,12 @@ class LinkConfig:
             return 0
         return -(-nbytes * 8 * 1_000_000 // self.bandwidth_bps)
 
-    def transfer_time_us(self, nbytes: int) -> int:
-        return self.base_latency_us + self.serialization_us(nbytes) + self.injected_delay_us
-
-    def segments(self, nbytes: int) -> int:
-        return max(1, math.ceil(nbytes / self.mtu))
-
 
 @dataclass(slots=True)
 class Received:
     payload: object
     nbytes: int
     meta: object
-    first_byte_ts: int      # receiver-local clock at first-byte arrival
 
 
 class Link:
@@ -103,9 +93,6 @@ class Link:
         if nbytes < 0:
             raise UsageError("negative message size")
         cfg = self.cfg
-        if nbytes > cfg.mtu and not cfg.segmentation:
-            raise UsageError(
-                f"{nbytes} B exceeds the {cfg.mtu} B mtu and segmentation is disabled")
         src, dst = self.src, self.dst
         ser = cfg.serialization_us(nbytes)
         if cfg.jitter_us and self.rng is not None:
@@ -119,9 +106,9 @@ class Link:
         else:
             call_at(src, start + src.offset_us,
                     lambda: self.trace.emit(src, Kind.LINK_TX_START, cfg.name, frame))
-        first_byte = start + cfg.base_latency_us + cfg.injected_delay_us + dst.offset_us
-        received = Received(payload, nbytes, meta, first_byte)
-        call_at(dst, first_byte + ser, lambda: self._deliver(received, frame))
+        received = Received(payload, nbytes, meta)
+        call_at(dst, start + cfg.base_latency_us + cfg.injected_delay_us + dst.offset_us + ser,
+                lambda: self._deliver(received, frame))
         return self.free_at + src.offset_us
 
     def _deliver(self, received: Received, frame: Optional[int]) -> None:
@@ -129,12 +116,6 @@ class Link:
         self.bytes_delivered += received.nbytes
         self.messages_delivered += 1
         self.rx.put(received)
-
-
-# Radio channel preset: low latency, low bandwidth, tiny packets. The radio
-# carries setpoints and logging only, so packet semantics are not modeled.
-CRTP_PRESET = LinkConfig(name="crtp", bandwidth_bps=2_000_000,
-                         base_latency_us=1000, mtu=31)
 
 
 # --- node graph ----------------------------------------------------------------

@@ -77,13 +77,14 @@ def test_invalid_scenario_file_is_config_error(tmp_path, capsys):
     ("bandwidth_bps", 0),
     ("bandwidth_bps", -1000),
     ("bandwidth_bps", "20000"),
-    ("mtu", 0),
+    ("injected_delay_us", "500"),
     ("base_latency_us", -1),
     ("injected_delay_us", -5),
     ("jitter_us", -3000),
     ("jitter_us", 1.5),
     ("bandwith_bps", 20000),        # typo of bandwidth_bps
     ("latency_us", 100),            # not a link field
+    ("mtu", 0),                     # not a link field: a message travels whole
 ], ids=lambda v: str(v))
 def test_malformed_link_field_is_config_error(tmp_path, capsys, field, value):
     link = {"bandwidth_bps": 20000, field: value}

@@ -2,22 +2,25 @@
 
 import pathlib
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanopipe.coro import EventLoop, VirtualClock, guard, loop_run, spawn_task
+from nanopipe.coro import guard, loop_run, spawn_task
 from nanopipe.cpx import (BASELINE, FUNCTION_APP_STREAM, MAX_FRAGMENT_PAYLOAD, NODE_IDS,
                           ZEROCOPY, CpxPacket, Router, RouterQueue, estimate_clock_offset,
-                          fragment_payload, packet_decode, packet_encode, reassemble, reserve,
-                          router_forward, timestamp_ingress)
+                          packet_decode, packet_encode, reserve, router_forward)
 from nanopipe.errors import ConfigError, ProtocolError, UsageError
 from nanopipe.pipeline import next_frame, pool_create
-from nanopipe.trace import Kind, TraceLog
-from nanopipe.vnode import Link, LinkConfig, NodeGraph
+from nanopipe.trace import Kind
+from nanopipe.vnode import LinkConfig, NodeGraph
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cpx_frames.txt"
+
+# the five header fields a frame carries besides its length
+header = attrgetter("source", "destination", "function", "last_fragment", "version")
 
 
 def load_golden():
@@ -45,7 +48,7 @@ def test_golden_vectors_encode(src, dst, last, fn, ver, payload, frame):
 @pytest.mark.parametrize("src,dst,last,fn,ver,payload,frame", load_golden())
 def test_golden_vectors_decode(src, dst, last, fn, ver, payload, frame):
     pkt = packet_decode(frame)
-    assert pkt.header_fields() == (src, dst, fn, last, ver)
+    assert header(pkt) == (src, dst, fn, last, ver)
     assert bytes(pkt.payload) == payload
 
 
@@ -96,7 +99,7 @@ def test_decode_rejects_malformed_frames():
 def test_roundtrip_identity(src, dst, fn, ver, last, payload):
     pkt = CpxPacket(src, dst, fn, payload, last, ver)
     back = packet_decode(packet_encode(pkt))
-    assert back.header_fields() == pkt.header_fields()
+    assert header(back) == header(pkt)
     assert bytes(back.payload) == payload
 
 
@@ -107,18 +110,8 @@ def test_roundtrip_fuzz_1000_seeded():
                         rng.randbytes(rng.randrange(0, 200)), bool(rng.getrandbits(1)),
                         rng.randrange(4))
         back = packet_decode(packet_encode(pkt))
-        assert back.header_fields() == pkt.header_fields()
+        assert header(back) == header(pkt)
         assert bytes(back.payload) == bytes(pkt.payload)
-
-
-def test_image_fragments_into_26_frames():
-    image = bytes(25600)
-    frags = fragment_payload(image, NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_APP_STREAM)
-    assert len(frags) == 26                          # ceil(25600 / 1022)
-    assert [f.last_fragment for f in frags] == [False] * 25 + [True]
-    assert sum(f.length for f in frags) == 25600
-    assert all(f.copy_count == 0 for f in frags)     # views, not copies
-    assert reassemble(frags) == image
 
 
 def test_decode_payload_is_zero_copy_view():
@@ -126,54 +119,8 @@ def test_decode_payload_is_zero_copy_view():
     pkt = packet_decode(frame)
     assert isinstance(pkt.payload, memoryview)
     assert pkt.copy_count == 0
-    pkt.copy_payload()
+    packet_encode(pkt)              # encoding copies the payload into a frame
     assert pkt.copy_count == 1
-
-
-# --- ingress timestamping ---
-
-def test_ingress_stamp_uses_node_clock_and_offset():
-    clock = VirtualClock()
-    trace = TraceLog()
-    gap8 = EventLoop(clock, name="gap8", offset_us=0, trace=trace)
-    esp32 = EventLoop(clock, name="esp32", offset_us=1000, trace=trace)
-    clock.now = 5000
-    a, b = CpxPacket(4, 3, 5), CpxPacket(4, 3, 5)
-    timestamp_ingress(gap8, a)
-    timestamp_ingress(esp32, b)
-    assert b.ingress_ts - a.ingress_ts == 1000
-
-
-def test_restamp_overwrites_with_latest_hop():
-    loop = EventLoop(VirtualClock(), name="n", trace=TraceLog())
-    pkt = CpxPacket(4, 3, 5)
-    timestamp_ingress(loop, pkt, 111)
-    timestamp_ingress(loop, pkt, 222)
-    assert pkt.ingress_ts == 222
-
-
-def test_fragments_of_one_image_stamped_serialization_apart():
-    # base latency 0: consecutive fragments land exactly one wire time apart
-    clock = VirtualClock()
-    trace = TraceLog()
-    gap8 = EventLoop(clock, name="gap8", trace=trace)
-    esp32 = EventLoop(clock, name="esp32", trace=trace)
-    cfg = LinkConfig("spi", bandwidth_bps=8_000_000, base_latency_us=0, mtu=2048)
-    link = Link(cfg, gap8, esp32, trace)
-    frags = fragment_payload(bytes(2044), 4, 2, 5)
-    assert len(frags) == 2
-    for f in frags:
-        link.send(f, f.wire_bytes, frame=0)
-    loop_run(gap8)
-    stamps = []
-    while True:
-        msg = link.rx.try_get()
-        if msg is None:
-            break
-        timestamp_ingress(esp32, msg.payload, msg.first_byte_ts)
-        stamps.append(msg.payload.ingress_ts)
-    assert stamps[1] - stamps[0] == cfg.serialization_us(frags[0].wire_bytes)
-    assert stamps[1] - stamps[0] == cfg.transfer_time_us(frags[0].wire_bytes)
 
 
 # --- router ---
@@ -185,13 +132,13 @@ def build_router_rig(mode, t_spi_us, t_wifi_us, nbytes, capacity=4,
     spi_bw = nbytes * 8 * 1_000_000 // t_spi_us
     wifi_bw = nbytes * 8 * 1_000_000 // t_wifi_us
     spi_up = graph.add_link("spi_up", "gap8", "esp32", "spi",
-                            LinkConfig("spi", spi_bw, 0, mtu=1 << 20))
+                            LinkConfig("spi", spi_bw, 0))
     spi_down = graph.add_link("spi_down", "esp32", "gap8", "spi",
-                              LinkConfig("spi", spi_bw, 0, mtu=1 << 20))
+                              LinkConfig("spi", spi_bw, 0))
     wifi_up = graph.add_link("wifi_up", "esp32", "host", "wifi",
-                             LinkConfig("wifi", wifi_bw, wifi_base_us, mtu=1 << 20))
+                             LinkConfig("wifi", wifi_bw, wifi_base_us))
     wifi_down = graph.add_link("wifi_down", "host", "esp32", "wifi",
-                               LinkConfig("wifi", wifi_bw, wifi_base_us, mtu=1 << 20))
+                               LinkConfig("wifi", wifi_bw, wifi_base_us))
     router = Router(graph, mode=mode, queue_capacity=capacity,
                     copy_ns_per_byte=copy_ns_per_byte)
     router.attach_interface("wifi", in_link=wifi_down, out_link=wifi_up,
@@ -318,9 +265,9 @@ def test_router_mode_validated():
 def offset_rig(offset_b, up_base, down_base):
     graph = NodeGraph(offsets={"esp32": offset_b})
     graph.add_link("up", "gap8", "esp32", "spi",
-                   LinkConfig("spi", 8_000_000, up_base, mtu=64))
+                   LinkConfig("spi", 8_000_000, up_base))
     graph.add_link("down", "esp32", "gap8", "spi",
-                   LinkConfig("spi", 8_000_000, down_base, mtu=64))
+                   LinkConfig("spi", 8_000_000, down_base))
     return graph
 
 

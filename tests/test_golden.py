@@ -14,11 +14,13 @@ only for a change shown to correct a number.
 
 import dataclasses
 import hashlib
+import heapq
 import json
 import pathlib
 
 import pytest
 
+from nanopipe import coro
 from nanopipe.cpx import ROUTER_MODES
 from nanopipe.errors import ConfigError
 from nanopipe.pipeline import MODES, PIPELINED
@@ -32,14 +34,12 @@ RUNTIME_KINDS = (Kind.SPAWN, Kind.SUSPEND, Kind.RESUME, Kind.EVENT_COMPLETE)
 
 CASES = [(name, mode, router)
          for name, _, _ in list_scenarios() for mode in MODES for router in ROUTER_MODES]
+LEGAL = [(name, mode, router) for name, mode, router in CASES
+         if mode == PIPELINED or load_scenario(name).kind != "stream"]
 
 
 def _spec(name, mode, router):
     return dataclasses.replace(load_scenario(name), mode=mode, router_mode=router)
-
-
-def _legal(name, mode):
-    return mode == PIPELINED or load_scenario(name).kind != "stream"
 
 
 def _metrics_json(name, mode, router):
@@ -62,38 +62,51 @@ def golden_trace():
     return json.loads(DOMAIN_TRACE.read_text())
 
 
-@pytest.mark.parametrize("name,mode,router",
-                         [c for c in CASES if _legal(c[0], c[1])])
+@pytest.mark.parametrize("name,mode,router", LEGAL)
 def test_metrics_match_golden(golden, name, mode, router):
     expected = json.dumps(golden[f"{name}/{mode}/{router}"], indent=2, sort_keys=True) + "\n"
     assert _metrics_json(name, mode, router) == expected
 
 
-@pytest.mark.parametrize("name,mode,router",
-                         [c for c in CASES if _legal(c[0], c[1])])
+@pytest.mark.parametrize("name,mode,router", LEGAL)
 def test_domain_trace_matches_golden(golden_trace, name, mode, router):
     trace, _ = run_scenario(_spec(name, mode, router))
     assert not [e for e in trace.events if e.kind in RUNTIME_KINDS]
     assert _trace_digest(trace) == golden_trace[f"{name}/{mode}/{router}"]
 
 
-@pytest.mark.parametrize("name,mode,router",
-                         [c for c in CASES if not _legal(c[0], c[1])])
+@pytest.mark.parametrize("name,mode,router", [c for c in CASES if c not in LEGAL])
 def test_illegal_cases_rejected(name, mode, router):
     with pytest.raises(ConfigError):
         _spec(name, mode, router)
 
 
+def test_metrics_hold_when_same_instant_timers_reverse(golden, golden_trace, monkeypatch):
+    # timers due at the same instant fire in push order; pushing (due, -seq)
+    # instead reverses that order, which may reorder records but must leave
+    # every golden metrics.json unchanged
+    monkeypatch.setattr(coro, "heappush", lambda heap, item: heapq.heappush(
+        heap, (item[0], -item[1], *item[2:])))
+    differ, reordered = [], 0
+    for case in LEGAL:
+        key = "/".join(case)
+        trace, metrics = run_scenario(_spec(*case))
+        if metrics.to_json() != json.dumps(golden[key], indent=2, sort_keys=True) + "\n":
+            differ.append(key)
+        reordered += _trace_digest(trace) != golden_trace[key]
+    assert differ == []
+    assert reordered > 0        # the patch reached the timer heap
+
+
 def test_golden_covers_exactly_the_legal_cases(golden, golden_trace):
-    legal = {f"{n}/{m}/{r}" for n, m, r in CASES if _legal(n, m)}
+    legal = {"/".join(c) for c in LEGAL}
     assert set(golden) == legal
     assert set(golden_trace) == legal
 
 
 if __name__ == "__main__":
-    legal = [(n, m, r) for n, m, r in CASES if _legal(n, m)]
     for path, make in ((GOLDEN, lambda *c: json.loads(_metrics_json(*c))),
                        (DOMAIN_TRACE, lambda *c: _trace_digest(run_scenario(_spec(*c))[0]))):
-        out = {"/".join(c): make(*c) for c in legal}
+        out = {"/".join(c): make(*c) for c in LEGAL}
         path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
         print(f"wrote {len(out)} cases to {path}")

@@ -56,7 +56,7 @@ def test_pool_create_double_buffer():
     loop = fresh_loop()
     pool = pool_create(loop, 2, 25600)
     assert len(pool) == 2
-    assert pool.total_bytes == 2 * 25600
+    assert len(pool) * pool.capacity == 2 * 25600
     assert all(b.state == BufferState.FREE for b in pool.buffers)
 
 

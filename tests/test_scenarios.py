@@ -7,10 +7,11 @@ import pytest
 
 from nanopipe.coro import EventLoop, VirtualClock
 from nanopipe.errors import ConfigError, MetricsError
-from nanopipe.scenarios import (Metrics, Scenario, compute_metrics, expected_period_us,
+from nanopipe.scenarios import (_FIELDS, Metrics, Scenario, compute_metrics, expected_period_us,
                                 list_scenarios, load_scenario, run_scenario,
                                 scenario_from_dict)
 from nanopipe.trace import Kind, TraceLog
+from nanopipe.vnode import LinkConfig
 
 
 # --- loading and validation ---
@@ -58,7 +59,7 @@ def test_schema_violations_rejected(tmp_path):
             {"router_mode": "magic"},
             {"pool_size": 0},
             {"links": {}},                       # missing uart_down
-            {"links": {"uart_down": {"mtu": 64}}},   # link without bandwidth_bps
+            {"links": {"uart_down": {"base_latency_us": 0}}},   # link without bandwidth_bps
             {"bogus_field": 1},
             {"readout_us": 5000},                # belongs in the camera block
             # links an onboard scenario never builds
@@ -70,6 +71,11 @@ def test_schema_violations_rejected(tmp_path):
         doc.update(mutation)
         with pytest.raises(ConfigError):
             scenario_from_dict(doc)
+
+
+def test_link_schema_matches_link_config():
+    # every link option a file can set reaches LinkConfig, and the reverse
+    assert set(_FIELDS["links"]) == {f.name for f in dataclasses.fields(LinkConfig)} - {"name"}
 
 
 def test_unreadable_scenario_file(tmp_path):

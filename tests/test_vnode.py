@@ -5,12 +5,12 @@ import dataclasses
 import pytest
 
 from nanopipe.coro import EventLoop, VirtualClock, loop_run, spawn_task
-from nanopipe.errors import ConfigError, UsageError
+from nanopipe.errors import ConfigError
 from nanopipe.pipeline import (BufferState, Channel, grab, next_frame, pool_create, publish,
                                retire, stage, take)
 from nanopipe.scenarios import load_scenario
 from nanopipe.trace import Kind, TraceLog
-from nanopipe.vnode import (CRTP_PRESET, DEFAULT_TRIGGER_SETUP_US, LinkConfig, Link, NodeGraph,
+from nanopipe.vnode import (DEFAULT_TRIGGER_SETUP_US, LinkConfig, Link, NodeGraph,
                             trigger_capture_us)
 
 from test_coro import timer_event
@@ -146,15 +146,15 @@ def two_node_link(cfg, off_src=0, off_dst=0):
 
 
 def test_transfer_time_formula():
-    cfg = LinkConfig("l", bandwidth_bps=20_000_000, base_latency_us=1000, mtu=65536)
+    cfg = LinkConfig("l", bandwidth_bps=20_000_000, base_latency_us=1000)
     # 25,600 B over 20 Mbit/s: 10.24 ms on the wire plus 1 ms of latency
     assert cfg.serialization_us(25600) == 10240
-    assert cfg.transfer_time_us(25600) == 11240
+    assert cfg.base_latency_us + cfg.serialization_us(25600) == 11240
 
 
 def test_delivery_time_matches_formula():
     link, src, dst = two_node_link(
-        LinkConfig("l", bandwidth_bps=20_000_000, base_latency_us=1000, mtu=65536))
+        LinkConfig("l", bandwidth_bps=20_000_000, base_latency_us=1000))
     timer_event(src, link.send(b"", 25600))
     loop_run(src)
     assert link.trace.times(Kind.LINK_RX_END, "l") == [11240]
@@ -165,7 +165,7 @@ def test_delivery_time_matches_formula():
 
 def test_sender_done_at_last_byte_out():
     link, src, dst = two_node_link(
-        LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=5000, mtu=65536))
+        LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=5000))
     done_ev = timer_event(src, link.send(b"", 1000))    # 1 ms on the wire, 5 ms latency
     loop_run(src, until=1000)
     assert done_ev.completed          # sender freed at 1 ms
@@ -174,9 +174,9 @@ def test_sender_done_at_last_byte_out():
 
 
 def test_injected_delay_shifts_every_delivery_exactly():
-    base = LinkConfig("l", bandwidth_bps=10_000_000, base_latency_us=2000, mtu=65536)
+    base = LinkConfig("l", bandwidth_bps=10_000_000, base_latency_us=2000)
     delayed = LinkConfig("l", bandwidth_bps=10_000_000, base_latency_us=2000,
-                         mtu=65536, injected_delay_us=500_000)
+                         injected_delay_us=500_000)
     times = []
     for cfg in (base, delayed):
         link, src, dst = two_node_link(cfg)
@@ -191,7 +191,7 @@ def test_queued_sends_serialize_back_to_back_without_tasks():
     # a link is a FIFO server: each message starts when the previous one's
     # last byte is out, and delivery follows base latency + serialization later
     link, src, dst = two_node_link(
-        LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=300, mtu=65536),
+        LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=300),
         off_dst=50)
     done = [timer_event(src, link.send(b"", 1000, frame=i))    # 1 ms on the wire each
             for i in range(3)]
@@ -205,28 +205,16 @@ def test_queued_sends_serialize_back_to_back_without_tasks():
 
 def test_zero_byte_send_delivers_at_base_latency():
     link, src, dst = two_node_link(
-        LinkConfig("l", bandwidth_bps=1_000_000, base_latency_us=700, mtu=64))
+        LinkConfig("l", bandwidth_bps=1_000_000, base_latency_us=700))
     link.send(b"", 0)
     loop_run(src)
     assert link.trace.times(Kind.LINK_RX_END, "l") == [700] and dst.now == 700
     assert [msg.nbytes for msg in link.rx.items] == [0]
 
 
-def test_oversized_send_without_segmentation_rejected():
-    link, src, dst = two_node_link(
-        LinkConfig("l", bandwidth_bps=1_000_000, base_latency_us=0, mtu=64,
-                   segmentation=False))
-    with pytest.raises(UsageError):
-        link.send(b"", 65, None)
-    link.send(b"", 64, None)
-    loop_run(src)
-    assert [msg.nbytes for msg in link.rx.items] == [64]
-    assert link.trace.times(Kind.LINK_RX_END, "l") == [512]     # 64 B at 1 Mbit/s
-
-
 def test_in_order_delivery_and_byte_conservation():
     link, src, dst = two_node_link(
-        LinkConfig("l", bandwidth_bps=2_000_000, base_latency_us=300, mtu=256))
+        LinkConfig("l", bandwidth_bps=2_000_000, base_latency_us=300))
     sizes = [900, 10, 500, 0, 77]
     for i, n in enumerate(sizes):
         link.send(b"", n, meta=i)
@@ -242,13 +230,6 @@ def test_in_order_delivery_and_byte_conservation():
     assert link.messages_sent == link.messages_delivered == len(sizes)
 
 
-def test_crtp_preset_is_slow_small_and_quick():
-    assert CRTP_PRESET.mtu == 31
-    assert CRTP_PRESET.serialization_us(31) == 124
-    assert CRTP_PRESET.transfer_time_us(31) == 1124
-    assert CRTP_PRESET.segments(62) == 2
-
-
 def test_clock_offsets_stay_fixed_and_stamp_apart():
     clock = VirtualClock()
     a = fresh_loop("gap8", offset=0, clock=clock)
@@ -257,22 +238,6 @@ def test_clock_offsets_stay_fixed_and_stamp_apart():
         clock.now = t
         assert b.now - a.now == 1000
 
-
-def test_first_byte_timestamp_uses_receiver_clock():
-    clock = VirtualClock()
-    trace = TraceLog()
-    src = EventLoop(clock, name="gap8", offset_us=0, trace=trace)
-    dst = EventLoop(clock, name="esp32", offset_us=1000, trace=trace)
-    link = Link(LinkConfig("spi", bandwidth_bps=10_000_000, base_latency_us=200,
-                           mtu=65536), src, dst, trace)
-    link.send(b"", 1250)           # 1 ms serialization
-    loop_run(src)
-    msg = link.rx.try_get()
-    # first byte lands base_latency after tx start, on the receiver's clock
-    assert msg.first_byte_ts == 200 + 1000
-
-
-# --- node graph ---
 
 def test_node_graph_builds_five_offset_loops():
     g = NodeGraph(offsets={"gap8": 1000, "esp32": 2000, "stm32": 5000})
