@@ -7,9 +7,12 @@ until a loop-local deadline in µs (the sleeping task waits on the timer heap
 itself, with no ``Event``), yields to the back of the ready queue, or ends.
 
 Only code that blocks on something is a task: a camera capture is a stage of
-the task that waits for each frame. Links, which make no decisions, run as
-``call_at`` callbacks off the timer heap, and a channel reader that blocks on
-nothing else as a handler (``Channel.consume``).
+the task that waits for each frame. Links, which make no decisions, and router
+egress, which waits only on its own queue and link, run as ``call_at``
+callbacks off the timer heap; a channel reader that blocks on nothing else
+runs as a handler (``Channel.consume``), whose drain is queued, or runs in
+place when a link delivery off the heap finds nothing else ready
+(``Channel.arrive``).
 
 Several loops (one per simulated node, each with a fixed clock offset) may
 share one virtual clock and are driven together; see ``loop_run``. The timer
@@ -82,7 +85,7 @@ class Task:
     __slots__ = ("state", "resume_point", "label", "loop", "steps", "next", "after_wait",
                  "frame", "frames", "count", "buf", "pool", "inbox", "outs", "period", "t0",
                  "link", "queue", "pkt", "nbytes", "reply", "trace", "pending",
-                 "copy_ns_per_byte", "up", "down", "samples", "t1")
+                 "up", "down", "samples", "t1")
 
     def __init__(self, loop: "EventLoop", label: str, steps, **fields):
         self.state = TaskState.START
@@ -210,7 +213,8 @@ class VirtualClock:
 class EventLoop:
     """FIFO ready queue on a shared clock, whose heap holds the loop's timers.
 
-    The ready queue holds tasks, due ``call_at`` callbacks and channel drains.
+    The ready queue holds tasks, due ``call_at`` callbacks, channel drains and
+    woken router egress (``RouterQueue.serve``).
     """
 
     def __init__(self, clock=None, name: str = "node0", offset_us: int = 0,
@@ -259,12 +263,13 @@ def call_at(loop: EventLoop, deadline_us: int, fn: Callable[[], None]) -> None:
     that timer would, so it runs in the same order against tasks woken at the
     same instant. A deadline at or before the current time calls ``fn`` at once.
     """
-    if deadline_us <= loop.now:
+    clock = loop.clock
+    due = deadline_us - loop.offset_us
+    if due <= clock.now:
         fn()
         return
-    clock = loop.clock
     clock._timer_seq += 1
-    heappush(clock.timers, (deadline_us - loop.offset_us, clock._timer_seq, loop, fn))
+    heappush(clock.timers, (due, clock._timer_seq, loop, fn))
 
 
 def _dispatch(loop: EventLoop, task: Task) -> None:
@@ -342,7 +347,9 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
             if until_time is not None and until_time > clock.now:
                 clock.now = until_time     # the clock never moves backwards
             return
-        now = clock.now = max(clock.now, timers[0][0])
+        now = clock.now
+        if timers[0][0] > now:
+            now = clock.now = timers[0][0]
         # seq counts for the whole clock, so each loop's timers still fire in
         # its own (deadline, push order) and fill its ready queue as before
         while timers and timers[0][0] <= now:

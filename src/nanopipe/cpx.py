@@ -12,10 +12,13 @@ The simulated path does not fragment: a message crosses a link whole, and the
 router forwards it as one packet handle.
 
 The router (the esp32 role) forwards packet handles between its interfaces
-without touching payload bytes. Senders hold transmit credits: a sender that
-finds the output queue full suspends until a slot frees, so packets are never
-dropped under overload. Baseline mode reproduces the single-buffer,
-copy-per-hop stack: queue depth 1 and one payload copy per forward.
+without touching payload bytes. It blocks on nothing, so it is no task: an
+input link's handler routes each packet to an output queue, and the queue's
+egress sends it on from callbacks on the router loop. Senders hold transmit
+credits: a sender that finds the output queue full suspends until a slot
+frees, so packets are never dropped under overload. Baseline mode reproduces
+the single-buffer, copy-per-hop stack: queue depth 1 and one payload copy per
+forward.
 """
 from __future__ import annotations
 
@@ -24,8 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .coro import (END, Event, EventLoop, event_complete, event_init, guard, loop_run,
-                   pulse, spawn_task)
+from .coro import (END, Event, EventLoop, call_at, event_complete, event_init, guard,
+                   loop_run, spawn_task)
 from .errors import ConfigError, ProtocolError, UsageError
 from .trace import Kind
 from .vnode import Link, NodeGraph
@@ -110,9 +113,16 @@ def packet_decode(data) -> CpxPacket:
 
 
 class RouterQueue:
-    """Bounded per-output FIFO with sender-held transmit credits."""
+    """Bounded per-output FIFO with sender-held transmit credits.
 
-    def __init__(self, loop: EventLoop, name: str, capacity: int):
+    With an output ``link``, the queue's egress serves it (``serve``): one
+    packet at a time, in order, each after one payload copy of
+    ``copy_ns_per_byte`` (``None``: no copy at all), and a packet's slot frees
+    when its last byte has left the router.
+    """
+
+    def __init__(self, loop: EventLoop, name: str, capacity: int, link: Optional[Link] = None,
+                 copy_ns_per_byte: Optional[float] = None):
         if capacity < 1:
             raise ConfigError("router queue capacity must be >= 1")
         self.loop = loop
@@ -120,7 +130,10 @@ class RouterQueue:
         self.capacity = capacity
         self.credits = capacity
         self.items: deque = deque()
-        self.kick = event_init(f"{name}-work")
+        self.link = link
+        self.copy_ns_per_byte = copy_ns_per_byte
+        self.sending: Optional[CpxPacket] = None
+        self.idle = False           # the egress found the queue empty and waits
         self._credit_waiters: deque = deque()
         self.enqueued = 0
         self.delivered = 0
@@ -157,19 +170,47 @@ class RouterQueue:
         self.items.append(pkt)
         self.enqueued += 1
         self.max_occupancy = max(self.max_occupancy, self.occupancy)
-        pulse(self.loop, self.kick)
+        if self.idle:
+            self.idle = False
+            self.loop.ready.append(self.serve)
 
     def try_dequeue(self) -> Optional[CpxPacket]:
         return self.items.popleft() if self.items else None
 
+    def serve(self) -> None:
+        """The egress: free the slot of the packet whose last byte has left,
+        then send the next packet, or wait idle for ``enqueue``."""
+        if self.sending is not None:
+            self.sending = None
+            self.delivered += 1
+            self.release_slot()
+        pkt = self.try_dequeue()
+        if pkt is None:
+            self.idle = True
+            return
+        self.sending = pkt
+        if self.copy_ns_per_byte is None:
+            self._send()
+            return
+        # baseline stack: one payload copy per hop, paid in time
+        pkt.copy_count += 1
+        copy_us = -(-int(pkt.length * self.copy_ns_per_byte) // 1000)
+        call_at(self.loop, self.loop.now + copy_us, self._send)
+
+    def _send(self) -> None:
+        pkt = self.sending
+        last_byte_out = self.link.send(pkt, pkt.wire_bytes,
+                                       frame=pkt.meta if isinstance(pkt.meta, int) else None)
+        call_at(self.loop, last_byte_out, self.serve)
+
 
 class Router:
-    """Multi-tasking packet router on the esp32 node.
+    """Packet router on the esp32 node.
 
     Each input link's channel hands arriving packets straight to the router,
-    and one egress task per output queue sends them on; in zerocopy mode
-    ingress and egress overlap, so a stream's throughput is set by the slower
-    of the two transfers rather than their sum.
+    and each output queue's egress (``RouterQueue.serve``) sends them on; in
+    zerocopy mode ingress and egress overlap, so a stream's throughput is set
+    by the slower of the two transfers rather than their sum.
     """
 
     def __init__(self, graph: NodeGraph, mode: str = ZEROCOPY, queue_capacity: int = 8,
@@ -182,7 +223,7 @@ class Router:
         self.trace = graph.trace
         # the single-buffer baseline cannot hold more than one packet
         self.queue_capacity = 1 if mode == BASELINE else queue_capacity
-        self.copy_ns_per_byte = copy_ns_per_byte if mode == BASELINE else 0.0
+        self.copy_ns_per_byte = copy_ns_per_byte if mode == BASELINE else None
         self.queues: dict = {}
         self._routes: dict = {}
         self.error_count = 0
@@ -191,17 +232,15 @@ class Router:
     def attach_interface(self, name: str, in_link: Optional[Link], out_link: Optional[Link],
                          destinations: tuple = ()) -> RouterQueue:
         """Wire one interface: packets for ``destinations`` leave through it."""
-        queue = RouterQueue(self.loop, name, self.queue_capacity)
+        queue = RouterQueue(self.loop, name, self.queue_capacity, out_link,
+                            self.copy_ns_per_byte)
         self.queues[name] = queue
         for dst in destinations:
             self._routes[dst] = (name, queue, out_link)
         if in_link is not None:
             in_link.rx.consume(self._ingress)
         if out_link is not None:
-            copy = [_copy] if self.mode == BASELINE else []
-            spawn_task(self.loop, f"router-tx-{name}", [_dequeue, *copy, _transmit],
-                       queue=queue, link=out_link, copy_ns_per_byte=self.copy_ns_per_byte,
-                       pkt=None)
+            self.loop.ready.append(queue.serve)
         return queue
 
     def _ingress(self, msg) -> None:
@@ -231,32 +270,6 @@ def reserve(t):
     if not t.queue.try_reserve():
         t.trace.emit(t.loop, Kind.QUEUE_FULL, t.queue.name, t.frame)
         return t.queue.register_credit_waiter(t.loop)
-
-
-@guard
-def _dequeue(t):
-    if t.pkt is not None:
-        # the last packet's last byte left the router: its slot is free again
-        t.queue.delivered += 1
-        t.queue.release_slot()
-        t.pkt = None
-    pkt = t.queue.try_dequeue()
-    if pkt is None:
-        return t.queue.kick
-    t.pkt = pkt
-
-
-def _copy(t):
-    # baseline stack: one payload copy per hop, paid in time
-    pkt = t.pkt
-    pkt.copy_count += 1
-    copy_us = -(-int(pkt.length * t.copy_ns_per_byte) // 1000)
-    return t.loop.now + copy_us
-
-
-def _transmit(t):
-    pkt = t.pkt
-    return t.link.send(pkt, pkt.wire_bytes, frame=pkt.meta if isinstance(pkt.meta, int) else None)
 
 
 # --- two-way clock-offset estimation -----------------------------------------

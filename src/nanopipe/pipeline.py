@@ -126,7 +126,9 @@ def pool_create(loop: EventLoop, n: int, capacity: int) -> BufferPool:
 
 class Channel:
     """Unbounded FIFO handoff on one loop. A task reads it with ``try_get``
-    and ``ready_event``; a reader that blocks on nothing else is a handler."""
+    and ``ready_event``; a reader that blocks on nothing else is a handler,
+    run by a drain that joins the ready queue where a woken reader task would,
+    or runs in place when it would run next anyway (``arrive``)."""
 
     __slots__ = ("loop", "items", "ready_event", "handler", "drain_queued")
 
@@ -157,6 +159,23 @@ class Channel:
         self.handler = handler
         self.drain_queued = True
         self.loop.ready.append(self._drain)
+
+    def arrive(self, item) -> None:
+        """``put`` for an item that a timer callback delivers off this loop's
+        ready queue (``vnode.Link``); the handler may take it in place.
+
+        With a handler, no drain queued and nothing else ready on the loop,
+        the drain that ``put`` would queue is the very next thing the loop
+        runs, so running it here keeps the order. A delivery that ``call_at``
+        runs inline, inside the sender's step, must ``put``: its drain comes
+        after the rest of that step.
+        """
+        if self.handler is None or self.drain_queued or self.loop.ready:
+            self.put(item)
+            return
+        self.items.append(item)
+        self.drain_queued = True
+        self._drain()
 
     def _drain(self) -> None:
         items, handler = self.items, self.handler

@@ -97,25 +97,29 @@ class Link:
         ser = cfg.serialization_us(nbytes)
         if cfg.jitter_us and self.rng is not None:
             ser = max(1, ser + self.rng.randint(-cfg.jitter_us, cfg.jitter_us))
-        start = max(src.clock.now, self.free_at)
+        now = src.clock.now
+        start = self.free_at if self.free_at > now else now
         self.free_at = start + ser
         self.bytes_sent += nbytes
         self.messages_sent += 1
-        if start == src.clock.now:      # idle link: what call_at would run inline
+        if start == now:        # idle link: what call_at would run inline
             self.trace.emit(src, Kind.LINK_TX_START, cfg.name, frame)
         else:
             call_at(src, start + src.offset_us,
                     lambda: self.trace.emit(src, Kind.LINK_TX_START, cfg.name, frame))
         received = Received(payload, nbytes, meta)
-        call_at(dst, start + cfg.base_latency_us + cfg.injected_delay_us + dst.offset_us + ser,
-                lambda: self._deliver(received, frame))
+        arrival = start + cfg.base_latency_us + cfg.injected_delay_us + ser
+        # a delivery due now runs inline, inside the sender's step, so only one
+        # fired off the timer heap may be handled in place (Channel.arrive)
+        put = self.rx.put if arrival <= now else self.rx.arrive
+        call_at(dst, arrival + dst.offset_us, lambda: self._deliver(received, frame, put))
         return self.free_at + src.offset_us
 
-    def _deliver(self, received: Received, frame: Optional[int]) -> None:
+    def _deliver(self, received: Received, frame: Optional[int], put) -> None:
         self.trace.emit(self.dst, Kind.LINK_RX_END, self.cfg.name, frame)
         self.bytes_delivered += received.nbytes
         self.messages_delivered += 1
-        self.rx.put(received)
+        put(received)
 
 
 # --- node graph ----------------------------------------------------------------

@@ -239,6 +239,36 @@ def test_conservation_enqueued_equals_delivered_plus_in_flight():
     assert len(arrivals) == 25
 
 
+def test_forwarding_runs_no_task_on_the_router():
+    graph, router, _, arrivals = run_stream(ZEROCOPY, 3000, 9000, frames=10)
+    assert len(arrivals) == 10
+    assert router.loop.dispatch_count == 0
+
+
+@pytest.mark.parametrize("copy_ns_per_byte,copy_us", [(50.0, 1280), (0.0, 0)])
+def test_baseline_copy_delays_transmit_after_dequeue(copy_ns_per_byte, copy_us):
+    # one packet in the router at a time: the egress takes each one off the
+    # queue as it arrives, copies its 25,600 B payload, then starts the wifi hop
+    graph, _, _, arrivals = run_stream(BASELINE, 2000, 10000, frames=5,
+                                       copy_ns_per_byte=copy_ns_per_byte)
+    assert len(arrivals) == 5
+    dequeued = graph.trace.times(Kind.LINK_RX_END, "spi")
+    assert graph.trace.times(Kind.LINK_TX_START, "wifi") == [t + copy_us for t in dequeued]
+
+
+def test_full_queue_sender_wakes_when_the_last_byte_leaves():
+    # depth 1: every frame after the first finds the queue full, and its
+    # sender goes on at the instant the packet ahead of it is off the router
+    graph, router, _, arrivals = run_stream(ZEROCOPY, 2000, 10000, frames=5, capacity=1)
+    assert len(arrivals) == 5
+    assert len(graph.trace.times(Kind.QUEUE_FULL, "wifi")) == 4
+    wifi_us = graph.links["wifi_up"].cfg.serialization_us(25600 + 4)
+    last_byte_out = [t + wifi_us for t in graph.trace.times(Kind.LINK_TX_START, "wifi")]
+    assert graph.trace.times(Kind.LINK_TX_START, "spi")[1:] == last_byte_out[:-1]
+    q = router.queues["wifi"]
+    assert q.enqueued == q.delivered == 5
+
+
 def test_unknown_destination_goes_to_error_sink():
     graph, router, _ = build_router_rig(ZEROCOPY, 1000, 1000, 100)
     pkt = CpxPacket(NODE_IDS["gap8"], 6, 9)      # 6: no interface routes there

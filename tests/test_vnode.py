@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from nanopipe.coro import EventLoop, VirtualClock, loop_run, spawn_task
+from nanopipe.coro import END, EventLoop, VirtualClock, guard, loop_run, spawn_task
 from nanopipe.errors import ConfigError
 from nanopipe.pipeline import (BufferState, Channel, grab, next_frame, pool_create, publish,
                                retire, stage, take)
@@ -201,6 +201,64 @@ def test_queued_sends_serialize_back_to_back_without_tasks():
     assert link.trace.times(Kind.LINK_TX_START, "l") == [0, 1000, 2000]
     assert link.trace.times(Kind.LINK_RX_END, "l") == [1350, 2350, 3350]
     assert src.dispatch_count == dst.dispatch_count == 0
+
+
+@pytest.mark.parametrize("timer_first", [True, False])
+@pytest.mark.parametrize("reader", ["task", "handler"])
+def test_arrival_handled_where_a_reader_task_would(reader, timer_first):
+    # a delivery and a timer-woken task on the receiver at the same instant:
+    # the reader runs after the task, whichever timer was pushed first. A
+    # handler runs in place only when its drain would have run next anyway
+    link, src, dst = two_node_link(LinkConfig("l", bandwidth_bps=1_000_000, base_latency_us=100))
+    log = []
+    if reader == "task":
+        @guard
+        def read(t):
+            msg = link.rx.try_get()
+            if msg is None:
+                return link.rx.ready_event
+            log.append(msg.meta)
+        spawn_task(dst, "reader", [read])
+    else:
+        link.rx.consume(lambda msg: log.append(msg.meta))
+    if timer_first:
+        tick = timer_event(dst, 100)
+    link.send(b"", 0, meta="a")
+    if not timer_first:
+        tick = timer_event(dst, 100)
+    spawn_task(dst, "tick", [lambda t: tick, lambda t: log.append("tick") or END])
+    loop_run(src)
+    assert log == ["tick", "a"]
+    assert link.trace.times(Kind.LINK_RX_END, "l") == [100]
+
+
+def test_same_instant_arrivals_handled_in_send_order():
+    # zero-byte messages take no time on the wire, so both arrive at 100 us
+    link, src, dst = two_node_link(LinkConfig("l", bandwidth_bps=1_000_000, base_latency_us=100))
+    log = []
+    link.rx.consume(lambda msg: log.append((msg.meta, dst.now)))
+    link.send(b"", 0, meta=0)
+    link.send(b"", 0, meta=1)
+    loop_run(src)
+    assert log == [(0, 100), (1, 100)]
+
+
+def test_inline_arrival_is_handled_after_the_sending_step():
+    # a zero-latency, zero-byte send is delivered inside the sender's step; its
+    # handler must still run after that step, as a queued drain does
+    loop = fresh_loop()
+    link = Link(LinkConfig("l", bandwidth_bps=1_000_000), loop, loop, loop._trace)
+    log = []
+    link.rx.consume(lambda msg: log.append(("handled", msg.meta)))
+
+    def send(t):
+        link.send(b"", 0, meta="m")
+        log.append(("sent", loop.now))
+        return END
+
+    spawn_task(loop, "sender", [send])
+    loop_run(loop)
+    assert log == [("sent", 0), ("handled", "m")]
 
 
 def test_zero_byte_send_delivers_at_base_latency():
