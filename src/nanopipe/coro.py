@@ -84,7 +84,7 @@ class Task:
 
     __slots__ = ("state", "resume_point", "label", "loop", "steps", "next", "after_wait",
                  "frame", "frames", "count", "buf", "pool", "inbox", "outs", "period", "t0",
-                 "link", "queue", "pkt", "nbytes", "reply", "trace", "pending",
+                 "link", "queue", "pkt", "nbytes", "reply", "trace", "receipts",
                  "up", "down", "samples", "t1")
 
     def __init__(self, loop: "EventLoop", label: str, steps, **fields):

@@ -217,7 +217,6 @@ class Router:
                  copy_ns_per_byte: float = 0.0):
         if mode not in ROUTER_MODES:
             raise ConfigError(f"unknown router mode {mode!r}")
-        self.graph = graph
         self.mode = mode
         self.loop = graph.loop("esp32")
         self.trace = graph.trace
@@ -236,7 +235,7 @@ class Router:
                             self.copy_ns_per_byte)
         self.queues[name] = queue
         for dst in destinations:
-            self._routes[dst] = (name, queue, out_link)
+            self._routes[dst] = queue
         if in_link is not None:
             in_link.rx.consume(self._ingress)
         if out_link is not None:
@@ -253,12 +252,11 @@ def router_forward(router: Router, pkt: CpxPacket) -> None:
     The payload is never touched; an unroutable destination goes to the error
     sink and is counted.
     """
-    entry = router._routes.get(pkt.destination)
-    if entry is None:
+    queue = router._routes.get(pkt.destination)
+    if queue is None:
         router.error_count += 1
         router.trace.emit(router.loop, Kind.DROP, "router-error")
         return
-    _, queue, _ = entry
     queue.enqueue(pkt)
     router.forwarded += 1
 

@@ -1,17 +1,19 @@
 """Buffer pools and stage scheduling: serialized vs. pipelined frame execution.
 
-A pipeline is a chain of stages, each a name and a duration, that starts at
-a producer. The producer fills a frame buffer and holds it once it is Ready;
-that hold passes down the chain with the frame, and the last stage releases
-it, so the buffer returns to Free only when the frame is done. A chain has
-no branches and no shared resources: each stage runs on its own task, so
-stages overlap across frames. A ``Channel`` hands items to a reader task, or
-to a plain handler when the reader blocks on nothing else.
+A closed loop is a chain of step lists that starts at a producer. The
+producer fills a frame buffer and holds it once it is Ready; that hold
+passes down the chain with the frame, and the last list releases it, so the
+buffer returns to Free only when the frame is done. ``spawn_chain`` is the
+one place that turns a chain into tasks, and so the one place where the mode
+matters: serialized, one task runs the whole chain per frame; pipelined,
+each list runs on its own task, so they overlap across frames. A ``Channel``
+hands items to a reader task, or to a plain handler when the reader blocks
+on nothing else.
 
-Every task is a list of steps that the loop runs itself (``coro.spawn_task``);
-the shared steps here and in ``cpx`` (``stage``, ``ready``, ``publish`` and
-the rest) build ``pipeline_run`` and every task of the scenarios. A camera
-is ``next_frame``, ``grab`` (a Free buffer, or drop the frame) and a stage.
+Every task is a list of steps that the loop runs itself (``coro.spawn_task``),
+built from the shared steps here and in ``cpx``: ``stage``, ``ready``,
+``publish`` and the rest. A camera is ``next_frame``, ``grab`` (a Free
+buffer, or drop the frame) and a ``capture`` stage.
 """
 from __future__ import annotations
 
@@ -270,19 +272,47 @@ def publish(t):
     t.frame += 1
 
 
+def spawn_chain(loop: EventLoop, mode: str, source: list, works: list, close=(), labels=(),
+                **fields) -> None:
+    """Spawn the tasks that run each frame through the steps of ``source``,
+    which fill its buffer, then through each step list of ``works``; every
+    task starts at frame 0 with ``fields`` as its state. This is the one
+    place where the mode decides the tasks.
+
+    Serialized, one task runs ``[*source, ready, *works..., retire, *close]``:
+    ``close`` is what the frame still waits for once its buffer is free,
+    before the next frame starts. Pipelined, each list is its own task,
+    labelled by ``labels``, source first; channels hand the frame and the
+    hold on its buffer down the chain (``publish``, ``take``, ``pass_on``),
+    the last task releases it, and ``close`` is not run. A chain with no
+    ``works`` is one task in either mode. The tasks are spawned last to
+    first, so each reader comes before its writer in the ready queue.
+    """
+    if mode not in MODES:
+        raise ConfigError(f"unknown pipeline mode {mode!r}")
+    fields.update(frame=0, buf=None)
+    if mode == SERIALIZED or not works:
+        steps = [step for work in works for step in work]
+        spawn_task(loop, "serialized", [*source, ready, *steps, retire, *close], **fields)
+        return
+    chans = [Channel(loop, f"{label}-in") for label in labels[1:]]
+    for i in reversed(range(len(works))):
+        last = i == len(works) - 1
+        spawn_task(loop, labels[i + 1], [take, *works[i], retire if last else pass_on],
+                   inbox=chans[i], outs=chans[i + 1:i + 2], **fields)
+    spawn_task(loop, labels[0], [*source, publish], outs=chans[:1], **fields)
+
+
 def pipeline_run(stages: list, mode: str, pool: BufferPool, frames: int) -> TraceLog:
     """Run ``frames`` frames through a chain of ``(name, duration_us)`` stages
     and return the full trace.
 
     Serialized mode runs each frame's stages back to back on one task.
-    Pipelined mode runs one task per stage, and the frame's hold on its
-    buffer passes down the chain to the last stage, which releases it. The
-    producer is self-paced by buffer availability, so throughput is bounded
-    by the slowest stage (pool >= 2) or collapses to the serialized period
-    (pool of 1).
+    Pipelined mode runs one task per stage (``spawn_chain``). The producer is
+    self-paced by buffer availability, so throughput is bounded by the
+    slowest stage (pool >= 2) or collapses to the serialized period (pool of
+    1).
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown pipeline mode {mode!r}")
     if not stages:
         raise ConfigError("pipeline needs at least one stage")
     loop = pool.loop
@@ -290,18 +320,7 @@ def pipeline_run(stages: list, mode: str, pool: BufferPool, frames: int) -> Trac
     if trace is None:
         trace = loop._trace = TraceLog()
     steps = [stage(name, duration_us) for name, duration_us in stages]
-    fields = dict(trace=trace, pool=pool, frames=frames, frame=0, buf=None)
-    if mode == SERIALIZED or len(stages) == 1:
-        chain = [acquire, *steps[0], ready]
-        for more in steps[1:]:
-            chain += more
-        spawn_task(loop, "serialized", chain + [retire], **fields)
-    else:
-        chans = [Channel(loop, f"{name}-in") for name, _ in stages[1:]]
-        spawn_task(loop, stages[0][0], [acquire, *steps[0], publish], outs=chans[:1], **fields)
-        for i in range(1, len(stages)):
-            last = i == len(stages) - 1
-            spawn_task(loop, stages[i][0], [take, *steps[i], retire if last else pass_on],
-                       inbox=chans[i - 1], outs=chans[i:i + 1], **fields)
+    spawn_chain(loop, mode, [acquire, *steps[0]], steps[1:],
+                labels=[name for name, _ in stages], trace=trace, pool=pool, frames=frames)
     loop_run(loop)
     return trace

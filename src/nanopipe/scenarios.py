@@ -22,13 +22,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coro import YIELD, event_complete, event_init, loop_run, spawn_task
+from .coro import YIELD, guard, loop_run, spawn_task
 from .cpx import (BASELINE, FUNCTION_APP_STREAM, NODE_IDS, ROUTER_MODES, ZEROCOPY,
                   CpxPacket, Router, estimate_clock_offset, reserve)
 from .errors import ConfigError, MetricsError, OracleUnavailable
 from .oracle import analytic_oracle
 from .pipeline import (MODES, PIPELINED, SERIALIZED, Channel, acquire, grab, next_frame,
-                       pool_create, publish, ready, retire, stage, take)
+                       pool_create, spawn_chain, stage, take)
 from .trace import Kind, TraceLog
 from .vnode import (DEFAULT_TRIGGER_SETUP_US, NODE_NAMES, STREAMING, STREAMING_MIN_PERIOD_US,
                     TRIGGER, LinkConfig, NodeGraph, trigger_capture_us)
@@ -358,15 +358,15 @@ def compute_metrics(trace: TraceLog, *, sink_stage: str = "sink",
 # A task's t.frame is the frame (or probe round) it works on. Channels between
 # tasks carry (frame, buffer) pairs; on the host the "buffer" is the packet.
 
-def _sink(trace, loop, notify_loop=None, pending=None):
+def _sink(trace, loop, receipts=None):
     """Channel handler of the zero-duration control sink: records each result
-    frame, and completes the oldest ``pending`` event on ``notify_loop``."""
+    frame, and puts it on ``receipts`` for a loop that waits for it."""
     def receive(msg):
         frame = msg.meta if isinstance(msg.meta, int) else msg.payload.meta
         trace.emit(loop, Kind.STAGE_START, "sink", frame)
         trace.emit(loop, Kind.STAGE_END, "sink", frame)
-        if notify_loop is not None:
-            event_complete(notify_loop, pending.pop(0))
+        if receipts is not None:
+            receipts.put(frame)
     return receive
 
 
@@ -374,15 +374,13 @@ def _behind_ready(t):
     return YIELD
 
 
-def _report(t):
-    # pipelined onboard: free the image, send the result over the uart
-    t.pool.release(t.buf)
+def _send_result(t):
     t.link.send(b"", t.nbytes, meta=t.frame, frame=t.frame)
 
 
-def _report_and_wait(t):
-    # serialized onboard: the result must be out before the image is freed
-    return t.link.send(b"", t.nbytes, meta=t.frame, frame=t.frame)
+def _result_out(t):
+    # serialized onboard: the next frame waits for the result's last byte
+    return t.link.free_at + t.loop.offset_us
 
 
 def _send_image(t):
@@ -391,11 +389,11 @@ def _send_image(t):
     return t.link.send(pkt, pkt.wire_bytes, frame=t.frame)
 
 
-def _await_receipt(t):
+@guard
+def _receipt(t):
     # serialized remote: the next frame waits for this one's sink receipt
-    ev = event_init("frame-done")
-    t.pending.append(ev)
-    return ev
+    if t.receipts.try_get() is None:
+        return t.receipts.ready_event
 
 
 def _send_reply(t):
@@ -417,6 +415,9 @@ def _ponged(t):
 
 
 # --- runners ---------------------------------------------------------------------
+# A runner wires a kind's links, router, host tasks and handlers, the same in
+# both modes, and describes its gap8 side once, as a chain (``_spawn_gap8``);
+# only ``pipeline.spawn_chain`` turns that into serialized or pipelined tasks.
 
 def _build_graph(spec: Scenario):
     rng = random.Random(spec.seed)
@@ -460,50 +461,39 @@ def _estimate_offsets(graph, links, spec):
     return est
 
 
-def _spawn_camera(spec, loop, label, steps, **fields):
-    """Spawn a paced frame source: each frame waits for its start, takes a
-    Free buffer or is dropped (``grab``), is captured, then runs ``steps``."""
-    spawn_task(loop, label, [next_frame, grab, *stage("capture", spec.capture_us), *steps],
-               frames=spec.frames, period=spec.frame_period_us, t0=loop.now,
-               frame=0, buf=None, **fields)
+def _spawn_gap8(spec, loop, label, work, close, source=None, **fields):
+    """Spawn the gap8 side of a closed loop (``spawn_chain``): ``source`` fills
+    each frame's buffer, then the task ``label`` runs ``work`` on it, and a
+    serialized loop waits for ``close`` before its next frame.
 
-
-def _spawn_producer(spec, loop, pool, out_ch, trace):
-    """The pipelined frame source: capture each frame, then hand it on. A
-    trigger camera signals the end of a capture, and the producer takes that
-    signal behind the tasks already ready at the instant; a capture that takes
-    no time is over before the producer would wait for it."""
-    signal = [_behind_ready] if spec.camera_mode == TRIGGER and spec.capture_us else []
-    _spawn_camera(spec, loop, "camera", [*signal, publish], pool=pool, outs=[out_ch],
-                  trace=trace)
-
-
-def _spawn_image_sender(spec, graph, pool, frame_ch, queue, link):
-    # gap8 side of the packet stream: credit-gated spi transmission
-    spawn_task(graph.loop("gap8"), "image-tx", [take, reserve, _send_image, retire],
-               inbox=frame_ch, queue=queue, link=link, pool=pool, nbytes=spec.frame_bytes,
-               trace=graph.trace, frame=None, buf=None)
+    The default source is the paced camera: each frame waits for its start,
+    takes a Free buffer or is dropped (``grab``), and is captured. A trigger
+    camera signals the end of a capture, and the loop takes that signal
+    behind the tasks already ready at the instant; a capture that takes no
+    time is over before the loop would wait for it. Serialized, nothing else
+    is ready on gap8 at the end of a capture, as the frame before is already
+    received, so the signal changes nothing there.
+    """
+    if source is None:
+        signal = [_behind_ready] if spec.camera_mode == TRIGGER and spec.capture_us else []
+        source = [next_frame, grab, *stage("capture", spec.capture_us), *signal]
+        fields.update(period=spec.frame_period_us, t0=loop.now)
+    spawn_chain(loop, spec.mode, source, [work], close, labels=("camera", label),
+                pool=pool_create(loop, spec.pool_size, spec.frame_bytes),
+                frames=spec.frames, **fields)
 
 
 def _run_onboard(spec: Scenario, graph, links):
-    gap8 = graph.loop("gap8")
-    stm32 = graph.loop("stm32")
-
-    pool = pool_create(gap8, spec.pool_size, spec.frame_bytes)
-    uart = links["uart_down"]
-
-    uart.rx.consume(_sink(graph.trace, stm32))
-
-    fields = dict(pool=pool, link=uart, trace=graph.trace, nbytes=spec.result_bytes)
-    infer = stage("inference", spec.inference_us)
-    if spec.mode == SERIALIZED:
-        _spawn_camera(spec, gap8, "serialized", [ready, *infer, _report_and_wait, retire],
-                      **fields)
-    else:
-        frame_ch = Channel(gap8, "frames")
-        spawn_task(gap8, "inference", [take, *infer, _report], inbox=frame_ch,
-                   frame=None, buf=None, **fields)
-        _spawn_producer(spec, gap8, pool, frame_ch, graph.trace)
+    gap8, uart = graph.loop("gap8"), links["uart_down"]
+    uart.rx.consume(_sink(graph.trace, graph.loop("stm32")))
+    # The result is sent before the buffer is freed. Pipelined, either order
+    # gives the same run: the paced camera never waits on the pool (``grab``
+    # drops the frame instead) and a release records nothing. Serialized, the
+    # buffer is freed before the wait for the result's last byte, which is the
+    # same too, as the loop's one task is the pool's only user.
+    _spawn_gap8(spec, gap8, "inference",
+                [*stage("inference", spec.inference_us), _send_result], [_result_out],
+                link=uart, trace=graph.trace, nbytes=spec.result_bytes)
     loop_run(gap8)
 
 
@@ -521,7 +511,6 @@ def _run_remote(spec: Scenario, graph, links):
     gap8, host, stm32 = graph.loop("gap8"), graph.loop("host"), graph.loop("stm32")
     router = _attach_router(spec, graph, links)
 
-    pool = pool_create(gap8, spec.pool_size, spec.frame_bytes)
     wifi_q, spi_q = router.queues["wifi"], router.queues["spi"]
 
     ping_ch, job_ch, pong_ch = (Channel(host, "pings"), Channel(host, "jobs"),
@@ -552,19 +541,12 @@ def _run_remote(spec: Scenario, graph, links):
                reply=("gap8", FUNCTION_PING), nbytes=0, **host_fields)
     links["spi_down"].rx.consume(gap8_relay)
 
-    pending = []
-    uart.rx.consume(_sink(graph.trace, stm32,
-                          gap8 if spec.mode == SERIALIZED else None, pending))
-
-    if spec.mode == SERIALIZED:
-        _spawn_camera(spec, gap8, "serialized",
-                      [ready, reserve, _send_image, retire, _await_receipt],
-                      pool=pool, queue=wifi_q, link=links["spi_up"], trace=graph.trace,
-                      nbytes=spec.frame_bytes, pending=pending)
-    else:
-        frame_ch = Channel(gap8, "frames")
-        _spawn_image_sender(spec, graph, pool, frame_ch, wifi_q, links["spi_up"])
-        _spawn_producer(spec, gap8, pool, frame_ch, graph.trace)
+    # only a serialized loop waits for its frames' receipts
+    receipts = Channel(gap8, "receipts") if spec.mode == SERIALIZED else None
+    uart.rx.consume(_sink(graph.trace, stm32, receipts))
+    _spawn_gap8(spec, gap8, "image-tx", [reserve, _send_image], [_receipt], queue=wifi_q,
+                link=links["spi_up"], trace=graph.trace, nbytes=spec.frame_bytes,
+                receipts=receipts)
     loop_run(gap8)
 
     if spec.rtt_probe_rounds:
@@ -576,17 +558,13 @@ def _run_remote(spec: Scenario, graph, links):
 
 
 def _run_stream(spec: Scenario, graph, links):
-    gap8, host = graph.loop("gap8"), graph.loop("host")
+    gap8 = graph.loop("gap8")
     router = _attach_router(spec, graph, links)
-
-    pool = pool_create(gap8, spec.pool_size, spec.frame_bytes)
-    frame_ch = Channel(gap8, "frames")
-    links["wifi_up"].rx.consume(_sink(graph.trace, host))
-    _spawn_image_sender(spec, graph, pool, frame_ch, router.queues["wifi"], links["spi_up"])
+    links["wifi_up"].rx.consume(_sink(graph.trace, graph.loop("host")))
     # free-running frame source: fill each buffer for the capture time
-    spawn_task(gap8, "fill-producer", [acquire, *stage("capture", spec.capture_us), publish],
-               pool=pool, outs=[frame_ch], frames=spec.frames, trace=graph.trace,
-               frame=0, buf=None)
+    _spawn_gap8(spec, gap8, "image-tx", [reserve, _send_image], (),
+                [acquire, *stage("capture", spec.capture_us)], queue=router.queues["wifi"],
+                link=links["spi_up"], trace=graph.trace, nbytes=spec.frame_bytes)
     loop_run(gap8)
 
 

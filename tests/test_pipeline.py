@@ -9,7 +9,8 @@ from nanopipe.coro import (END, RESTART, EventLoop, Task, TaskState, VirtualCloc
                            event_complete, event_init, guard, loop_run, pulse, spawn,
                            spawn_task)
 from nanopipe.errors import ConfigError, UsageError
-from nanopipe.pipeline import PIPELINED, SERIALIZED, BufferState, Channel, pipeline_run, pool_create
+from nanopipe.pipeline import (PIPELINED, SERIALIZED, BufferState, Channel, acquire,
+                               pipeline_run, pool_create, spawn_chain, stage)
 from nanopipe.trace import Kind, TraceLog
 
 from test_coro import timer_event
@@ -224,6 +225,46 @@ def test_unknown_mode_rejected():
     pool = pool_create(loop, 2, 100)
     with pytest.raises(ConfigError):
         pipeline_run([("a", 10)], "warp", pool, 5)
+
+
+def _chain_log(mode, works):
+    """Run two frames through ``spawn_chain`` with a 10 µs fill and a close
+    that sleeps 100 µs; log (step, frame, free buffers, time) as steps run."""
+    loop = fresh_loop()
+    pool = pool_create(loop, 1, 10)
+    log = []
+
+    def note(tag):
+        def step(t):
+            log.append((tag, t.frame, len(pool._free), loop.now))
+        return step
+
+    def close(t):
+        note("close")(t)
+        return loop.now + 100
+
+    spawn_chain(loop, mode, [acquire, *stage("fill", 10)], [[note(w)] for w in works],
+                [close], labels=("fill", *works), trace=loop._trace, pool=pool, frames=2)
+    loop_run(loop)
+    return log, loop._trace
+
+
+def test_serialized_chain_closes_each_frame_after_its_release():
+    log, _ = _chain_log(SERIALIZED, ["a", "b"])
+    # the close runs with the buffer free and the frame count moved on, and
+    # the next frame's fill starts only when the close is over
+    assert log == [("a", 0, 0, 10), ("b", 0, 0, 10), ("close", 1, 1, 10),
+                   ("a", 1, 0, 120), ("b", 1, 0, 120), ("close", 2, 1, 120)]
+
+
+def test_pipelined_chain_never_closes():
+    log, _ = _chain_log(PIPELINED, ["a", "b"])
+    assert log == [("a", 0, 0, 10), ("b", 0, 0, 10), ("a", 1, 0, 20), ("b", 1, 0, 20)]
+
+
+def test_pipelined_chain_queues_its_tasks_last_to_first():
+    _, trace = _chain_log(PIPELINED, ["a", "b"])
+    assert [e.subject for e in trace.events if e.kind == Kind.SPAWN] == ["b", "a", "fill"]
 
 
 # --- channel readers -----------------------------------------------------------

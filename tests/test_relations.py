@@ -1,0 +1,93 @@
+"""Relations between two runs of one scenario that need no oracle.
+
+Each test draws seeded variants of the shipped fixtures with ``variant`` from
+``scripts/compare_variants.py``, sets every link's jitter to 0, runs each
+variant twice with one thing changed, and checks how the two runs' metrics
+relate. A variant that does not load, or gives too few receipts for metrics,
+is illegal and skipped. A relation that fails is a bug in the simulator.
+"""
+
+import copy
+import json
+import pathlib
+import random
+import sys
+
+import pytest
+
+import nanopipe.scenarios as scenarios
+from nanopipe.errors import ConfigError, MetricsError
+from nanopipe.scenarios import run_scenario, scenario_from_dict
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+from compare_variants import variant  # noqa: E402
+
+FIXTURES = [json.loads(p.read_text()) for p in
+            sorted((pathlib.Path(scenarios.__file__).parent / "fixtures").glob("*.json"))]
+
+
+def jitter_free_variants(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        doc = variant(rng.choice(FIXTURES), rng)
+        for link in doc["links"].values():
+            link["jitter_us"] = 0
+        yield doc
+
+
+def metrics(doc, **changes):
+    """The run's metrics with ``changes`` applied, or None for an illegal variant."""
+    doc = copy.deepcopy(doc)
+    doc.update(changes)
+    try:
+        return run_scenario(scenario_from_dict(doc))[1]
+    except (ConfigError, MetricsError):
+        return None
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_pipelining_adds_no_latency_when_serialized_keeps_up(seed):
+    # the paper's "ideal end-to-end latency, i.e. zero overhead due to
+    # serialized tasks": where one task per frame keeps the camera's rate,
+    # the pipelined loop's frames take exactly as long
+    pairs = 0
+    for doc in jitter_free_variants(seed, 300):
+        if doc["kind"] == "stream":
+            continue
+        ser, pip = metrics(doc, mode="serialized"), metrics(doc, mode="pipelined")
+        if ser is None or pip is None:
+            continue
+        camera_hz = 1e6 / scenario_from_dict(doc).frame_period_us
+        if abs(ser.closed_loop_hz - camera_hz) > 1e-9 * camera_hz:
+            continue
+        assert pip.e2e_ms_mean == ser.e2e_ms_mean, doc
+        pairs += 1
+    assert pairs >= 30
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_more_buffers_never_lower_the_rate(seed):
+    pairs = 0
+    for doc in jitter_free_variants(seed, 150):
+        fewer, more = metrics(doc), metrics(doc, pool_size=doc["pool_size"] + 1)
+        if fewer is None or more is None:
+            continue
+        assert more.closed_loop_hz >= fewer.closed_loop_hz, doc
+        pairs += 1
+    assert pairs >= 50
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_pipelining_never_lowers_the_rate_from_two_buffers(seed):
+    # a single buffer is left out until the camera's frame grid and the
+    # order of same-instant events are decided for both modes
+    pairs = 0
+    for doc in jitter_free_variants(seed, 150):
+        if doc["kind"] == "stream" or doc["pool_size"] < 2:
+            continue
+        ser, pip = metrics(doc, mode="serialized"), metrics(doc, mode="pipelined")
+        if ser is None or pip is None:
+            continue
+        assert pip.closed_loop_hz >= ser.closed_loop_hz, doc
+        pairs += 1
+    assert pairs >= 30
