@@ -15,9 +15,10 @@ place when a link delivery off the heap finds nothing else ready
 (``Channel.arrive``).
 
 Several loops (one per simulated node, each with a fixed clock offset) may
-share one virtual clock and are driven together; see ``loop_run``. The timer
-heap lives on the clock, one for all its loops; each entry remembers the loop
-it completes its event, or queues its task or callback, on.
+share one virtual clock and its one timer heap, whose entries each remember
+their loop. At one instant the due timers fire in (global deadline, push
+order), then the loops drain in registration order, round after round, until
+no ready queue holds work; a timer due alone runs in place (``run_all``).
 
 A loop emits runtime records (Spawn, Suspend, Resume, EventComplete) only
 when it is given its own ``TraceLog``. The loops of a ``NodeGraph`` have none,
@@ -206,6 +207,7 @@ class VirtualClock:
     def __init__(self):
         self.now = 0
         self.loops: list[EventLoop] = []
+        self.readies: list[deque] = []      # the loops' ready queues, in registration order
         self.timers: list = []      # heap of (global_deadline, seq, loop, Event, Task or callable)
         self._timer_seq = 0
 
@@ -220,10 +222,12 @@ class EventLoop:
     def __init__(self, clock=None, name: str = "node0", offset_us: int = 0,
                  trace: Optional[TraceLog] = None):
         self.clock = clock if clock is not None else VirtualClock()
+        self.index = len(self.clock.loops)
         self.clock.loops.append(self)
         self.name = name
         self.offset_us = offset_us
         self.ready: deque = deque()
+        self.clock.readies.append(self.ready)
         self._trace = trace
         self.dispatch_count = 0
 
@@ -317,12 +321,13 @@ def _dispatch(loop: EventLoop, task: Task) -> None:
             loop._trace.emit(loop, Kind.RESUME, task.label)
 
 
-def _drain(clock) -> None:
+def _drain(clock, start: int = 0) -> None:
+    """Run the loops' ready queues from registration index ``start`` on, then
+    whole rounds over all loops while any queue holds work."""
     loops = clock.loops
-    progressed = True
-    while progressed:
-        progressed = False
-        for loop in loops:
+    sweep = loops[start:]
+    while True:
+        for loop in sweep:
             ready = loop.ready
             while ready:
                 item = ready.popleft()
@@ -330,37 +335,51 @@ def _drain(clock) -> None:
                     _dispatch(loop, item)
                 else:
                     item()
-                progressed = True
+        if not any(clock.readies):
+            return
+        sweep = loops
 
 
 def run_all(clock, until_time: Optional[int] = None) -> None:
     """Drive every loop on ``clock`` until idle, or until global ``until_time``.
 
     Virtual time only advances when all ready queues are empty, jumping to the
-    earliest pending timer deadline. Runs are bit-deterministic: loops are
-    serviced in registration order and all queues are FIFO.
+    earliest timer deadline. The timers due then fire in (global deadline, push
+    order), and the loops drain in registration order, round after round, until
+    no queue holds work. A timer due alone runs in place, as the first thing
+    that sweep would run, and the sweep goes on from its loop.
     """
-    timers = clock.timers
-    while True:
-        _drain(clock)
-        if not timers or until_time is not None and timers[0][0] > until_time:
-            if until_time is not None and until_time > clock.now:
-                clock.now = until_time     # the clock never moves backwards
-            return
-        now = clock.now
-        if timers[0][0] > now:
-            now = clock.now = timers[0][0]
-        # seq counts for the whole clock, so each loop's timers still fire in
-        # its own (deadline, push order) and fill its ready queue as before
-        while timers and timers[0][0] <= now:
-            _, _, loop, due = heappop(timers)
-            cls = due.__class__
-            if cls is Event:
-                event_complete(loop, due)
-                continue
-            if cls is Task and loop._trace is not None:
+    timers, readies = clock.timers, clock.readies
+    _drain(clock)
+    while timers and (until_time is None or timers[0][0] <= until_time):
+        now = clock.now = timers[0][0]      # no timer is ever pushed at or before now
+        _, _, loop, due = heappop(timers)
+        start = loop.index
+        if timers and timers[0][0] <= now:
+            # several due: each fills its loop's ready queue, in the heap's order
+            start = 0
+            while True:
+                if due.__class__ is Event:
+                    event_complete(loop, due)
+                else:
+                    if due.__class__ is Task and loop._trace is not None:
+                        loop._trace.emit(loop, Kind.RESUME, due.label)
+                    loop.ready.append(due)      # a sleeping task, or a call_at callback
+                if not timers or timers[0][0] > now:
+                    break
+                _, _, loop, due = heappop(timers)
+        elif due.__class__ is Event:
+            event_complete(loop, due)
+        elif due.__class__ is Task:
+            if loop._trace is not None:
                 loop._trace.emit(loop, Kind.RESUME, due.label)
-            loop.ready.append(due)      # a sleeping task, or a call_at callback
+            _dispatch(loop, due)
+        else:
+            due()
+        if any(readies):
+            _drain(clock, start)
+    if until_time is not None and until_time > clock.now:
+        clock.now = until_time     # the clock never moves backwards
 
 
 def loop_run(loop: EventLoop, until: Optional[int] = None) -> None:

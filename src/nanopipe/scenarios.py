@@ -37,6 +37,8 @@ FUNCTION_PING = 6
 
 KINDS = ("onboard", "remote", "stream")
 
+PLATFORM_MEMORY_BYTES = 8 * 2**20     # the AI-deck's HyperRAM, the most memory on board
+
 _LINK_KEYS = {
     "onboard": ("uart_down",),
     "remote": ("spi_up", "spi_down", "wifi_up", "wifi_down", "uart_down"),
@@ -144,6 +146,10 @@ class Scenario:
             raise ConfigError("steady-state metrics need a run length of >= 50 frames")
         if self.pool_size < 1:
             raise ConfigError("pool_size must be >= 1")
+        for what, n in (("pool_size x frame bytes", self.pool_size * max(self.frame_bytes, 1)),
+                        ("result_bytes", self.result_bytes)):
+            _require(n <= PLATFORM_MEMORY_BYTES,
+                     f"{what} = {n} B exceeds the {PLATFORM_MEMORY_BYTES} B of platform memory")
         if self.kind == "stream":
             if self.mode != PIPELINED:
                 raise ConfigError("stream scenarios only run pipelined")
@@ -398,8 +404,8 @@ def _receipt(t):
 
 def _send_reply(t):
     # host side: the inference result toward the stm32, or a probe's pong
-    dst, function = t.reply
-    pkt = CpxPacket(NODE_IDS["host"], NODE_IDS[dst], function, bytes(t.nbytes), meta=t.frame)
+    dst, function, payload = t.reply
+    pkt = CpxPacket(NODE_IDS["host"], NODE_IDS[dst], function, payload, meta=t.frame)
     t.link.send(pkt, pkt.wire_bytes, frame=t.frame)
 
 
@@ -535,10 +541,10 @@ def _run_remote(spec: Scenario, graph, links):
                        frame=None, buf=None)
     spawn_task(host, "host-compute",
                [take, *stage("inference", spec.host_compute_us), reserve, _send_reply],
-               inbox=job_ch, reply=("stm32", FUNCTION_APP_STREAM), nbytes=spec.result_bytes,
+               inbox=job_ch, reply=("stm32", FUNCTION_APP_STREAM, bytes(spec.result_bytes)),
                **host_fields)
     spawn_task(host, "host-echo", [take, reserve, _send_reply], inbox=ping_ch,
-               reply=("gap8", FUNCTION_PING), nbytes=0, **host_fields)
+               reply=("gap8", FUNCTION_PING, b""), **host_fields)
     links["spi_down"].rx.consume(gap8_relay)
 
     # only a serialized loop waits for its frames' receipts

@@ -127,6 +127,31 @@ def test_malformed_scenario_field_is_config_error(tmp_path, capsys, where, value
     assert where[-1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixture,where,value", [
+    ("remote-sweep", ("image_bytes",), 10**12),
+    ("remote-sweep", ("camera", "resolution"), [100000, 100000]),
+    ("remote-sweep", ("result_bytes",), 10**12),
+    ("pulp-frontnet-48", ("pool_size",), 10**9),     # with image_bytes 0, below
+], ids=lambda v: str(v))
+def test_oversized_buffers_are_config_error(tmp_path, capsys, monkeypatch, fixture, where,
+                                            value):
+    # rejected at load: the run, which would allocate the buffers, never starts
+    import nanopipe.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "run_scenario", lambda spec: pytest.fail("the run started"))
+    doc = json.loads((fixture_dir() / f"{fixture}.json").read_text())
+    if where == ("pool_size",):
+        doc["image_bytes"] = 0
+    block = doc
+    for key in where[:-1]:
+        block = block[key]
+    block[where[-1]] = value
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    rc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "o"))
+    assert rc == EXIT_CONFIG
+    assert "platform memory" in capsys.readouterr().err
+
+
 def test_trigger_capture_of_no_time_runs(tmp_path, capsys):
     # setup and readout both 0: the camera sets no rate ceiling
     doc = json.loads((fixture_dir() / "imav-30.json").read_text())

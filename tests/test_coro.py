@@ -1,5 +1,6 @@
 """Semantics of the stackless task runtime."""
 
+import heapq
 import itertools
 import random
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nanopipe import coro
 from nanopipe.coro import (END, YIELD, Event, EventLoop, Task, TaskState, VirtualClock, call_at,
                            event_complete, event_init, event_reset, guard, loop_run,
                            schedule_completion, spawn, spawn_task)
 from nanopipe.errors import UsageError
+from nanopipe.pipeline import Channel
 from nanopipe.trace import Kind, TraceLog
 
 
@@ -428,6 +431,106 @@ def test_clock_wide_timer_heap_keeps_each_loops_order_at_shared_instants():
     # each entry ran from its own loop's ready queue: at each instant the loops
     # drain in registration order
     assert ran == sorted(expected)
+
+
+def sweep_run_all(clock, until_time=None):
+    """``run_all`` as it was before a timer due alone ran in place: every due
+    timer joins its loop's ready queue, and every instant ends on a round over
+    all loops that finds no work. The reference for the order of ``run_all``."""
+    timers = clock.timers
+    while True:
+        progressed = True
+        while progressed:
+            progressed = False
+            for loop in clock.loops:
+                ready = loop.ready
+                while ready:
+                    item = ready.popleft()
+                    if item.__class__ is Task:
+                        coro._dispatch(loop, item)
+                    else:
+                        item()
+                    progressed = True
+        if not timers or until_time is not None and timers[0][0] > until_time:
+            if until_time is not None and until_time > clock.now:
+                clock.now = until_time
+            return
+        now = clock.now
+        if timers[0][0] > now:
+            now = clock.now = timers[0][0]
+        while timers and timers[0][0] <= now:
+            _, _, loop, due = heapq.heappop(timers)
+            if due.__class__ is Event:
+                event_complete(loop, due)
+                continue
+            if due.__class__ is Task and loop._trace is not None:
+                loop._trace.emit(loop, Kind.RESUME, due.label)
+            loop.ready.append(due)
+
+
+def random_program(seed):
+    """Run a seeded random program on 2-5 loops; return its execution log and
+    trace. Callbacks, channel handlers, event waiters and sleeping tasks each
+    post work to any loop, earlier or later, at zero or non-zero delay; the
+    delays fall on a 100 us grid, so several timers are often due at once."""
+    rng = random.Random(seed)
+    clock, tr = VirtualClock(), TraceLog()
+    loops = [EventLoop(clock, name=f"n{i}", offset_us=rng.randrange(-500, 500),
+                       trace=tr if rng.random() < 0.5 else None)
+             for i in range(rng.randint(2, 5))]
+    log, budget = [], [60]
+
+    def work(loop, tag):
+        log.append((clock.now, loop.name, tag))
+        for _ in range(rng.randint(0, 2)):
+            if budget[0] > 0:
+                budget[0] -= 1
+                post(budget[0])
+
+    def post(tag):
+        target = rng.choice(loops)
+        delay = rng.choice((0, 0, 100, 200, 300))
+        at = target.now + delay
+        kind = rng.randrange(4)
+        if kind == 0:       # a call_at callback
+            call_at(target, at, lambda: work(target, ("call", tag)))
+        elif kind == 1:     # a channel handler, fed as a link feeds one
+            chan = channels[target.index]
+            if delay == 0:
+                chan.put(tag)
+            else:
+                call_at(target, at, lambda: chan.arrive(tag))
+        elif kind == 2:     # a task waiting on an event
+            ev = event_init(f"e{tag}")
+            spawn_task(target, f"w{tag}", [lambda t: ev, lambda t: work(target, ("wait", tag)),
+                                           lambda t: END])
+            if rng.random() < 0.5:
+                schedule_completion(target, ev, at)
+            else:
+                call_at(target, at, lambda: event_complete(target, ev))
+        else:               # a sleeping task that may yield once
+            spawn_task(target, f"s{tag}",
+                       [lambda t: at, lambda t: YIELD if rng.random() < 0.3 else None,
+                        lambda t: work(target, ("sleep", tag)), lambda t: END])
+
+    channels = [Channel(loop, f"c{loop.name}") for loop in loops]
+    for loop, chan in zip(loops, channels):
+        chan.consume(lambda item, lp=loop: work(lp, ("chan", item)))
+    for tag in range(-8, 0):
+        post(tag)
+    loop_run(loops[0])
+    return log, list(tr.events)
+
+
+def test_run_all_keeps_the_order_of_the_full_sweep(monkeypatch):
+    # run_all runs a lone due timer in place and starts the sweep at its loop;
+    # that must be exactly the order of the sweep it replaces, also where the
+    # entry run in place posts work to an earlier loop
+    programs = [random_program(seed) for seed in range(400)]
+    monkeypatch.setattr(coro, "run_all", sweep_run_all)
+    for seed, got in enumerate(programs):
+        assert random_program(seed) == got, seed
+    assert sum(len(log) for log, _ in programs) > 400 * 30
 
 
 def test_loop_run_until_time_stops_clock_there():

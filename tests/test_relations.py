@@ -1,10 +1,11 @@
 """Relations between two runs of one scenario that need no oracle.
 
-Each test draws seeded variants of the shipped fixtures with ``variant`` from
-``scripts/compare_variants.py``, sets every link's jitter to 0, runs each
-variant twice with one thing changed, and checks how the two runs' metrics
+Most tests draw seeded variants of the shipped fixtures with ``variant`` from
+``scripts/compare_variants.py``, set every link's jitter to 0, run each
+variant twice with one thing changed, and check how the two runs' metrics
 relate. A variant that does not load, or gives too few receipts for metrics,
-is illegal and skipped. A relation that fails is a bug in the simulator.
+is illegal and skipped. The clock-offset relation runs the shipped fixtures
+themselves. A relation that fails is a bug in the simulator.
 """
 
 import copy
@@ -91,3 +92,28 @@ def test_pipelining_never_lowers_the_rate_from_two_buffers(seed):
         assert pip.closed_loop_hz >= ser.closed_loop_hz, doc
         pairs += 1
     assert pairs >= 30
+
+
+def metrics_json(doc, offsets):
+    doc = copy.deepcopy(doc)
+    doc["offsets_us"] = offsets
+    return json.loads(run_scenario(scenario_from_dict(doc))[1].to_json())
+
+
+@pytest.mark.parametrize("doc", FIXTURES, ids=lambda doc: doc["name"])
+def test_clock_offsets_change_nothing(doc):
+    # a node's clock offset moves its local timestamps, not what it does: a
+    # common shift changes no metric, and independent offsets change only
+    # the estimates of them
+    base = {node: doc.get("offsets_us", {}).get(node, 0) for node in scenarios.NODE_NAMES}
+    ref = metrics_json(doc, base)
+    for shift in (1234, -777):
+        assert metrics_json(doc, {n: v + shift for n, v in base.items()}) == ref, shift
+    estimates = ("offset_us_applied", "offsets_estimated_us")
+    rest = {key: value for key, value in ref.items() if key not in estimates}
+    rng = random.Random(doc["name"])
+    for _ in range(2):
+        offsets = {node: rng.randint(-5000, 5000) for node in scenarios.NODE_NAMES}
+        got = metrics_json(doc, offsets)
+        assert {key: value for key, value in got.items() if key not in estimates} == rest, offsets
+        assert got["offsets_estimated_us"] != ref["offsets_estimated_us"]    # they reached the run
