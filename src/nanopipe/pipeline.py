@@ -168,15 +168,15 @@ class Channel:
 
         With a handler, no drain queued and nothing else ready on the loop,
         the drain that ``put`` would queue is the very next thing the loop
-        runs, so running it here keeps the order. A delivery that ``call_at``
-        runs inline, inside the sender's step, must ``put``: its drain comes
-        after the rest of that step.
+        runs, so handing the item to the handler here, then draining what it
+        put, keeps the order. A delivery due at the send instant, made inside
+        the sender's step, must ``put``: its drain comes after that step.
         """
         if self.handler is None or self.drain_queued or self.loop.ready:
             self.put(item)
             return
-        self.items.append(item)
         self.drain_queued = True
+        self.handler(item)
         self._drain()
 
     def _drain(self) -> None:
@@ -242,13 +242,26 @@ def retire(t):
 
 def stage(name: str, duration_us: int) -> list:
     """The two steps of one stage: record its start and sleep ``duration_us``,
-    then record its end."""
+    then record its end. The key codes of both records are looked up once
+    per trace and loop, not per record."""
+    keys = [None, None, 0, 0]       # trace, loop, start code, end code
+
+    def rekey(trace, loop):
+        keys[:] = (trace, loop, trace.key(loop.name, Kind.STAGE_START, name),
+                   trace.key(loop.name, Kind.STAGE_END, name))
+
     def start(t):
-        t.trace.emit(t.loop, Kind.STAGE_START, name, t.frame)
-        return t.loop.now + duration_us
+        trace, loop = t.trace, t.loop
+        if keys[0] is not trace or keys[1] is not loop:
+            rekey(trace, loop)
+        trace.record(loop, keys[2], t.frame)
+        return loop.now + duration_us
 
     def end(t):
-        t.trace.emit(t.loop, Kind.STAGE_END, name, t.frame)
+        trace, loop = t.trace, t.loop
+        if keys[0] is not trace or keys[1] is not loop:
+            rekey(trace, loop)
+        trace.record(loop, keys[3], t.frame)
     return [start, end]
 
 

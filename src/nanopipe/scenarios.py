@@ -367,10 +367,12 @@ def compute_metrics(trace: TraceLog, *, sink_stage: str = "sink",
 def _sink(trace, loop, receipts=None):
     """Channel handler of the zero-duration control sink: records each result
     frame, and puts it on ``receipts`` for a loop that waits for it."""
+    start, end = (trace.key(loop.name, kind, "sink") for kind in (Kind.STAGE_START, Kind.STAGE_END))
+
     def receive(msg):
-        frame = msg.meta if isinstance(msg.meta, int) else msg.payload.meta
-        trace.emit(loop, Kind.STAGE_START, "sink", frame)
-        trace.emit(loop, Kind.STAGE_END, "sink", frame)
+        frame = msg.frame
+        trace.record(loop, start, frame)
+        trace.record(loop, end, frame)
         if receipts is not None:
             receipts.put(frame)
     return receive

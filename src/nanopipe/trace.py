@@ -66,9 +66,12 @@ class _Events:
 
 
 class TraceLog:
-    """Append-only event log shared by all loops of one simulation."""
+    """Append-only event log shared by all loops of one simulation. Its key
+    table outlives clearing or reassigning the records, so a site may look up
+    its code once (``key``) and append with ``record``."""
 
     def __init__(self):
+        self._codes: dict = {}
         self.events = ()
 
     @property
@@ -78,17 +81,25 @@ class TraceLog:
 
     @events.setter
     def events(self, records) -> None:
-        codes, code, times, frames = {}, array("I"), array("q"), array("q")
+        code, times, frames = array("I"), array("q"), array("q")
         for t_us, node, kind, subject, frame in records:
-            code.append(codes.setdefault((node, kind, subject), len(codes)))
+            code.append(self.key(node, kind, subject))
             times.append(t_us)
             frames.append(_NO_FRAME if frame is None else frame)
-        self._codes, self._code, self._t, self._frame = codes, code, times, frames
+        self._code, self._t, self._frame = code, times, frames
 
-    def emit(self, loop, kind: str, subject: str, frame: Optional[int] = None) -> None:
-        self._code.append(self._codes.setdefault((loop.name, kind, subject), len(self._codes)))
+    def key(self, node: str, kind: str, subject: str) -> int:
+        """The code of a (node, kind, subject) key, for ``record``."""
+        return self._codes.setdefault((node, kind, subject), len(self._codes))
+
+    def record(self, loop, code: int, frame: Optional[int] = None) -> None:
+        """Append a record of the key ``code`` at ``loop``'s local time."""
+        self._code.append(code)
         self._t.append(loop.clock.now + loop.offset_us)
         self._frame.append(_NO_FRAME if frame is None else frame)
+
+    def emit(self, loop, kind: str, subject: str, frame: Optional[int] = None) -> None:
+        self.record(loop, self.key(loop.name, kind, subject), frame)
 
     def _indices(self, kind: str, subject: Optional[str]):
         """Indexes of the records of `kind`, and of `subject` unless it is None."""

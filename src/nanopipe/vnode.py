@@ -10,11 +10,16 @@ instants it gives through ``call_at`` timer callbacks rather than as a task.
 ``Link.send`` returns the time the last byte leaves the sender, for a sender
 that waits for it, while delivery fires at the receiver ``base_latency +
 serialization + injected_delay`` after the transfer started, which is what
-lets consecutive hops overlap.
+lets consecutive hops overlap. Arrivals never fall behind send order, so each
+delivery timer is one pre-bound call that takes the head of the link's
+``in_flight`` FIFO; a message due at the send instant skips it and is
+delivered inline. A link looks up the trace key codes of its two records once.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .coro import EventLoop, VirtualClock, call_at
@@ -50,8 +55,6 @@ class LinkConfig:
     jitter_us: int = 0              # +/- uniform noise on serialization, opt-in
 
     def serialization_us(self, nbytes: int) -> int:
-        if nbytes == 0:
-            return 0
         return -(-nbytes * 8 * 1_000_000 // self.bandwidth_bps)
 
 
@@ -60,13 +63,15 @@ class Received:
     payload: object
     nbytes: int
     meta: object
+    frame: Optional[int]
 
 
 class Link:
     """Directed point-to-point link between two node loops.
 
     A FIFO server: messages serialize one at a time in send order, so each
-    one's timing follows from the sender's ``free_at`` when it is sent.
+    one's timing follows from the sender's ``free_at`` when it is sent, and no
+    message arrives before the one sent ahead of it.
     """
 
     def __init__(self, cfg: LinkConfig, src: EventLoop, dst: EventLoop,
@@ -77,49 +82,67 @@ class Link:
         self.trace = trace
         self.rng = rng
         self.rx = Channel(dst, f"{cfg.name}-rx")
+        self.in_flight: deque = deque()
         self.bytes_sent = 0
         self.bytes_delivered = 0
         self.messages_sent = 0
         self.messages_delivered = 0
         self.free_at = src.clock.now    # global time the last queued byte leaves
+        self.last_arrival = src.clock.now   # global time the last message arrives
+        self._tx = trace.key(src.name, Kind.LINK_TX_START, cfg.name)
+        self._rx = trace.key(dst.name, Kind.LINK_RX_END, cfg.name)
 
     def send(self, payload, nbytes: int, meta=None, frame: Optional[int] = None) -> int:
         """Queue a message; it arrives as a ``Received`` on ``rx``.
 
         Returns the sender-local time at which its last byte leaves the
         sender. The sent counters count a message when it is queued, the
-        delivered counters when it arrives.
+        delivered counters when it arrives. A message that would arrive
+        before the one sent ahead of it, which only a delay lowered while
+        the link is busy can cause, raises ``UsageError``.
         """
         if nbytes < 0:
             raise UsageError("negative message size")
         cfg = self.cfg
-        src, dst = self.src, self.dst
+        src = self.src
         ser = cfg.serialization_us(nbytes)
         if cfg.jitter_us and self.rng is not None:
             ser = max(1, ser + self.rng.randint(-cfg.jitter_us, cfg.jitter_us))
         now = src.clock.now
         start = self.free_at if self.free_at > now else now
+        arrival = start + cfg.base_latency_us + cfg.injected_delay_us + ser
+        if arrival < self.last_arrival:
+            raise UsageError(f"link {cfg.name!r}: a message sent now would arrive at "
+                             f"{arrival} us, before the one ahead of it at {self.last_arrival} us")
+        self.last_arrival = arrival
         self.free_at = start + ser
         self.bytes_sent += nbytes
         self.messages_sent += 1
         if start == now:        # idle link: what call_at would run inline
-            self.trace.emit(src, Kind.LINK_TX_START, cfg.name, frame)
+            self.trace.record(src, self._tx, frame)
         else:
-            call_at(src, start + src.offset_us,
-                    lambda: self.trace.emit(src, Kind.LINK_TX_START, cfg.name, frame))
-        received = Received(payload, nbytes, meta)
-        arrival = start + cfg.base_latency_us + cfg.injected_delay_us + ser
-        # a delivery due now runs inline, inside the sender's step, so only one
-        # fired off the timer heap may be handled in place (Channel.arrive)
-        put = self.rx.put if arrival <= now else self.rx.arrive
-        call_at(dst, arrival + dst.offset_us, lambda: self._deliver(received, frame, put))
+            call_at(src, start + src.offset_us, partial(self.trace.record, src, self._tx, frame))
+        received = Received(payload, nbytes, meta, frame)
+        if arrival <= now:
+            # due now: delivered inline, with no timer, so not through in_flight;
+            # put queues the handler's drain after the sender's step
+            self.trace.record(self.dst, self._rx, frame)
+            self.bytes_delivered += nbytes
+            self.messages_delivered += 1
+            self.rx.put(received)
+        else:
+            self.in_flight.append(received)
+            call_at(self.dst, arrival + self.dst.offset_us, self._arrive)
         return self.free_at + src.offset_us
 
-    def _deliver(self, received: Received, frame: Optional[int], put) -> None:
-        self.trace.emit(self.dst, Kind.LINK_RX_END, self.cfg.name, frame)
+    def _arrive(self) -> None:
+        # timers of one link fire in send order: arrivals never decrease, and
+        # equal ones fire in push order
+        received = self.in_flight.popleft()
+        self.trace.record(self.dst, self._rx, received.frame)
         self.bytes_delivered += received.nbytes
         self.messages_delivered += 1
-        put(received)
+        self.rx.arrive(received)
 
 
 # --- node graph ----------------------------------------------------------------

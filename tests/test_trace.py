@@ -6,9 +6,10 @@ import tracemalloc
 
 import pytest
 
-from nanopipe.coro import EventLoop, VirtualClock
+from nanopipe.coro import EventLoop, VirtualClock, loop_run
 from nanopipe.scenarios import load_scenario, run_scenario
 from nanopipe.trace import CSV_HEADER, Kind, TraceEvent, TraceLog
+from nanopipe.vnode import Link, LinkConfig
 
 
 def _two_loop_trace():
@@ -73,6 +74,43 @@ def test_assigning_events_replaces_the_records():
     trace.events = new
     assert list(trace.events) == new
     assert trace.to_csv() == CSV_HEADER + "\n7,host,StageEnd,sink,\n9,esp32,QueueFull,wifi,3\n"
+
+
+def test_a_link_records_its_keys_after_the_trace_is_cleared():
+    # a link looks up its key codes once; clearing the records keeps the table
+    clock = VirtualClock()
+    gap8, esp32 = EventLoop(clock, name="gap8"), EventLoop(clock, name="esp32")
+    trace = TraceLog()
+    link = Link(LinkConfig("spi_up", bandwidth_bps=8_000_000), gap8, esp32, trace)
+    trace.emit(esp32, Kind.DROP, "router-error")
+    trace.events.clear()
+    link.send(b"", 1000, frame=4)
+    loop_run(gap8)
+    assert trace.to_csv() == (CSV_HEADER + "\n0,gap8,LinkTxStart,spi_up,4\n"
+                              "1000,esp32,LinkRxEnd,spi_up,4\n")
+    trace.events = [TraceEvent(5, "host", Kind.STAGE_END, "sink", None)]
+    link.send(b"", 0)
+    assert trace.to_csv() == (CSV_HEADER + "\n5,host,StageEnd,sink,\n"
+                              "1000,gap8,LinkTxStart,spi_up,\n1000,esp32,LinkRxEnd,spi_up,\n")
+
+
+@pytest.mark.parametrize("name", ["remote-sweep", "streaming-72hz"])
+def test_only_rare_records_look_up_their_key(name, monkeypatch):
+    # every record of a link, a stage or the sink appends a key code looked up
+    # once; only Drop and QueueFull records go through emit's key lookup
+    calls = []
+    emit = TraceLog.emit
+
+    def counted(*args):
+        calls.append(args)
+        emit(*args)
+    monkeypatch.setattr(TraceLog, "emit", counted)
+    trace, _ = run_scenario(dataclasses.replace(load_scenario(name), frames=300))
+    rare = trace.count(Kind.DROP) + trace.count(Kind.QUEUE_FULL)
+    assert len(calls) == rare
+    if name == "streaming-72hz":
+        assert rare > 0
+    assert len(trace.events) > 300 * 5
 
 
 @pytest.mark.parametrize("row,line", [

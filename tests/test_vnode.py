@@ -1,11 +1,12 @@
 """Camera capture steps and link device models."""
 
 import dataclasses
+import random
 
 import pytest
 
 from nanopipe.coro import END, EventLoop, VirtualClock, guard, loop_run, spawn_task
-from nanopipe.errors import ConfigError
+from nanopipe.errors import ConfigError, UsageError
 from nanopipe.pipeline import (BufferState, Channel, grab, next_frame, pool_create, publish,
                                retire, stage, take)
 from nanopipe.scenarios import load_scenario
@@ -286,6 +287,51 @@ def test_in_order_delivery_and_byte_conservation():
     assert got == list(enumerate(sizes))
     assert link.bytes_sent == link.bytes_delivered == sum(sizes)
     assert link.messages_sent == link.messages_delivered == len(sizes)
+
+
+@pytest.mark.parametrize("reader", ["task", "handler"])
+def test_jittered_mixed_sizes_deliver_in_send_order(reader):
+    # seeded jitter reshuffles each message's serialization, yet the link
+    # stays a FIFO server: every arrival time follows from the one before
+    cfg = LinkConfig("l", bandwidth_bps=1_000_000, base_latency_us=50, jitter_us=40)
+    sizes = [300, 0, 12, 0, 0, 999, 1, 64, 0, 250]
+    link, src, dst = two_node_link(cfg, off_dst=7)
+    link.rng = random.Random(5)
+    got = []
+    if reader == "task":
+        @guard
+        def read(t):
+            msg = link.rx.try_get()
+            if msg is None:
+                return link.rx.ready_event
+            got.append((msg.meta, msg.nbytes, dst.now))
+        spawn_task(dst, "reader", [read])
+    else:
+        link.rx.consume(lambda msg: got.append((msg.meta, msg.nbytes, dst.now)))
+    for i, n in enumerate(sizes):
+        link.send(b"", n, meta=i, frame=i)
+    loop_run(src)
+
+    rng, free_at, expected = random.Random(5), 0, []
+    for n in sizes:
+        ser = max(1, cfg.serialization_us(n) + rng.randint(-cfg.jitter_us, cfg.jitter_us))
+        free_at += ser
+        expected.append(free_at + cfg.base_latency_us + 7)     # receiver-local time
+    assert link.trace.frames_of(Kind.LINK_RX_END, "l") == list(enumerate(expected))
+    assert got == [(i, n, t) for i, (n, t) in enumerate(zip(sizes, expected))]
+    assert not link.in_flight
+
+
+def test_lowering_the_delay_mid_flight_raises():
+    link, src, dst = two_node_link(
+        LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=100, injected_delay_us=5000))
+    link.send(b"", 1000, meta=0)            # arrives at 1000 + 100 + 5000 us
+    link.cfg.injected_delay_us = 0          # the next would arrive at 2100 us
+    with pytest.raises(UsageError, match="before the one ahead of it"):
+        link.send(b"", 1000, meta=1)
+    assert link.messages_sent == 1 and link.free_at == 1000
+    loop_run(src)
+    assert [msg.meta for msg in link.rx.items] == [0]
 
 
 def test_clock_offsets_stay_fixed_and_stamp_apart():
