@@ -383,7 +383,7 @@ def _behind_ready(t):
 
 
 def _send_result(t):
-    t.link.send(b"", t.nbytes, meta=t.frame, frame=t.frame)
+    t.link.send(b"", t.nbytes, frame=t.frame)
 
 
 def _result_out(t):
@@ -534,7 +534,7 @@ def _run_remote(spec: Scenario, graph, links):
         # result packets continue over uart to the stm32; probe replies stay local
         pkt = msg.payload
         if pkt.destination == NODE_IDS["stm32"]:
-            uart.send(b"", spec.result_bytes, meta=pkt.meta, frame=pkt.meta)
+            uart.send(b"", spec.result_bytes, frame=pkt.meta)
         else:
             pong_ch.put((pkt.meta, pkt))
 
