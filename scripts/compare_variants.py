@@ -31,7 +31,7 @@ import subprocess
 import sys
 import tempfile
 
-NODES = ("stm32", "nrf51", "gap8", "esp32", "host")
+NODES = ("stm32", "gap8", "esp32", "host")
 
 
 def _duration(rng: random.Random, current: int) -> int:

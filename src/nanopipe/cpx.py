@@ -199,8 +199,7 @@ class RouterQueue:
 
     def _send(self) -> None:
         pkt = self.sending
-        last_byte_out = self.link.send(pkt, pkt.wire_bytes,
-                                       frame=pkt.meta if isinstance(pkt.meta, int) else None)
+        last_byte_out = self.link.send(pkt, pkt.wire_bytes, frame=pkt.meta)
         call_at(self.loop, last_byte_out, self.serve)
 
 
@@ -279,7 +278,7 @@ def _send_probe(t):
     if len(t.samples) == t.frames:
         return END
     t.t1 = t.loop.now
-    t.up.send(b"probe", _PROBE_BYTES, meta="probe")
+    t.up.send(b"probe", _PROBE_BYTES)
 
 
 @guard
@@ -287,41 +286,33 @@ def _read_reply(t):
     msg = t.down.rx.try_get()
     if msg is None:
         return t.down.rx.ready_event
-    t2, t3 = msg.meta
+    t2 = t3 = msg.payload
     t.samples.append(((t2 - t.t1) + (t3 - t.loop.now)) / 2)
 
 
 @guard
 def _echo(t):
+    # the echo sends the instant it took the probe in, t2, which is also t3
     msg = t.up.rx.try_get()
     if msg is None:
         return END if t.count == t.frames else t.up.rx.ready_event
-    t2 = t3 = t.loop.now
-    t.down.send(b"reply", _PROBE_BYTES, meta=(t2, t3))
+    t.down.send(t.loop.now, _PROBE_BYTES)
     t.count += 1
 
 
-def estimate_clock_offset(graph: NodeGraph, node_a: str, node_b: str,
-                          rounds: int = 1) -> float:
-    """Two-way timestamp exchange between adjacent nodes.
+def estimate_clock_offset(up: Link, down: Link, rounds: int = 1) -> float:
+    """Two-way timestamp exchange between adjacent nodes, out over ``up`` and
+    back over ``down``, the link the other way.
 
-    Returns the estimated clock offset of ``node_b`` relative to ``node_a``
-    in microseconds. With symmetric link latency the estimate is exact; an
-    asymmetry of d microseconds biases it by d/2.
+    Returns the estimated clock offset of ``up``'s receiving node relative
+    to its sending node in microseconds. With symmetric link latency the
+    estimate is exact; an asymmetry of d microseconds biases it by d/2.
     """
     if rounds < 1:
         raise ConfigError("offset estimation needs at least one round")
-    up = down = None
-    for link in graph.links.values():
-        if link.src.name == node_a and link.dst.name == node_b:
-            up = link
-        elif link.src.name == node_b and link.dst.name == node_a:
-            down = link
-    if up is None or down is None:
-        raise ConfigError(f"no bidirectional route between {node_a} and {node_b}")
-    probe = spawn_task(up.src, f"offset-probe-{node_a}", [_send_probe, _read_reply],
+    probe = spawn_task(up.src, f"offset-probe-{up.src.name}", [_send_probe, _read_reply],
                        up=up, down=down, frames=rounds, samples=[], t1=0)
-    spawn_task(up.dst, f"offset-echo-{node_b}", [_echo], up=up, down=down, frames=rounds,
+    spawn_task(up.dst, f"offset-echo-{up.dst.name}", [_echo], up=up, down=down, frames=rounds,
                count=0)
     loop_run(up.src)
     return sum(probe.samples) / len(probe.samples)

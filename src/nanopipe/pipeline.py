@@ -240,28 +240,19 @@ def retire(t):
     t.frame += 1
 
 
-def stage(name: str, duration_us: int) -> list:
-    """The two steps of one stage: record its start and sleep ``duration_us``,
-    then record its end. The key codes of both records are looked up once
-    per trace and loop, not per record."""
-    keys = [None, None, 0, 0]       # trace, loop, start code, end code
-
-    def rekey(trace, loop):
-        keys[:] = (trace, loop, trace.key(loop.name, Kind.STAGE_START, name),
-                   trace.key(loop.name, Kind.STAGE_END, name))
+def stage(trace: TraceLog, loop: EventLoop, name: str, duration_us: int) -> list:
+    """The two steps of one stage of a task on ``loop``: record its start in
+    ``trace`` and sleep ``duration_us``, then record its end. The key codes
+    of both records are looked up here, when the stage is built."""
+    start_code = trace.key(loop.name, Kind.STAGE_START, name)
+    end_code = trace.key(loop.name, Kind.STAGE_END, name)
 
     def start(t):
-        trace, loop = t.trace, t.loop
-        if keys[0] is not trace or keys[1] is not loop:
-            rekey(trace, loop)
-        trace.record(loop, keys[2], t.frame)
+        trace.record(loop, start_code, t.frame)
         return loop.now + duration_us
 
     def end(t):
-        trace, loop = t.trace, t.loop
-        if keys[0] is not trace or keys[1] is not loop:
-            rekey(trace, loop)
-        trace.record(loop, keys[3], t.frame)
+        trace.record(loop, end_code, t.frame)
     return [start, end]
 
 
@@ -332,8 +323,8 @@ def pipeline_run(stages: list, mode: str, pool: BufferPool, frames: int) -> Trac
     trace = loop._trace
     if trace is None:
         trace = loop._trace = TraceLog()
-    steps = [stage(name, duration_us) for name, duration_us in stages]
+    steps = [stage(trace, loop, name, duration_us) for name, duration_us in stages]
     spawn_chain(loop, mode, [acquire, *steps[0]], steps[1:],
-                labels=[name for name, _ in stages], trace=trace, pool=pool, frames=frames)
+                labels=[name for name, _ in stages], pool=pool, frames=frames)
     loop_run(loop)
     return trace

@@ -305,8 +305,7 @@ def _p95(values):
     return ordered[rank - 1]
 
 
-def compute_metrics(trace: TraceLog, *, sink_stage: str = "sink",
-                    capture_stage: str = "capture", offset_us: float = 0.0,
+def compute_metrics(trace: TraceLog, *, offset_us: float = 0.0,
                     inference_hz: Optional[float] = None, steady_start_frame: int = 10,
                     offsets_estimated_us: Optional[dict] = None) -> Metrics:
     """Steady-state throughput and latency from sink receipts in the trace.
@@ -314,7 +313,7 @@ def compute_metrics(trace: TraceLog, *, sink_stage: str = "sink",
     ``offset_us`` is the estimated clock offset of the sink's node relative to
     the capture node and is subtracted from every per-frame latency.
     """
-    receipts = sorted(trace.frames_of(Kind.STAGE_END, sink_stage))
+    receipts = sorted(trace.frames_of(Kind.STAGE_END, "sink"))
     steady = [(f, t) for f, t in receipts if f >= steady_start_frame]
     if len(steady) < 10:
         raise MetricsError(
@@ -325,7 +324,7 @@ def compute_metrics(trace: TraceLog, *, sink_stage: str = "sink",
         raise MetricsError("empty steady-state window")
     closed_loop_hz = (len(steady) - 1) / ((t_last - t_first) / 1e6)
 
-    starts = dict(trace.frames_of(Kind.STAGE_START, capture_stage))
+    starts = dict(trace.frames_of(Kind.STAGE_START, "capture"))
     lat = [t - starts[f] - offset_us for f, t in steady if f in starts]
     e2e_mean = e2e_p95 = None
     if lat:
@@ -352,7 +351,7 @@ def compute_metrics(trace: TraceLog, *, sink_stage: str = "sink",
         e2e_ms_mean=e2e_mean,
         e2e_ms_p95=e2e_p95,
         rtt_ms_mean=rtt_ms,
-        frames_dropped=trace.count(Kind.DROP, capture_stage),
+        frames_dropped=trace.count(Kind.DROP, "capture"),
         steady_receipts=len(steady),
         steady_start_frame=steady_start_frame,
         offset_us_applied=offset_us,
@@ -442,15 +441,16 @@ def _build_graph(spec: Scenario):
     return graph, links
 
 
-# The nodes each kind's offset exchange visits, from the capture node to the
-# sink's node; the last one's estimate corrects the end-to-end latencies.
-_OFFSET_PATH = {"onboard": ("gap8", "stm32"), "remote": ("gap8", "stm32"),
-                "stream": ("gap8", "esp32", "host")}
+# Each kind's offset exchange as (out, back) link pairs, one per hop from the
+# capture node to the sink's node; the sum over the hops corrects the latencies.
+_OFFSET_HOPS = {"onboard": (("uart_down", "uart_up"),), "remote": (("uart_down", "uart_up"),),
+                "stream": (("spi_up", "spi_down"), ("wifi_up", "wifi_down"))}
 
 
-def _estimate_offsets(graph, links, spec):
-    """Two-way exchanges hop by hop along the kind's offset path, run before
+def _estimate_offsets(links, spec):
+    """Two-way exchanges over the kind's offset hops, one by one, run before
     any scenario traffic; each node's estimate adds up the hops before it.
+    Returns the estimates by node and the sink node's.
 
     Clocks are synchronized at setup time: added-latency injection arms only
     after this phase, the way an experiment's delay device sits on the data
@@ -459,14 +459,13 @@ def _estimate_offsets(graph, links, spec):
     injected = {key: link.cfg.injected_delay_us for key, link in links.items()}
     for link in links.values():
         link.cfg.injected_delay_us = 0
-    path = _OFFSET_PATH[spec.kind]
     est, total = {}, 0
-    for a, b in zip(path, path[1:]):
-        total += estimate_clock_offset(graph, a, b, rounds=3)
-        est[b] = total
+    for out, back in _OFFSET_HOPS[spec.kind]:
+        total += estimate_clock_offset(links[out], links[back], rounds=3)
+        est[links[out].dst.name] = total
     for key, link in links.items():
         link.cfg.injected_delay_us = injected[key]
-    return est
+    return est, total
 
 
 def _spawn_gap8(spec, loop, label, work, close, source=None, **fields):
@@ -484,7 +483,8 @@ def _spawn_gap8(spec, loop, label, work, close, source=None, **fields):
     """
     if source is None:
         signal = [_behind_ready] if spec.camera_mode == TRIGGER and spec.capture_us else []
-        source = [next_frame, grab, *stage("capture", spec.capture_us), *signal]
+        source = [next_frame, grab, *stage(fields["trace"], loop, "capture", spec.capture_us),
+                  *signal]
         fields.update(period=spec.frame_period_us, t0=loop.now)
     spawn_chain(loop, spec.mode, source, [work], close, labels=("camera", label),
                 pool=pool_create(loop, spec.pool_size, spec.frame_bytes),
@@ -500,8 +500,8 @@ def _run_onboard(spec: Scenario, graph, links):
     # buffer is freed before the wait for the result's last byte, which is the
     # same too, as the loop's one task is the pool's only user.
     _spawn_gap8(spec, gap8, "inference",
-                [*stage("inference", spec.inference_us), _send_result], [_result_out],
-                link=uart, trace=graph.trace, nbytes=spec.result_bytes)
+                [*stage(graph.trace, gap8, "inference", spec.inference_us), _send_result],
+                [_result_out], link=uart, trace=graph.trace, nbytes=spec.result_bytes)
     loop_run(gap8)
 
 
@@ -542,9 +542,9 @@ def _run_remote(spec: Scenario, graph, links):
     host_fields = dict(queue=spi_q, link=links["wifi_down"], trace=graph.trace,
                        frame=None, buf=None)
     spawn_task(host, "host-compute",
-               [take, *stage("inference", spec.host_compute_us), reserve, _send_reply],
-               inbox=job_ch, reply=("stm32", FUNCTION_APP_STREAM, bytes(spec.result_bytes)),
-               **host_fields)
+               [take, *stage(graph.trace, host, "inference", spec.host_compute_us), reserve,
+                _send_reply], inbox=job_ch,
+               reply=("stm32", FUNCTION_APP_STREAM, bytes(spec.result_bytes)), **host_fields)
     spawn_task(host, "host-echo", [take, reserve, _send_reply], inbox=ping_ch,
                reply=("gap8", FUNCTION_PING, b""), **host_fields)
     links["spi_down"].rx.consume(gap8_relay)
@@ -571,7 +571,8 @@ def _run_stream(spec: Scenario, graph, links):
     links["wifi_up"].rx.consume(_sink(graph.trace, graph.loop("host")))
     # free-running frame source: fill each buffer for the capture time
     _spawn_gap8(spec, gap8, "image-tx", [reserve, _send_image], (),
-                [acquire, *stage("capture", spec.capture_us)], queue=router.queues["wifi"],
+                [acquire, *stage(graph.trace, gap8, "capture", spec.capture_us)],
+                queue=router.queues["wifi"],
                 link=links["spi_up"], trace=graph.trace, nbytes=spec.frame_bytes)
     loop_run(gap8)
 
@@ -582,10 +583,10 @@ _RUNNERS = {"onboard": _run_onboard, "remote": _run_remote, "stream": _run_strea
 def run_scenario(spec: Scenario):
     """Run a scenario to completion; returns (trace, metrics), deterministic per seed."""
     graph, links = _build_graph(spec)
-    offsets = _estimate_offsets(graph, links, spec)
+    offsets, sink_offset = _estimate_offsets(links, spec)
     _RUNNERS[spec.kind](spec, graph, links)
     metrics = compute_metrics(
-        graph.trace, offset_us=offsets[_OFFSET_PATH[spec.kind][-1]],
+        graph.trace, offset_us=sink_offset,
         inference_hz=spec.inference_hz, steady_start_frame=spec.steady_start_frame,
         offsets_estimated_us=offsets)
     return graph.trace, metrics

@@ -1,4 +1,4 @@
-"""Virtual devices and links: camera timing, point-to-point links, the node graph.
+"""Virtual devices and links: camera timing, point-to-point links, the four-node graph.
 
 A capture is the ``"capture"`` stage of the task that produces frames, which
 takes a Free buffer or drops the frame (``pipeline.grab``). A trigger camera
@@ -60,9 +60,9 @@ class LinkConfig:
 
 @dataclass(slots=True)
 class Received:
+    """A message as it arrives on ``Link.rx``; ``frame`` is what its records name."""
     payload: object
     nbytes: int
-    meta: object
     frame: Optional[int]
 
 
@@ -92,8 +92,9 @@ class Link:
         self._tx = trace.key(src.name, Kind.LINK_TX_START, cfg.name)
         self._rx = trace.key(dst.name, Kind.LINK_RX_END, cfg.name)
 
-    def send(self, payload, nbytes: int, meta=None, frame: Optional[int] = None) -> int:
-        """Queue a message; it arrives as a ``Received`` on ``rx``.
+    def send(self, payload, nbytes: int, frame: Optional[int] = None) -> int:
+        """Queue ``payload`` as a message of ``nbytes`` bytes whose link records
+        name ``frame``; it arrives as a ``Received`` on ``rx``.
 
         Returns the sender-local time at which its last byte leaves the
         sender. The sent counters count a message when it is queued, the
@@ -122,7 +123,7 @@ class Link:
             self.trace.record(src, self._tx, frame)
         else:
             call_at(src, start + src.offset_us, partial(self.trace.record, src, self._tx, frame))
-        received = Received(payload, nbytes, meta, frame)
+        received = Received(payload, nbytes, frame)
         if arrival <= now:
             # due now: delivered inline, with no timer, so not through in_flight;
             # put queues the handler's drain after the sender's step
@@ -147,22 +148,19 @@ class Link:
 
 # --- node graph ----------------------------------------------------------------
 
-NODE_NAMES = ("stm32", "nrf51", "gap8", "esp32", "host")
+NODE_NAMES = ("stm32", "gap8", "esp32", "host")
 
-# Directed physical edges of the platform; the camera hangs off the gap8 and
+# Directed physical edges between the nodes; the camera hangs off the gap8 and
 # its parallel interface is folded into the capture readout time.
 TOPOLOGY = frozenset({
-    ("stm32", "nrf51", "uart"), ("nrf51", "stm32", "uart"),
     ("stm32", "gap8", "uart"), ("gap8", "stm32", "uart"),
     ("gap8", "esp32", "spi"), ("esp32", "gap8", "spi"),
-    ("camera", "gap8", "cpi"),
-    ("nrf51", "host", "radio"), ("host", "nrf51", "radio"),
     ("esp32", "host", "wifi"), ("host", "esp32", "wifi"),
 })
 
 
 class NodeGraph:
-    """The five platform nodes, each with its own loop and fixed clock offset.
+    """The four platform nodes, each with its own loop and fixed clock offset.
     Only domain records reach ``trace``: the loops get no trace of their own."""
 
     def __init__(self, clock=None, trace: Optional[TraceLog] = None,

@@ -110,6 +110,7 @@ def test_malformed_link_field_is_config_error(tmp_path, capsys, field, value):
     (("router", "queue_depth"), 4),                     # typo of queue_capacity
     (("router", "copy_ns_per_byte"), -1.0),
     (("offsets_us", "tpu"), 5),                         # not a node
+    (("offsets_us", "nrf51"), 5),                       # no scenario links it
 ], ids=lambda v: str(v))
 def test_malformed_scenario_field_is_config_error(tmp_path, capsys, where, value):
     doc = {"name": "bad", "kind": "onboard", "frames": 60, "rate_hz": 20.0,

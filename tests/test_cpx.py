@@ -293,34 +293,28 @@ def test_router_mode_validated():
 # --- clock offset estimation ---
 
 def offset_rig(offset_b, up_base, down_base):
+    """The two spi links between gap8 and an esp32 ``offset_b`` us ahead."""
     graph = NodeGraph(offsets={"esp32": offset_b})
-    graph.add_link("up", "gap8", "esp32", "spi",
-                   LinkConfig("spi", 8_000_000, up_base))
-    graph.add_link("down", "esp32", "gap8", "spi",
-                   LinkConfig("spi", 8_000_000, down_base))
-    return graph
+    up = graph.add_link("up", "gap8", "esp32", "spi", LinkConfig("spi", 8_000_000, up_base))
+    down = graph.add_link("down", "esp32", "gap8", "spi",
+                          LinkConfig("spi", 8_000_000, down_base))
+    return up, down
 
 
 def test_offset_estimate_exact_with_symmetric_latency():
-    graph = offset_rig(1000, 2000, 2000)
-    assert estimate_clock_offset(graph, "gap8", "esp32", rounds=1) == 1000.0
+    assert estimate_clock_offset(*offset_rig(1000, 2000, 2000), rounds=1) == 1000.0
 
 
 def test_offset_zero_estimates_zero():
-    graph = offset_rig(0, 1500, 1500)
-    assert estimate_clock_offset(graph, "gap8", "esp32", rounds=3) == 0.0
+    assert estimate_clock_offset(*offset_rig(0, 1500, 1500), rounds=3) == 0.0
 
 
 def test_offset_bias_is_half_the_asymmetry():
     # 2 ms up vs 4 ms down: the exchange under-reads the offset by 1 ms
-    graph = offset_rig(10_000, 2000, 4000)
-    est = estimate_clock_offset(graph, "gap8", "esp32", rounds=2)
+    est = estimate_clock_offset(*offset_rig(10_000, 2000, 4000), rounds=2)
     assert est == 10_000 - 1000
 
 
-def test_offset_requires_route_and_rounds():
-    graph = NodeGraph()
+def test_offset_requires_rounds():
     with pytest.raises(ConfigError):
-        estimate_clock_offset(graph, "gap8", "esp32", rounds=1)
-    with pytest.raises(ConfigError):
-        estimate_clock_offset(offset_rig(0, 1, 1), "gap8", "esp32", rounds=0)
+        estimate_clock_offset(*offset_rig(0, 1, 1), rounds=0)

@@ -243,7 +243,8 @@ def _chain_log(mode, works):
         note("close")(t)
         return loop.now + 100
 
-    spawn_chain(loop, mode, [acquire, *stage("fill", 10)], [[note(w)] for w in works],
+    fill = stage(loop._trace, loop, "fill", 10)
+    spawn_chain(loop, mode, [acquire, *fill], [[note(w)] for w in works],
                 [close], labels=("fill", *works), trace=loop._trace, pool=pool, frames=2)
     loop_run(loop)
     return log, loop._trace

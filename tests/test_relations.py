@@ -21,7 +21,7 @@ from nanopipe.errors import ConfigError, MetricsError
 from nanopipe.scenarios import run_scenario, scenario_from_dict
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
-from compare_variants import variant  # noqa: E402
+from compare_variants import NODES, variant  # noqa: E402
 
 FIXTURES = [json.loads(p.read_text()) for p in
             sorted((pathlib.Path(scenarios.__file__).parent / "fixtures").glob("*.json"))]
@@ -34,6 +34,12 @@ def jitter_free_variants(seed, count):
         for link in doc["links"].values():
             link["jitter_us"] = 0
         yield doc
+
+
+def test_variants_draw_offsets_for_the_schema_nodes():
+    # an offset for a node the schema lacks makes a draw illegal, and its
+    # relations go unchecked
+    assert NODES == scenarios.NODE_NAMES
 
 
 def metrics(doc, **changes):

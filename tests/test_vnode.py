@@ -24,8 +24,9 @@ def fresh_loop(name="n0", offset=0, clock=None):
 def spawn_camera(loop, pool, capture_us, frames, period=0, outs=()):
     """A paced frame source built as a scenario's pipelined producer is: wait
     for the frame's start, take a buffer or drop the frame, capture, publish."""
-    spawn_task(loop, "camera", [next_frame, grab, *stage("capture", capture_us), publish],
-               pool=pool, outs=list(outs), frames=frames, period=period, t0=loop.now,
+    capture = stage(loop._trace, loop, "capture", capture_us)
+    spawn_task(loop, "camera", [next_frame, grab, *capture, publish], pool=pool,
+               outs=list(outs), frames=frames, period=period, t0=loop.now,
                trace=loop._trace, frame=0, buf=None)
 
 
@@ -182,7 +183,7 @@ def test_injected_delay_shifts_every_delivery_exactly():
     for cfg in (base, delayed):
         link, src, dst = two_node_link(cfg)
         for i in range(3):
-            link.send(b"", 5000, None, frame=i)
+            link.send(b"", 5000, frame=i)
         loop_run(src)
         times.append(link.trace.times(Kind.LINK_RX_END, "l"))
     assert [b - a for a, b in zip(times[0], times[1])] == [500_000] * 3
@@ -218,13 +219,13 @@ def test_arrival_handled_where_a_reader_task_would(reader, timer_first):
             msg = link.rx.try_get()
             if msg is None:
                 return link.rx.ready_event
-            log.append(msg.meta)
+            log.append(msg.payload)
         spawn_task(dst, "reader", [read])
     else:
-        link.rx.consume(lambda msg: log.append(msg.meta))
+        link.rx.consume(lambda msg: log.append(msg.payload))
     if timer_first:
         tick = timer_event(dst, 100)
-    link.send(b"", 0, meta="a")
+    link.send("a", 0)
     if not timer_first:
         tick = timer_event(dst, 100)
     spawn_task(dst, "tick", [lambda t: tick, lambda t: log.append("tick") or END])
@@ -237,9 +238,9 @@ def test_same_instant_arrivals_handled_in_send_order():
     # zero-byte messages take no time on the wire, so both arrive at 100 us
     link, src, dst = two_node_link(LinkConfig("l", bandwidth_bps=1_000_000, base_latency_us=100))
     log = []
-    link.rx.consume(lambda msg: log.append((msg.meta, dst.now)))
-    link.send(b"", 0, meta=0)
-    link.send(b"", 0, meta=1)
+    link.rx.consume(lambda msg: log.append((msg.payload, dst.now)))
+    link.send(0, 0)
+    link.send(1, 0)
     loop_run(src)
     assert log == [(0, 100), (1, 100)]
 
@@ -250,10 +251,10 @@ def test_inline_arrival_is_handled_after_the_sending_step():
     loop = fresh_loop()
     link = Link(LinkConfig("l", bandwidth_bps=1_000_000), loop, loop, loop._trace)
     log = []
-    link.rx.consume(lambda msg: log.append(("handled", msg.meta)))
+    link.rx.consume(lambda msg: log.append(("handled", msg.payload)))
 
     def send(t):
-        link.send(b"", 0, meta="m")
+        link.send("m", 0)
         log.append(("sent", loop.now))
         return END
 
@@ -276,14 +277,14 @@ def test_in_order_delivery_and_byte_conservation():
         LinkConfig("l", bandwidth_bps=2_000_000, base_latency_us=300))
     sizes = [900, 10, 500, 0, 77]
     for i, n in enumerate(sizes):
-        link.send(b"", n, meta=i)
+        link.send(i, n)
     loop_run(src)
     got = []
     while True:
         msg = link.rx.try_get()
         if msg is None:
             break
-        got.append((msg.meta, msg.nbytes))
+        got.append((msg.payload, msg.nbytes))
     assert got == list(enumerate(sizes))
     assert link.bytes_sent == link.bytes_delivered == sum(sizes)
     assert link.messages_sent == link.messages_delivered == len(sizes)
@@ -304,12 +305,12 @@ def test_jittered_mixed_sizes_deliver_in_send_order(reader):
             msg = link.rx.try_get()
             if msg is None:
                 return link.rx.ready_event
-            got.append((msg.meta, msg.nbytes, dst.now))
+            got.append((msg.payload, msg.nbytes, dst.now))
         spawn_task(dst, "reader", [read])
     else:
-        link.rx.consume(lambda msg: got.append((msg.meta, msg.nbytes, dst.now)))
+        link.rx.consume(lambda msg: got.append((msg.payload, msg.nbytes, dst.now)))
     for i, n in enumerate(sizes):
-        link.send(b"", n, meta=i, frame=i)
+        link.send(i, n, frame=i)
     loop_run(src)
 
     rng, free_at, expected = random.Random(5), 0, []
@@ -325,13 +326,13 @@ def test_jittered_mixed_sizes_deliver_in_send_order(reader):
 def test_lowering_the_delay_mid_flight_raises():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=100, injected_delay_us=5000))
-    link.send(b"", 1000, meta=0)            # arrives at 1000 + 100 + 5000 us
+    link.send(0, 1000)                      # arrives at 1000 + 100 + 5000 us
     link.cfg.injected_delay_us = 0          # the next would arrive at 2100 us
     with pytest.raises(UsageError, match="before the one ahead of it"):
-        link.send(b"", 1000, meta=1)
+        link.send(1, 1000)
     assert link.messages_sent == 1 and link.free_at == 1000
     loop_run(src)
-    assert [msg.meta for msg in link.rx.items] == [0]
+    assert [msg.payload for msg in link.rx.items] == [0]
 
 
 def test_clock_offsets_stay_fixed_and_stamp_apart():
@@ -343,9 +344,9 @@ def test_clock_offsets_stay_fixed_and_stamp_apart():
         assert b.now - a.now == 1000
 
 
-def test_node_graph_builds_five_offset_loops():
+def test_node_graph_builds_four_offset_loops():
     g = NodeGraph(offsets={"gap8": 1000, "esp32": 2000, "stm32": 5000})
-    assert set(g.loops) == {"stm32", "nrf51", "gap8", "esp32", "host"}
+    assert set(g.loops) == {"stm32", "gap8", "esp32", "host"}
     assert g.loop("gap8").now - g.loop("host").now == 1000
     assert g.loop("stm32").now == 5000
 
