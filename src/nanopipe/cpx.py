@@ -292,7 +292,7 @@ def _read_reply(t):
 
 @guard
 def _echo(t):
-    # the echo sends the instant it took the probe in, t2, which is also t3
+    # the reply carries the instant the probe came in, t2; sent at once, t3 is the same
     msg = t.up.rx.try_get()
     if msg is None:
         return END if t.count == t.frames else t.up.rx.ready_event
