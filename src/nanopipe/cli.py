@@ -58,10 +58,10 @@ def _cmd_run(args) -> int:
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
 
+    out_dir = pathlib.Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)      # before the run, so a bad --out fails fast
     trace, metrics = run_scenario(spec)
 
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"
     metrics_path = out_dir / "metrics.json"
     trace.write_csv(trace_path)
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_list()
-    except NanopipeError as exc:
+    except (NanopipeError, OSError) as exc:     # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -216,7 +216,6 @@ class Router:
                  copy_ns_per_byte: float = 0.0):
         if mode not in ROUTER_MODES:
             raise ConfigError(f"unknown router mode {mode!r}")
-        self.mode = mode
         self.loop = graph.loop("esp32")
         self.trace = graph.trace
         # the single-buffer baseline cannot hold more than one packet

@@ -40,25 +40,20 @@ class BufferState(IntEnum):
 class FrameBuffer:
     """One reusable image buffer with a guarded Free/Filling/Ready/InUse cycle."""
 
-    __slots__ = ("id", "capacity", "state", "sequence", "users", "copy_count", "data")
+    __slots__ = ("id", "state", "sequence", "users", "copy_count", "data")
 
     def __init__(self, buf_id: int, capacity: int):
         self.id = buf_id
-        self.capacity = capacity
         self.state = BufferState.FREE
         self.sequence = -1
         self.users = 0
         self.copy_count = 0
         self.data = bytearray(capacity)
 
-    def fill(self, payload: Optional[bytes] = None) -> None:
+    def fill(self) -> None:
         """Producer copy into the buffer; the one copy a frame is allowed."""
         if self.state != BufferState.FILLING:
             raise UsageError(f"fill of buffer {self.id} in state {self.state.name}")
-        if payload is not None:
-            if len(payload) > self.capacity:
-                raise UsageError(f"payload {len(payload)} B exceeds capacity {self.capacity} B")
-            self.data[:len(payload)] = payload
         self.copy_count += 1
 
     def begin_fill(self) -> None:

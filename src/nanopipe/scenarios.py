@@ -30,27 +30,22 @@ from .oracle import analytic_oracle
 from .pipeline import (MODES, PIPELINED, SERIALIZED, Channel, acquire, grab, next_frame,
                        pool_create, spawn_chain, stage, take)
 from .trace import Kind, TraceLog
-from .vnode import (DEFAULT_TRIGGER_SETUP_US, NODE_NAMES, STREAMING, STREAMING_MIN_PERIOD_US,
-                    TRIGGER, LinkConfig, NodeGraph, trigger_capture_us)
+from .vnode import (DEFAULT_TRIGGER_SETUP_US, LINKS, NODE_NAMES, STREAMING,
+                    STREAMING_MIN_PERIOD_US, TRIGGER, LinkConfig, NodeGraph, trigger_capture_us)
 
 FUNCTION_PING = 6
 
-KINDS = ("onboard", "remote", "stream")
-
 PLATFORM_MEMORY_BYTES = 8 * 2**20     # the AI-deck's HyperRAM, the most memory on board
 
-_LINK_KEYS = {
-    "onboard": ("uart_down",),
-    "remote": ("spi_up", "spi_down", "wifi_up", "wifi_down", "uart_down"),
-    "stream": ("spi_up", "spi_down", "wifi_up", "wifi_down"),
-}
-
-_LINK_EDGES = {
-    "uart_down": ("gap8", "stm32", "uart"),
-    "spi_up": ("gap8", "esp32", "spi"),
-    "spi_down": ("esp32", "gap8", "spi"),
-    "wifi_up": ("esp32", "host", "wifi"),
-    "wifi_down": ("host", "esp32", "wifi"),
+# Each kind's links, in build order, and its offset exchange as (out, back)
+# link pairs, one per hop from the capture node to the sink's node; the sum
+# over the hops corrects the latencies.
+_KIND_LINKS = {
+    "onboard": (("uart_down",), (("uart_down", "uart_up"),)),
+    "remote": (("spi_up", "spi_down", "wifi_up", "wifi_down", "uart_down"),
+               (("uart_down", "uart_up"),)),
+    "stream": (("spi_up", "spi_down", "wifi_up", "wifi_down"),
+               (("spi_up", "spi_down"), ("wifi_up", "wifi_down"))),
 }
 
 
@@ -136,7 +131,7 @@ class Scenario:
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KIND_LINKS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
@@ -158,9 +153,10 @@ class Scenario:
         elif self.rate_hz is None:
             raise ConfigError(f"{self.kind} scenarios need a rate_hz pacing value")
         _require(isinstance(self.links, dict), "links must be a JSON object")
-        unused = set(self.links) - set(_LINK_KEYS[self.kind])
+        built = _KIND_LINKS[self.kind][0]
+        unused = set(self.links) - set(built)
         _require(not unused, f"{self.kind} scenarios build no links {sorted(unused)}")
-        for key in _LINK_KEYS[self.kind]:
+        for key in built:
             if key not in self.links:
                 raise ConfigError(f"scenario {self.name!r} is missing link {key!r}")
         for key, raw in self.links.items():
@@ -266,7 +262,7 @@ def list_scenarios() -> list:
 
 def load_scenario(name_or_path) -> Scenario:
     path = pathlib.Path(name_or_path)
-    if path.suffix == ".json" or path.exists():
+    if path.suffix == ".json" or path.is_file():     # a directory never shadows a name
         return scenario_from_dict(_read_scenario_file(path))
     for fixture in sorted(fixture_dir().glob("*.json")):
         raw = _read_scenario_file(fixture)
@@ -426,28 +422,22 @@ def _ponged(t):
 # both modes, and describes its gap8 side once, as a chain (``_spawn_gap8``);
 # only ``pipeline.spawn_chain`` turns that into serialized or pipelined tasks.
 
-def _build_graph(spec: Scenario):
-    rng = random.Random(spec.seed)
-    graph = NodeGraph(offsets=spec.offsets_us, rng=rng)
-    links = {}
-    for key in _LINK_KEYS[spec.kind]:
-        src, dst, kind = _LINK_EDGES[key]
-        links[key] = graph.add_link(key, src, dst, kind, spec.link_cfg(key))
-    if "uart_down" in links:
-        # mirror of the result uart, used only by the offset exchange
-        cfg = dataclasses.replace(spec.link_cfg("uart_down"), name="uart_up",
-                                  injected_delay_us=0, jitter_us=0)
-        links["uart_up"] = graph.add_link("uart_up", "stm32", "gap8", "uart", cfg)
-    return graph, links
+def _build_graph(spec: Scenario) -> NodeGraph:
+    """The kind's links; a hop's back link that the kind does not build mirrors
+    its out link, with no injected delay or jitter, for the offset exchange."""
+    graph = NodeGraph(offsets=spec.offsets_us, rng=random.Random(spec.seed))
+    built, hops = _KIND_LINKS[spec.kind]
+    for key in built:
+        graph.add_link(key, *LINKS[key], spec.link_cfg(key))
+    for out, back in hops:
+        if back not in graph.links:
+            cfg = dataclasses.replace(spec.link_cfg(out), name=back, injected_delay_us=0,
+                                      jitter_us=0)
+            graph.add_link(back, *LINKS[back], cfg)
+    return graph
 
 
-# Each kind's offset exchange as (out, back) link pairs, one per hop from the
-# capture node to the sink's node; the sum over the hops corrects the latencies.
-_OFFSET_HOPS = {"onboard": (("uart_down", "uart_up"),), "remote": (("uart_down", "uart_up"),),
-                "stream": (("spi_up", "spi_down"), ("wifi_up", "wifi_down"))}
-
-
-def _estimate_offsets(links, spec):
+def _estimate_offsets(graph, spec):
     """Two-way exchanges over the kind's offset hops, one by one, run before
     any scenario traffic; each node's estimate adds up the hops before it.
     Returns the estimates by node and the sink node's.
@@ -456,11 +446,12 @@ def _estimate_offsets(links, spec):
     after this phase, the way an experiment's delay device sits on the data
     path rather than on the calibration path.
     """
+    links = graph.links
     injected = {key: link.cfg.injected_delay_us for key, link in links.items()}
     for link in links.values():
         link.cfg.injected_delay_us = 0
     est, total = {}, 0
-    for out, back in _OFFSET_HOPS[spec.kind]:
+    for out, back in _KIND_LINKS[spec.kind][1]:
         total += estimate_clock_offset(links[out], links[back], rounds=3)
         est[links[out].dst.name] = total
     for key, link in links.items():
@@ -491,8 +482,8 @@ def _spawn_gap8(spec, loop, label, work, close, source=None, **fields):
                 frames=spec.frames, **fields)
 
 
-def _run_onboard(spec: Scenario, graph, links):
-    gap8, uart = graph.loop("gap8"), links["uart_down"]
+def _run_onboard(spec: Scenario, graph):
+    gap8, uart = graph.loop("gap8"), graph.links["uart_down"]
     uart.rx.consume(_sink(graph.trace, graph.loop("stm32")))
     # The result is sent before the buffer is freed. Pipelined, either order
     # gives the same run: the paced camera never waits on the pool (``grab``
@@ -505,7 +496,8 @@ def _run_onboard(spec: Scenario, graph, links):
     loop_run(gap8)
 
 
-def _attach_router(spec, graph, links):
+def _attach_router(spec, graph):
+    links = graph.links
     router = Router(graph, mode=spec.router_mode, queue_capacity=spec.queue_capacity,
                     copy_ns_per_byte=spec.copy_ns_per_byte)
     router.attach_interface("wifi", in_link=links["wifi_down"], out_link=links["wifi_up"],
@@ -515,9 +507,10 @@ def _attach_router(spec, graph, links):
     return router
 
 
-def _run_remote(spec: Scenario, graph, links):
+def _run_remote(spec: Scenario, graph):
     gap8, host, stm32 = graph.loop("gap8"), graph.loop("host"), graph.loop("stm32")
-    router = _attach_router(spec, graph, links)
+    links = graph.links
+    router = _attach_router(spec, graph)
 
     wifi_q, spi_q = router.queues["wifi"], router.queues["spi"]
 
@@ -565,9 +558,9 @@ def _run_remote(spec: Scenario, graph, links):
         loop_run(gap8)
 
 
-def _run_stream(spec: Scenario, graph, links):
-    gap8 = graph.loop("gap8")
-    router = _attach_router(spec, graph, links)
+def _run_stream(spec: Scenario, graph):
+    gap8, links = graph.loop("gap8"), graph.links
+    router = _attach_router(spec, graph)
     links["wifi_up"].rx.consume(_sink(graph.trace, graph.loop("host")))
     # free-running frame source: fill each buffer for the capture time
     _spawn_gap8(spec, gap8, "image-tx", [reserve, _send_image], (),
@@ -582,9 +575,9 @@ _RUNNERS = {"onboard": _run_onboard, "remote": _run_remote, "stream": _run_strea
 
 def run_scenario(spec: Scenario):
     """Run a scenario to completion; returns (trace, metrics), deterministic per seed."""
-    graph, links = _build_graph(spec)
-    offsets, sink_offset = _estimate_offsets(links, spec)
-    _RUNNERS[spec.kind](spec, graph, links)
+    graph = _build_graph(spec)
+    offsets, sink_offset = _estimate_offsets(graph, spec)
+    _RUNNERS[spec.kind](spec, graph)
     metrics = compute_metrics(
         graph.trace, offset_us=sink_offset,
         inference_hz=spec.inference_hz, steady_start_frame=spec.steady_start_frame,

@@ -6,7 +6,6 @@ holds them by column: a time, a frame and a shared (node, kind, subject) key.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 from array import array
 from typing import NamedTuple, Optional
@@ -46,13 +45,6 @@ class _Events:
 
     def __len__(self) -> int:
         return len(self._log._t)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        log, frame = self._log, self._log._frame[i]
-        key = list(log._codes)[log._code[i]]
-        return TraceEvent(log._t[i], *key, None if frame == _NO_FRAME else frame)
 
     def __iter__(self):
         # one key table for the whole pass; tuple.__new__ skips the NamedTuple's own __new__
@@ -134,18 +126,3 @@ class TraceLog:
         with open(path, "w", newline="") as fp:
             while chunk := "".join(itertools.islice(lines, 4096)):
                 fp.write(chunk)
-
-    @staticmethod
-    def from_csv(path) -> "TraceLog":
-        """Read a `trace.csv`; a malformed row raises ValueError naming its line."""
-        log = TraceLog()
-        with open(path, newline="") as fp:
-            reader = csv.reader(fp)
-            if ",".join(header := next(reader, [])) != CSV_HEADER:
-                raise ValueError(f"unexpected trace header: {header}")
-            try:
-                log.events = ((int(t_us), node, kind, subject, int(frame) if frame else None)
-                              for t_us, node, kind, subject, frame in reader)
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
-        return log

@@ -150,13 +150,14 @@ class Link:
 
 NODE_NAMES = ("stm32", "gap8", "esp32", "host")
 
-# Directed physical edges between the nodes; the camera hangs off the gap8 and
-# its parallel interface is folded into the capture readout time.
-TOPOLOGY = frozenset({
-    ("stm32", "gap8", "uart"), ("gap8", "stm32", "uart"),
-    ("gap8", "esp32", "spi"), ("esp32", "gap8", "spi"),
-    ("esp32", "host", "wifi"), ("host", "esp32", "wifi"),
-})
+# Every link a scenario builds, by key: (sender, receiver, interface). The
+# camera hangs off the gap8 and its parallel interface is folded into the
+# capture readout time.
+LINKS = {
+    "uart_down": ("gap8", "stm32", "uart"), "uart_up": ("stm32", "gap8", "uart"),
+    "spi_up": ("gap8", "esp32", "spi"), "spi_down": ("esp32", "gap8", "spi"),
+    "wifi_up": ("esp32", "host", "wifi"), "wifi_down": ("host", "esp32", "wifi"),
+}
 
 
 class NodeGraph:
@@ -177,7 +178,7 @@ class NodeGraph:
         self.links: dict = {}
 
     def add_link(self, key: str, src: str, dst: str, kind: str, cfg: LinkConfig) -> Link:
-        if (src, dst, kind) not in TOPOLOGY:
+        if (src, dst, kind) not in LINKS.values():
             raise ConfigError(f"no {kind} edge {src}->{dst} in the platform topology")
         link = Link(cfg, self.loops[src], self.loops[dst], self.trace, rng=self.rng)
         self.links[key] = link

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from nanopipe import cli
 from nanopipe.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 from nanopipe.scenarios import compute_metrics, fixture_dir
 from nanopipe.trace import CSV_HEADER, Kind, TraceEvent, TraceLog
@@ -194,6 +195,26 @@ def test_directory_as_scenario_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fixture_name_is_not_shadowed_by_a_directory_of_that_name(tmp_path, monkeypatch):
+    # a first run's --out directory takes the fixture's name in the working directory
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert run_cli("run", "--scenario", "pulp-frontnet-48",
+                       "--out", "pulp-frontnet-48") == EXIT_OK
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_unusable_out_is_config_error_before_the_run(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+
+    def no_run(spec):
+        raise AssertionError("the scenario ran before --out was checked")
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    assert run_cli("run", "--scenario", "pulp-frontnet-48", "--out", out) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_list_scenarios_names_every_fixture(capsys):
     assert run_cli("list-scenarios") == EXIT_OK
     out = capsys.readouterr().out
@@ -240,7 +261,11 @@ def test_metrics_recomputed_from_csv_match_json(tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--scenario", "remote-40hz", "--out", str(out)) == EXIT_OK
     stored = json.loads((out / "metrics.json").read_text())
-    trace = TraceLog.from_csv(out / "trace.csv")
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    assert header == CSV_HEADER
+    trace = TraceLog()
+    trace.events = [(int(t_us), node, kind, subject, int(frame) if frame else None)
+                    for t_us, node, kind, subject, frame in (row.split(",") for row in rows)]
     again = compute_metrics(
         trace,
         offset_us=stored["offset_us_applied"],

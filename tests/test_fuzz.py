@@ -13,10 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nanopipe.scenarios as scenarios
+import nanopipe.vnode as vnode
 from nanopipe.cli import EXIT_CONFIG, EXIT_OK, main
 
 FIXTURES = sorted((pathlib.Path(scenarios.__file__).parent / "fixtures").glob("*.json"))
-LINK_NAMES = ("uart_down", "uart_up", "spi_up", "spi_down", "wifi_up", "wifi_down")
+LINK_NAMES = tuple(vnode.LINKS)
 
 # small magnitudes only: a legal value must not make a run slow or large
 VALUES = st.one_of(

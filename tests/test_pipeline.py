@@ -71,7 +71,7 @@ def test_acquire_release_round_trip():
     pool = pool_create(loop, 1, 64)
     buf = pool.try_acquire()
     assert buf.state == BufferState.FILLING
-    buf.fill(b"xyz")
+    buf.fill()
     pool.mark_ready(buf, 0)
     pool.attach(buf)
     pool.release(buf)
@@ -126,14 +126,6 @@ def test_double_release_rejected():
     pool.release(buf)
     with pytest.raises(UsageError):
         pool.release(buf)
-
-
-def test_fill_oversized_payload_rejected():
-    loop = fresh_loop()
-    pool = pool_create(loop, 1, 4)
-    buf = pool.try_acquire()
-    with pytest.raises(UsageError):
-        buf.fill(b"too big for four")
 
 
 def test_random_schedules_never_violate_state_cycle():

@@ -7,11 +7,11 @@ import pytest
 
 from nanopipe.coro import EventLoop, VirtualClock
 from nanopipe.errors import ConfigError, MetricsError
-from nanopipe.scenarios import (_FIELDS, Metrics, Scenario, compute_metrics, expected_period_us,
-                                list_scenarios, load_scenario, run_scenario,
+from nanopipe.scenarios import (_FIELDS, Metrics, Scenario, _build_graph, compute_metrics,
+                                expected_period_us, list_scenarios, load_scenario, run_scenario,
                                 scenario_from_dict)
 from nanopipe.trace import Kind, TraceLog
-from nanopipe.vnode import LinkConfig
+from nanopipe.vnode import LINKS, LinkConfig
 
 
 # --- loading and validation ---
@@ -76,6 +76,30 @@ def test_schema_violations_rejected(tmp_path):
 def test_link_schema_matches_link_config():
     # every link option a file can set reaches LinkConfig, and the reverse
     assert set(_FIELDS["links"]) == {f.name for f in dataclasses.fields(LinkConfig)} - {"name"}
+
+
+@pytest.mark.parametrize("name,keys", [
+    ("pulp-frontnet-48", {"uart_down", "uart_up"}),
+    ("remote-40hz", {"spi_up", "spi_down", "wifi_up", "wifi_down", "uart_down", "uart_up"}),
+    ("streaming-72hz", {"spi_up", "spi_down", "wifi_up", "wifi_down"}),
+])
+def test_graph_builds_the_kinds_links_and_mirrors_a_missing_back_link(name, keys):
+    # every link of the file jittered and delayed; the mirrored uart_up takes
+    # neither, since the offset exchange runs before any delay is armed
+    spec = load_scenario(name)
+    links = json.loads(json.dumps(spec.links))
+    for entry in links.values():
+        entry.update(jitter_us=300, injected_delay_us=7000)
+    graph = _build_graph(dataclasses.replace(spec, links=links))
+    assert set(graph.links) == keys
+    for key, link in graph.links.items():
+        assert (link.cfg.name, link.src.name, link.dst.name) == (key, *LINKS[key][:2])
+    if "uart_up" in keys:
+        up, down = graph.links["uart_up"].cfg, graph.links["uart_down"].cfg
+        assert (up.bandwidth_bps, up.base_latency_us) == (down.bandwidth_bps,
+                                                          down.base_latency_us)
+        assert (up.jitter_us, up.injected_delay_us) == (0, 0)
+        assert (down.jitter_us, down.injected_delay_us) == (300, 7000)
 
 
 def test_unreadable_scenario_file(tmp_path):
