@@ -11,7 +11,10 @@ workload that the first checkout's ``BENCHMARK.json`` lists, and both
 on the machine reaches every checkout alike. It writes the parsed result of
 each run, each checkout's git revision (and whether its tree had uncommitted
 changes) and ``src_lines``, the line count of its ``src/nanopipe/*.py``, the
-interpreter's ``sys.version`` and ``os.cpu_count()``.
+interpreter's ``sys.version`` and ``os.cpu_count()``. For each checkout it
+also records ``calls_per_frame``: what ``scripts/calls_per_frame.py`` (this
+script's own copy) prints for the fixture of each workload, run on that
+checkout's package at the workload's frame count.
 """
 from __future__ import annotations
 
@@ -19,8 +22,11 @@ import argparse
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
+
+CALLS_SCRIPT = pathlib.Path(__file__).resolve().with_name("calls_per_frame.py")
 
 
 def revision(checkout: pathlib.Path) -> dict:
@@ -32,6 +38,18 @@ def revision(checkout: pathlib.Path) -> dict:
                     for path in (checkout / "src" / "nanopipe").glob("*.py"))
     return {"revision": rev, "dirty": None if rev is None else bool(git("status", "--porcelain")),
             "src_lines": src_lines}
+
+
+def calls_per_frame(checkout: pathlib.Path) -> dict:
+    workloads = runpy.run_path(str(checkout / "perfbench" / "workloads.py"))["WORKLOADS"]
+    calls = {}
+    for fixture, frames in sorted(set(workloads.values())):
+        proc = subprocess.run(
+            [sys.executable, str(CALLS_SCRIPT), fixture, "--frames", str(frames)],
+            cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+            capture_output=True, text=True, check=True)
+        calls[fixture] = float(proc.stdout.split()[-1])
+    return calls
 
 
 def bench(checkout: pathlib.Path, workload: str, trace: int, seed: int, seconds: int) -> dict:
@@ -63,7 +81,8 @@ def main() -> int:
 
     spec = json.loads((next(iter(checkouts.values())) / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    runs = {name: {**revision(root), "results": {w: {} for w in workloads}}
+    runs = {name: {**revision(root), "calls_per_frame": calls_per_frame(root),
+                   "results": {w: {} for w in workloads}}
             for name, root in checkouts.items()}
     for workload in workloads:
         for trace in (0, 1):

@@ -352,8 +352,8 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
     timers, readies = clock.timers, clock.readies
     _drain(clock)
     while timers and (until_time is None or timers[0][0] <= until_time):
-        now = clock.now = timers[0][0]      # no timer is ever pushed at or before now
-        _, _, loop, due = heappop(timers)
+        now, _, loop, due = heappop(timers)     # no timer is ever pushed at or before now
+        clock.now = now
         start = loop.index
         if timers and timers[0][0] <= now:
             # several due: each fills its loop's ready queue, in the heap's order

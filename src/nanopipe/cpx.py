@@ -139,10 +139,6 @@ class RouterQueue:
         self.delivered = 0
         self.max_occupancy = 0
 
-    @property
-    def occupancy(self) -> int:
-        return self.capacity - self.credits
-
     def try_reserve(self) -> bool:
         """Sender-side: claim a slot before transmitting toward this queue."""
         if self.credits == 0:
@@ -169,7 +165,7 @@ class RouterQueue:
             raise UsageError(f"queue {self.name} occupancy above capacity")
         self.items.append(pkt)
         self.enqueued += 1
-        self.max_occupancy = max(self.max_occupancy, self.occupancy)
+        self.max_occupancy = max(self.max_occupancy, self.capacity - self.credits)
         if self.idle:
             self.idle = False
             self.loop.ready.append(self.serve)
@@ -184,11 +180,10 @@ class RouterQueue:
             self.sending = None
             self.delivered += 1
             self.release_slot()
-        pkt = self.try_dequeue()
-        if pkt is None:
+        if not self.items:
             self.idle = True
             return
-        self.sending = pkt
+        pkt = self.sending = self.items.popleft()
         if self.copy_ns_per_byte is None:
             self._send()
             return

@@ -114,7 +114,8 @@ class BufferPool:
         if buf.users == 0:
             buf.state = BufferState.FREE
             self._free.append(buf)
-            pulse(self.loop, self.free_event)
+            if self.free_event.waiters:
+                pulse(self.loop, self.free_event)
 
 
 def pool_create(loop: EventLoop, n: int, capacity: int) -> BufferPool:
@@ -172,7 +173,9 @@ class Channel:
             return
         self.drain_queued = True
         self.handler(item)
-        self._drain()
+        if self.items:
+            self._drain()
+        self.drain_queued = False
 
     def _drain(self) -> None:
         items, handler = self.items, self.handler
@@ -223,10 +226,9 @@ def grab(t):
 @guard
 def take(t):
     """Take the next ``(frame, buffer)`` pair from the channel ``t.inbox``."""
-    item = t.inbox.try_get()
-    if item is None:
+    if not t.inbox.items:
         return t.inbox.ready_event
-    t.frame, t.buf = item
+    t.frame, t.buf = t.inbox.items.popleft()
 
 
 def retire(t):

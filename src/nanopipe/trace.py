@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from contextlib import suppress
 from typing import NamedTuple, Optional
 
 
@@ -93,12 +94,17 @@ class TraceLog:
     def emit(self, loop, kind: str, subject: str, frame: Optional[int] = None) -> None:
         self.record(loop, self.key(loop.name, kind, subject), frame)
 
-    def _indices(self, kind: str, subject: Optional[str]):
-        """Indexes of the records of `kind`, and of `subject` unless it is None."""
-        codes = {c for (_, k, s), c in self._codes.items() if k == kind and subject in (None, s)}
-        if not codes:
-            return ()
-        return itertools.compress(range(len(self._t)), map(codes.__contains__, self._code))
+    def _indices(self, kind: str, subject: Optional[str]) -> list[int]:
+        """Positions of the records of `kind`, and of `subject` unless it is None,
+        in order. C-level scans (``array.index``) find each matching code's."""
+        column, found = self._code, []
+        for (_, k, s), code in self._codes.items():
+            if k == kind and subject in (None, s):
+                i = -1
+                with suppress(ValueError):      # raised past the code's last record
+                    while True:
+                        found.append(i := column.index(code, i + 1))
+        return sorted(found)    # the codes of several nodes interleave
 
     def times(self, kind: str, subject: str) -> list[int]:
         return [self._t[i] for i in self._indices(kind, subject)]
@@ -109,7 +115,7 @@ class TraceLog:
         return [(f[i], t[i]) for i in self._indices(kind, subject) if f[i] != _NO_FRAME]
 
     def count(self, kind: str, subject: Optional[str] = None) -> int:
-        return sum(1 for _ in self._indices(kind, subject))
+        return len(self._indices(kind, subject))
 
     def _csv_lines(self):
         yield CSV_HEADER + "\n"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 from .coro import EventLoop, VirtualClock, call_at
@@ -71,7 +71,8 @@ class Link:
 
     A FIFO server: messages serialize one at a time in send order, so each
     one's timing follows from the sender's ``free_at`` when it is sent, and no
-    message arrives before the one sent ahead of it.
+    message arrives before the one sent ahead of it. Nothing changes a built
+    link's bandwidth, so it memoizes ``cfg.serialization_us`` per size.
     """
 
     def __init__(self, cfg: LinkConfig, src: EventLoop, dst: EventLoop,
@@ -83,6 +84,7 @@ class Link:
         self.rng = rng
         self.rx = Channel(dst, f"{cfg.name}-rx")
         self.in_flight: deque = deque()
+        self._serialization_us = lru_cache(maxsize=None)(cfg.serialization_us)
         self.bytes_sent = 0
         self.bytes_delivered = 0
         self.messages_sent = 0
@@ -106,9 +108,9 @@ class Link:
             raise UsageError("negative message size")
         cfg = self.cfg
         src = self.src
-        ser = cfg.serialization_us(nbytes)
+        ser = self._serialization_us(nbytes)
         if cfg.jitter_us and self.rng is not None:
-            ser = max(1, ser + self.rng.randint(-cfg.jitter_us, cfg.jitter_us))
+            ser = max(1, ser + self.rng.randrange(-cfg.jitter_us, cfg.jitter_us + 1))
         now = src.clock.now
         start = self.free_at if self.free_at > now else now
         arrival = start + cfg.base_latency_us + cfg.injected_delay_us + ser

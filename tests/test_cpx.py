@@ -226,7 +226,7 @@ def test_backpressure_no_loss_under_2x_overload_for_10s():
     assert [a[0] for a in arrivals] == list(range(frames))
     q = router.queues["wifi"]
     assert q.enqueued == q.delivered == frames
-    assert q.max_occupancy <= q.capacity
+    assert q.max_occupancy == q.capacity     # overload fills the queue, and no further
     assert graph.trace.count(Kind.QUEUE_FULL, "wifi") > 0    # it really blocked
     assert graph.loop("gap8").now >= 10_000_000
 

@@ -1,7 +1,9 @@
-"""The column store of ``TraceLog``: CSV output, the ``events`` view, memory."""
+"""The column store of ``TraceLog``: CSV output, the ``events`` view, the
+queries, memory."""
 
 import dataclasses
 import gc
+import random
 import tracemalloc
 
 import pytest
@@ -77,6 +79,39 @@ def test_a_link_records_its_keys_after_the_trace_is_cleared():
     link.send(b"", 0)
     assert trace.to_csv() == (CSV_HEADER + "\n5,host,StageEnd,sink,\n"
                               "1000,gap8,LinkTxStart,spi_up,\n1000,esp32,LinkRxEnd,spi_up,\n")
+
+
+def _random_records(rng):
+    """Records in random order of a few keys, one (kind, subject) of them on
+    two nodes; about one record in four has no frame."""
+    keys = [("host", Kind.STAGE_END, "sink"), ("stm32", Kind.STAGE_END, "sink"),
+            ("gap8", Kind.STAGE_START, "capture"), ("gap8", Kind.DROP, "capture"),
+            ("host", Kind.STAGE_START, "sink")]
+    records, t_us = [], 0
+    for _ in range(rng.randrange(200)):
+        t_us += rng.randrange(50)
+        frame = None if rng.random() < 0.25 else rng.randrange(100)
+        records.append(TraceEvent(t_us, *rng.choice(keys), frame))
+    return records
+
+
+def test_queries_agree_with_a_scan_of_every_record():
+    # the matches of one (kind, subject) on two nodes interleave, so a query
+    # that returned them code by code, not in record order, would fail here
+    queries = [(Kind.STAGE_END, "sink"), (Kind.STAGE_START, "capture"),
+               (Kind.DROP, "capture"), (Kind.STAGE_START, "rtt_probe")]
+    for seed in range(50):
+        records = _random_records(random.Random(seed))
+        trace = TraceLog()
+        trace.events = records
+        for kind, subject in queries:
+            match = [e for e in records if (e.kind, e.subject) == (kind, subject)]
+            assert trace.times(kind, subject) == [e.t_us for e in match]
+            assert trace.frames_of(kind, subject) == [(e.frame, e.t_us) for e in match
+                                                      if e.frame is not None]
+            assert trace.count(kind, subject) == len(match)
+        for kind in Kind.ALL:
+            assert trace.count(kind) == sum(e.kind == kind for e in records)
 
 
 @pytest.mark.parametrize("name", ["remote-sweep", "streaming-72hz"])
