@@ -8,8 +8,10 @@ frames (default 5,000) under ``cProfile``, and prints the fixture and every
 call the profile counted (Python functions and C builtins alike, metrics
 extraction included), divided by the frame count. A run is deterministic, so
 the count is exact: it repeats to the last digit and compares two versions
-of the package without the noise of a timing. The package is the one on
-``sys.path``; from the root of a checkout, run with ``PYTHONPATH=src``.
+of the package without the noise of a timing. Garbage left by the caller is
+collected first, so that no finalizer of it runs, and counts, under the
+profile. The package is the one on ``sys.path``; from the root of a
+checkout, run with ``PYTHONPATH=src``.
 
 The calls are summed over the profiler's raw entries, one per code object.
 ``pstats`` keys its table by (file, line, name), so the ``__init__`` methods
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import dataclasses
+import gc
 import sys
 
 SEED = 7
@@ -31,6 +34,7 @@ def calls_per_frame(fixture: str, frames: int) -> float:
     from nanopipe import load_scenario, run_scenario
     spec = dataclasses.replace(load_scenario(fixture), frames=frames, seed=SEED)
     profile = cProfile.Profile()
+    gc.collect()
     profile.runcall(run_scenario, spec)
     return sum(entry.callcount for entry in profile.getstats()) / frames
 

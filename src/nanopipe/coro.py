@@ -8,17 +8,17 @@ itself, with no ``Event``), yields to the back of the ready queue, or ends.
 
 Only code that blocks on something is a task: a camera capture is a stage of
 the task that waits for each frame. Links, which make no decisions, and router
-egress, which waits only on its own queue and link, run as ``call_at``
-callbacks off the timer heap; a channel reader that blocks on nothing else
-runs as a handler (``Channel.consume``), whose drain is queued, or runs in
-place when a link delivery off the heap finds nothing else ready
-(``Channel.arrive``).
+egress, which waits only on its own queue and link, run as callbacks off the
+timer heap; a channel reader that blocks on nothing else runs as a handler
+(``Channel.consume``), whose drain is queued, or runs in place when a link
+delivery off the heap finds nothing else ready (``vnode.Link``).
 
 Several loops (one per simulated node, each with a fixed clock offset) may
 share one virtual clock and its one timer heap, whose entries each remember
 their loop. At one instant the due timers fire in (global deadline, push
 order), then the loops drain in registration order, round after round, until
-no ready queue holds work; a timer due alone runs in place (``run_all``).
+no ready queue holds work; a timer due alone runs in place (``run_all``, the
+one drain, for its first pass and every instant).
 
 A loop emits runtime records (Spawn, Suspend, Resume, EventComplete) only
 when it is given its own ``TraceLog``. The loops of a ``NodeGraph`` have none,
@@ -197,7 +197,7 @@ def pulse(loop: "EventLoop", ev: Event) -> None:
     """
     if ev.waiters:
         event_complete(loop, ev)
-        event_reset(ev)
+        ev.completed = False        # re-armed: completing it left no waiters
 
 
 class VirtualClock:
@@ -321,25 +321,6 @@ def _dispatch(loop: EventLoop, task: Task) -> None:
             loop._trace.emit(loop, Kind.RESUME, task.label)
 
 
-def _drain(clock, start: int = 0) -> None:
-    """Run the loops' ready queues from registration index ``start`` on, then
-    whole rounds over all loops while any queue holds work."""
-    loops = clock.loops
-    sweep = loops[start:]
-    while True:
-        for loop in sweep:
-            ready = loop.ready
-            while ready:
-                item = ready.popleft()
-                if item.__class__ is Task:
-                    _dispatch(loop, item)
-                else:
-                    item()
-        if not any(clock.readies):
-            return
-        sweep = loops
-
-
 def run_all(clock, until_time: Optional[int] = None) -> None:
     """Drive every loop on ``clock`` until idle, or until global ``until_time``.
 
@@ -349,9 +330,25 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
     no queue holds work. A timer due alone runs in place, as the first thing
     that sweep would run, and the sweep goes on from its loop.
     """
-    timers, readies = clock.timers, clock.readies
-    _drain(clock)
-    while timers and (until_time is None or timers[0][0] <= until_time):
+    timers, readies, loops = clock.timers, clock.readies, clock.loops
+    start = 0
+    while True:
+        if any(readies):
+            sweep = loops[start:] if start else loops
+            while True:
+                for loop in sweep:
+                    ready = loop.ready
+                    while ready:
+                        item = ready.popleft()
+                        if item.__class__ is Task:
+                            _dispatch(loop, item)
+                        else:
+                            item()
+                if not any(readies):
+                    break
+                sweep = loops
+        if not timers or until_time is not None and timers[0][0] > until_time:
+            break
         now, _, loop, due = heappop(timers)     # no timer is ever pushed at or before now
         clock.now = now
         start = loop.index
@@ -376,8 +373,6 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
             _dispatch(loop, due)
         else:
             due()
-        if any(readies):
-            _drain(clock, start)
     if until_time is not None and until_time > clock.now:
         clock.now = until_time     # the clock never moves backwards
 

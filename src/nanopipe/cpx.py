@@ -118,7 +118,8 @@ class RouterQueue:
     With an output ``link``, the queue's egress serves it (``serve``): one
     packet at a time, in order, each after one payload copy of
     ``copy_ns_per_byte`` (``None``: no copy at all), and a packet's slot frees
-    when its last byte has left the router.
+    when its last byte has left the router. A freed slot wakes the oldest
+    stalled sender and keeps its credit event, re-armed, for the next stall.
     """
 
     def __init__(self, loop: EventLoop, name: str, capacity: int, link: Optional[Link] = None,
@@ -135,6 +136,8 @@ class RouterQueue:
         self.sending: Optional[CpxPacket] = None
         self.idle = False           # the egress found the queue empty and waits
         self._credit_waiters: deque = deque()
+        self._spare_events: list = []
+        self._full_codes: dict = {}      # waiting loop -> its QueueFull key code (see reserve)
         self.enqueued = 0
         self.delivered = 0
         self.max_occupancy = 0
@@ -147,7 +150,7 @@ class RouterQueue:
         return True
 
     def register_credit_waiter(self, waiter_loop: EventLoop) -> Event:
-        ev = event_init(f"{self.name}-credit")
+        ev = self._spare_events.pop() if self._spare_events else event_init(f"{self.name}-credit")
         self._credit_waiters.append((ev, waiter_loop))
         return ev
 
@@ -159,13 +162,16 @@ class RouterQueue:
             ev, waiter_loop = self._credit_waiters.popleft()
             # wake the sender on its own node, at the current instant
             event_complete(waiter_loop, ev)
+            ev.completed = False        # re-armed: completing it left no waiters
+            self._spare_events.append(ev)
 
     def enqueue(self, pkt: CpxPacket) -> None:
         if len(self.items) >= self.capacity:
             raise UsageError(f"queue {self.name} occupancy above capacity")
         self.items.append(pkt)
         self.enqueued += 1
-        self.max_occupancy = max(self.max_occupancy, self.capacity - self.credits)
+        if (occupancy := self.capacity - self.credits) > self.max_occupancy:
+            self.max_occupancy = occupancy
         if self.idle:
             self.idle = False
             self.loop.ready.append(self.serve)
@@ -257,10 +263,13 @@ def router_forward(router: Router, pkt: CpxPacket) -> None:
 @guard
 def reserve(t):
     """Take a transmit credit on ``t.queue``; when it is full, record the
-    stall against ``t.frame`` and wait for a slot."""
-    if not t.queue.try_reserve():
-        t.trace.emit(t.loop, Kind.QUEUE_FULL, t.queue.name, t.frame)
-        return t.queue.register_credit_waiter(t.loop)
+    stall against ``t.frame`` in the one trace of the queue's stalls, and wait."""
+    queue, loop = t.queue, t.loop
+    if not queue.try_reserve():
+        if (code := queue._full_codes.get(loop)) is None:
+            code = queue._full_codes[loop] = t.trace.key(loop.name, Kind.QUEUE_FULL, queue.name)
+        t.trace.record(loop, code, t.frame)
+        return queue.register_credit_waiter(loop)
 
 
 # --- two-way clock-offset estimation -----------------------------------------

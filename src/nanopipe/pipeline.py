@@ -8,7 +8,8 @@ one place that turns a chain into tasks, and so the one place where the mode
 matters: serialized, one task runs the whole chain per frame; pipelined,
 each list runs on its own task, so they overlap across frames. A ``Channel``
 hands items to a reader task, or to a plain handler when the reader blocks
-on nothing else.
+on nothing else. A release or a ``put`` pulses its event only when a task
+waits on it.
 
 Every task is a list of steps that the loop runs itself (``coro.spawn_task``),
 built from the shared steps here and in ``cpx``: ``stage``, ``ready``,
@@ -126,7 +127,7 @@ class Channel:
     """Unbounded FIFO handoff on one loop. A task reads it with ``try_get``
     and ``ready_event``; a reader that blocks on nothing else is a handler,
     run by a drain that joins the ready queue where a woken reader task would,
-    or runs in place when it would run next anyway (``arrive``)."""
+    or runs in place when it would run next anyway (``vnode.Link._arrive``)."""
 
     __slots__ = ("loop", "items", "ready_event", "handler", "drain_queued")
 
@@ -140,7 +141,8 @@ class Channel:
     def put(self, item) -> None:
         self.items.append(item)
         if self.handler is None:
-            pulse(self.loop, self.ready_event)
+            if self.ready_event.waiters:
+                pulse(self.loop, self.ready_event)
         elif not self.drain_queued:
             self.drain_queued = True
             self.loop.ready.append(self._drain)
@@ -157,25 +159,6 @@ class Channel:
         self.handler = handler
         self.drain_queued = True
         self.loop.ready.append(self._drain)
-
-    def arrive(self, item) -> None:
-        """``put`` for an item that a timer callback delivers off this loop's
-        ready queue (``vnode.Link``); the handler may take it in place.
-
-        With a handler, no drain queued and nothing else ready on the loop,
-        the drain that ``put`` would queue is the very next thing the loop
-        runs, so handing the item to the handler here, then draining what it
-        put, keeps the order. A delivery due at the send instant, made inside
-        the sender's step, must ``put``: its drain comes after that step.
-        """
-        if self.handler is None or self.drain_queued or self.loop.ready:
-            self.put(item)
-            return
-        self.drain_queued = True
-        self.handler(item)
-        if self.items:
-            self._drain()
-        self.drain_queued = False
 
     def _drain(self) -> None:
         items, handler = self.items, self.handler
@@ -246,7 +229,7 @@ def stage(trace: TraceLog, loop: EventLoop, name: str, duration_us: int) -> list
 
     def start(t):
         trace.record(loop, start_code, t.frame)
-        return loop.now + duration_us
+        return loop.clock.now + loop.offset_us + duration_us
 
     def end(t):
         trace.record(loop, end_code, t.frame)

@@ -6,21 +6,23 @@ captures when that task asks, a streaming one every frame period; this module
 gives only the modes and how long a capture takes. Links make no decisions:
 each serves one whole message at a time, in send order. A link is a FIFO server
 worked out with arithmetic, ``start = max(now, free_at)``, that acts at the
-instants it gives through ``call_at`` timer callbacks rather than as a task.
+instants it gives through timer callbacks rather than as a task.
 ``Link.send`` returns the time the last byte leaves the sender, for a sender
 that waits for it, while delivery fires at the receiver ``base_latency +
 serialization + injected_delay`` after the transfer started, which is what
 lets consecutive hops overlap. Arrivals never fall behind send order, so each
-delivery timer is one pre-bound call that takes the head of the link's
-``in_flight`` FIFO; a message due at the send instant skips it and is
-delivered inline. A link looks up the trace key codes of its two records once.
+delivery timer is one call that takes the head of the link's ``in_flight``
+FIFO; a message due at the send instant skips it and is delivered inline. A
+delivery runs the receiving handler in place when it would run next anyway.
+A link looks up the trace key codes of its two records once.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Optional
+from heapq import heappush
+from typing import NamedTuple, Optional
 
 from .coro import EventLoop, VirtualClock, call_at
 from .errors import ConfigError, UsageError
@@ -58,8 +60,7 @@ class LinkConfig:
         return -(-nbytes * 8 * 1_000_000 // self.bandwidth_bps)
 
 
-@dataclass(slots=True)
-class Received:
+class Received(NamedTuple):
     """A message as it arrives on ``Link.rx``; ``frame`` is what its records name."""
     payload: object
     nbytes: int
@@ -125,7 +126,7 @@ class Link:
             self.trace.record(src, self._tx, frame)
         else:
             call_at(src, start + src.offset_us, partial(self.trace.record, src, self._tx, frame))
-        received = Received(payload, nbytes, frame)
+        received = tuple.__new__(Received, (payload, nbytes, frame))   # skips Received.__new__
         if arrival <= now:
             # due now: delivered inline, with no timer, so not through in_flight;
             # put queues the handler's drain after the sender's step
@@ -134,18 +135,31 @@ class Link:
             self.messages_delivered += 1
             self.rx.put(received)
         else:
+            # what call_at(dst, arrival + dst.offset_us, ...) would push
             self.in_flight.append(received)
-            call_at(self.dst, arrival + self.dst.offset_us, self._arrive)
+            clock = src.clock
+            clock._timer_seq += 1
+            heappush(clock.timers, (arrival, clock._timer_seq, self.dst, self._arrive))
         return self.free_at + src.offset_us
 
     def _arrive(self) -> None:
-        # timers of one link fire in send order: arrivals never decrease, and
-        # equal ones fire in push order
+        """Deliver the head of ``in_flight`` (a link's timers fire in send order).
+        With a handler on ``rx``, no drain queued and nothing else ready on the
+        loop, the drain ``put`` would queue runs next: the handler runs here."""
         received = self.in_flight.popleft()
-        self.trace.record(self.dst, self._rx, received.frame)
-        self.bytes_delivered += received.nbytes
+        _, nbytes, frame = received
+        self.trace.record(self.dst, self._rx, frame)
+        self.bytes_delivered += nbytes
         self.messages_delivered += 1
-        self.rx.arrive(received)
+        rx = self.rx
+        if rx.handler is None or rx.drain_queued or self.dst.ready:
+            rx.put(received)
+            return
+        rx.drain_queued = True
+        rx.handler(received)
+        if rx.items:
+            rx._drain()
+        rx.drain_queued = False
 
 
 # --- node graph ----------------------------------------------------------------

@@ -1,10 +1,21 @@
 """Microbenchmark plumbing and the desk-scale measured budgets."""
 
+import pathlib
+import platform
+import sys
+
 import pytest
 
 from nanopipe.bench import (BENCH_KINDS, bench_event_complete, bench_packet_encode,
                             context_size_report, microbench)
 from nanopipe.errors import ConfigError
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+from calls_per_frame import calls_per_frame  # noqa: E402
+
+# Python calls per frame at 1,000 frames (scripts/calls_per_frame.py), at most;
+# the exact counts of CPython 3.11.7 at the commit that set them
+CALLS_PER_FRAME = {"streaming-72hz": 135.512, "remote-sweep": 230.429}
 
 
 def test_unknown_kind_rejected():
@@ -38,3 +49,12 @@ def test_all_kinds_run_quickly_in_smoke_mode():
         assert kind in BENCH_KINDS
         report = fn(batch=100, batches=5)
         assert report.median_ns > 0
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython"
+                    or sys.version_info[:2] != (3, 11),
+                    reason="call counts differ between interpreters")
+@pytest.mark.parametrize("fixture", sorted(CALLS_PER_FRAME))
+def test_calls_per_frame_stay_at_most_the_recorded_count(fixture):
+    # a count, not a timing: the run is deterministic, so it repeats exactly
+    assert calls_per_frame(fixture, 1000) <= CALLS_PER_FRAME[fixture]

@@ -15,6 +15,7 @@ from nanopipe.coro import (END, YIELD, Event, EventLoop, Task, TaskState, Virtua
 from nanopipe.errors import UsageError
 from nanopipe.pipeline import Channel
 from nanopipe.trace import Kind, TraceLog
+from nanopipe.vnode import Link, LinkConfig
 
 
 def fresh_loop(trace=False):
@@ -494,12 +495,10 @@ def random_program(seed):
         kind = rng.randrange(4)
         if kind == 0:       # a call_at callback
             call_at(target, at, lambda: work(target, ("call", tag)))
-        elif kind == 1:     # a channel handler, fed as a link feeds one
-            chan = channels[target.index]
-            if delay == 0:
-                chan.put(tag)
-            else:
-                call_at(target, at, lambda: chan.arrive(tag))
+        elif kind == 1:     # a channel handler, fed by a link of that delay
+            link = Link(LinkConfig(f"l{tag}", 1, base_latency_us=delay), target, target, tr)
+            link.rx = channels[target.index]
+            link.send(tag, 0)
         elif kind == 2:     # a task waiting on an event
             ev = event_init(f"e{tag}")
             spawn_task(target, f"w{tag}", [lambda t: ev, lambda t: work(target, ("wait", tag)),
@@ -515,7 +514,7 @@ def random_program(seed):
 
     channels = [Channel(loop, f"c{loop.name}") for loop in loops]
     for loop, chan in zip(loops, channels):
-        chan.consume(lambda item, lp=loop: work(lp, ("chan", item)))
+        chan.consume(lambda msg, lp=loop: work(lp, ("chan", msg.payload)))
     for tag in range(-8, 0):
         post(tag)
     loop_run(loops[0])

@@ -2,19 +2,20 @@
 
 import pathlib
 import random
+from collections import Counter
 from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanopipe.coro import guard, loop_run, spawn_task
+from nanopipe.coro import END, EventLoop, VirtualClock, guard, loop_run, spawn_task
 from nanopipe.cpx import (BASELINE, FUNCTION_APP_STREAM, MAX_FRAGMENT_PAYLOAD, NODE_IDS,
                           ZEROCOPY, CpxPacket, Router, RouterQueue, estimate_clock_offset,
                           packet_decode, packet_encode, reserve, router_forward)
 from nanopipe.errors import ConfigError, ProtocolError, UsageError
 from nanopipe.pipeline import next_frame, pool_create
-from nanopipe.trace import Kind
+from nanopipe.trace import Kind, TraceLog
 from nanopipe.vnode import LinkConfig, NodeGraph
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cpx_frames.txt"
@@ -267,6 +268,46 @@ def test_full_queue_sender_wakes_when_the_last_byte_leaves():
     assert graph.trace.times(Kind.LINK_TX_START, "spi")[1:] == last_byte_out[:-1]
     q = router.queues["wifi"]
     assert q.enqueued == q.delivered == 5
+
+
+def test_credit_events_are_reused_and_wake_the_oldest_sender():
+    # three senders on two loops take turns on a depth-1 queue: each holds the
+    # slot 100 us, frees it, and stalls for it again after a random pause
+    clock, trace = VirtualClock(), TraceLog()
+    loops = [EventLoop(clock, name="n0"), EventLoop(clock, name="n1", offset_us=37)]
+    queue = RouterQueue(loops[0], "q", 1)
+    rng = random.Random(3)
+    stalled, events, stalls = [], set(), Counter()
+    peak = 0
+
+    @guard
+    def take_credit(t):
+        nonlocal peak
+        ev = reserve(t)
+        if ev is not None:
+            stalled.append(t)
+            events.add(ev)
+            stalls[t.loop.name] += 1
+            peak = max(peak, len(stalled))
+        return ev
+
+    def free(t):
+        queue.release_slot()
+        woken = [s for s in stalled if s in s.loop.ready]
+        if stalled:
+            # one wake per freed slot: the oldest waiter, on its own loop
+            assert [s.label for s in woken] == [stalled.pop(0).label]
+        t.count += 1
+        return END if t.count == 200 else t.loop.now + rng.randrange(1, 250)
+
+    senders = [spawn_task(loop, f"s{i}", [take_credit, lambda t: t.loop.now + 100, free],
+                          queue=queue, trace=trace, frame=None, count=0)
+               for i, loop in enumerate((loops[0], loops[1], loops[0]))]
+    loop_run(loops[0])
+    assert [s.count for s in senders] == [200] * 3 and not stalled
+    assert sum(stalls.values()) > 400 and peak == 2
+    assert len(events) <= peak
+    assert Counter(e.node for e in trace.events if e.kind == Kind.QUEUE_FULL) == stalls
 
 
 def test_unknown_destination_goes_to_error_sink():

@@ -116,8 +116,9 @@ def test_queries_agree_with_a_scan_of_every_record():
 
 @pytest.mark.parametrize("name", ["remote-sweep", "streaming-72hz"])
 def test_only_rare_records_look_up_their_key(name, monkeypatch):
-    # every record of a link, a stage or the sink appends a key code looked up
-    # once; only Drop and QueueFull records go through emit's key lookup
+    # every record of a link, a stage, the sink or a credit stall appends a
+    # key code looked up once; only Drop records (a lost capture, a router
+    # error) go through emit's key lookup
     calls = []
     emit = TraceLog.emit
 
@@ -126,10 +127,11 @@ def test_only_rare_records_look_up_their_key(name, monkeypatch):
         emit(*args)
     monkeypatch.setattr(TraceLog, "emit", counted)
     trace, _ = run_scenario(dataclasses.replace(load_scenario(name), frames=300))
-    rare = trace.count(Kind.DROP) + trace.count(Kind.QUEUE_FULL)
-    assert len(calls) == rare
+    assert all(kind == Kind.DROP for _, _, kind, *_ in calls)
+    assert len(calls) == trace.count(Kind.DROP)
     if name == "streaming-72hz":
-        assert rare > 0
+        # QueueFull comes about once a frame here, through the cached code
+        assert trace.count(Kind.QUEUE_FULL) > 0
     assert len(trace.events) > 300 * 5
 
 
