@@ -266,9 +266,9 @@ def reserve(t):
     stall against ``t.frame`` in the one trace of the queue's stalls, and wait."""
     queue, loop = t.queue, t.loop
     if not queue.try_reserve():
-        if (code := queue._full_codes.get(loop)) is None:
-            code = queue._full_codes[loop] = t.trace.key(loop.name, Kind.QUEUE_FULL, queue.name)
-        t.trace.record(loop, code, t.frame)
+        if loop not in queue._full_codes:
+            queue._full_codes[loop] = t.trace.key(loop.name, Kind.QUEUE_FULL, queue.name)
+        t.trace.record(loop, queue._full_codes[loop], t.frame)
         return queue.register_credit_waiter(loop)
 
 

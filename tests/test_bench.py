@@ -15,7 +15,7 @@ from calls_per_frame import calls_per_frame  # noqa: E402
 
 # Python calls per frame at 1,000 frames (scripts/calls_per_frame.py), at most;
 # the exact counts of CPython 3.11.7 at the commit that set them
-CALLS_PER_FRAME = {"streaming-72hz": 135.512, "remote-sweep": 230.429}
+CALLS_PER_FRAME = {"streaming-72hz": 134.528, "remote-sweep": 230.429}
 
 
 def test_unknown_kind_rejected():
