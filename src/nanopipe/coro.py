@@ -17,8 +17,8 @@ Several loops (one per simulated node, each with a fixed clock offset) may
 share one virtual clock and its one timer heap, whose entries each remember
 their loop. At one instant the due timers fire in (global deadline, push
 order), then the loops drain in registration order, round after round, until
-no ready queue holds work; a timer due alone runs in place (``run_all``, the
-one drain, for its first pass and every instant).
+no ready queue holds work; a timer due alone runs in place (``run_all``, one
+drain block of which serves its first pass and every instant).
 
 A loop emits runtime records (Spawn, Suspend, Resume, EventComplete) only
 when it is given its own ``TraceLog``. The loops of a ``NodeGraph`` have none,
