@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .coro import (END, Event, EventLoop, call_at, event_complete, event_init, guard,
+from .coro import (END, EventLoop, call_at, event_complete, event_init, guard,
                    loop_run, spawn_task)
 from .errors import ConfigError, ProtocolError, UsageError
 from .trace import Kind
@@ -149,11 +149,6 @@ class RouterQueue:
         self.credits -= 1
         return True
 
-    def register_credit_waiter(self, waiter_loop: EventLoop) -> Event:
-        ev = self._spare_events.pop() if self._spare_events else event_init(f"{self.name}-credit")
-        self._credit_waiters.append((ev, waiter_loop))
-        return ev
-
     def release_slot(self) -> None:
         if self.credits >= self.capacity:
             raise UsageError(f"credit overflow on queue {self.name}")
@@ -269,7 +264,10 @@ def reserve(t):
         if loop not in queue._full_codes:
             queue._full_codes[loop] = t.trace.key(loop.name, Kind.QUEUE_FULL, queue.name)
         t.trace.record(loop, queue._full_codes[loop], t.frame)
-        return queue.register_credit_waiter(loop)
+        spare = queue._spare_events
+        ev = spare.pop() if spare else event_init(f"{queue.name}-credit")
+        queue._credit_waiters.append((ev, loop))
+        return ev
 
 
 # --- two-way clock-offset estimation -----------------------------------------

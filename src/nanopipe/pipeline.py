@@ -39,7 +39,7 @@ class BufferState(IntEnum):
 
 
 class FrameBuffer:
-    """One reusable image buffer with a guarded Free/Filling/Ready/InUse cycle."""
+    """One reusable image buffer; its pool guards its Free/Filling/Ready/InUse cycle."""
 
     __slots__ = ("id", "state", "sequence", "users", "copy_count", "data")
 
@@ -50,23 +50,6 @@ class FrameBuffer:
         self.users = 0
         self.copy_count = 0
         self.data = bytearray(capacity)
-
-    def fill(self) -> None:
-        """Producer copy into the buffer; the one copy a frame is allowed."""
-        if self.state != BufferState.FILLING:
-            raise UsageError(f"fill of buffer {self.id} in state {self.state.name}")
-        self.copy_count += 1
-
-    def begin_fill(self) -> None:
-        if self.state != BufferState.FREE:
-            raise UsageError(f"begin_fill of buffer {self.id} in state {self.state.name}")
-        self.state = BufferState.FILLING
-
-    def make_ready(self, sequence: int) -> None:
-        if self.state != BufferState.FILLING:
-            raise UsageError(f"make_ready of buffer {self.id} in state {self.state.name}")
-        self.state = BufferState.READY
-        self.sequence = sequence
 
 
 class BufferPool:
@@ -93,11 +76,19 @@ class BufferPool:
         if not self._free:
             return None
         buf = self._free.popleft()
-        buf.begin_fill()
+        if buf.state != BufferState.FREE:
+            raise UsageError(f"acquire of buffer {buf.id} in state {buf.state.name}")
+        buf.state = BufferState.FILLING
         return buf
 
     def mark_ready(self, buf: FrameBuffer, sequence: int) -> None:
-        buf.make_ready(sequence)
+        """The producer's copy into the Filling buffer, the one copy a frame
+        is allowed, is done: the buffer is Ready with frame ``sequence``."""
+        if buf.state != BufferState.FILLING:
+            raise UsageError(f"mark_ready of buffer {buf.id} in state {buf.state.name}")
+        buf.state = BufferState.READY
+        buf.sequence = sequence
+        buf.copy_count += 1
 
     def attach(self, buf: FrameBuffer) -> None:
         """Register one more consumer holding the Ready/InUse buffer."""
@@ -238,8 +229,7 @@ def stage(trace: TraceLog, loop: EventLoop, name: str, duration_us: int) -> list
 
 def ready(t):
     """The producing stage is done: the frame is Ready and this task holds it."""
-    t.buf.fill()
-    t.buf.make_ready(t.frame)
+    t.pool.mark_ready(t.buf, t.frame)
     t.pool.attach(t.buf)
 
 

@@ -3,10 +3,11 @@
 Every record carries the local clock of the node that recorded it, so traces
 from different nodes can only be compared after offset correction. A `TraceLog`
 holds them by column: a time, a frame and a shared (node, kind, subject) key.
+Its CSV export formats 4,096 records per chunk in one ``%`` call, from a
+format string per key code, so no Python code runs per record.
 """
 from __future__ import annotations
 
-import itertools
 from array import array
 from contextlib import suppress
 from typing import NamedTuple, Optional
@@ -117,18 +118,24 @@ class TraceLog:
     def count(self, kind: str, subject: Optional[str] = None) -> int:
         return len(self._indices(kind, subject))
 
-    def _csv_lines(self):
+    def _csv_chunks(self):
+        """The CSV text: the header, then 4,096 records per chunk, each chunk
+        formatted by one ``%`` call."""
         yield CSV_HEADER + "\n"
-        prefixes = [",".join(key) for key in self._codes]
-        for code, t_us, frame in zip(self._code, self._t, self._frame):
-            yield f"{t_us},{prefixes[code]},{'' if frame == _NO_FRAME else frame}\n"
+        formats = ["%d," + ",".join(key).replace("%", "%%") + ",%d\n" for key in self._codes]
+        code, times, frames = self._code, self._t, self._frame
+        for i in range(0, len(code), 4096):
+            j = min(i + 4096, len(code))
+            args = [0] * (2 * (j - i))
+            args[::2], args[1::2] = times[i:j], frames[i:j]
+            text = "".join(map(formats.__getitem__, code[i:j])) % tuple(args)
+            # the frame is a line's last field, so only a frame can put this before a newline
+            yield text.replace(f",{_NO_FRAME}\n", ",\n")
 
     def to_csv(self) -> str:
-        return "".join(self._csv_lines())
+        return "".join(self._csv_chunks())
 
     def write_csv(self, path) -> None:
-        """Write the CSV 4,096 lines at a time, never holding the whole text."""
-        lines = self._csv_lines()
+        """Write the CSV a 4,096-record chunk at a time, never holding the whole text."""
         with open(path, "w", newline="") as fp:
-            while chunk := "".join(itertools.islice(lines, 4096)):
-                fp.write(chunk)
+            fp.writelines(self._csv_chunks())

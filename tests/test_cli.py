@@ -277,12 +277,20 @@ def test_metrics_recomputed_from_csv_match_json(tmp_path):
 
 
 def test_write_csv_in_chunks_matches_to_csv(tmp_path):
-    # more records than one 4,096-line chunk, and a last chunk that is partial
-    trace = TraceLog()
-    trace.events = [TraceEvent(i, "gap8", Kind.STAGE_END, "inference", i if i % 3 else None)
-                    for i in range(4096 * 2 + 5)]
-    trace.write_csv(tmp_path / "trace.csv")
-    assert (tmp_path / "trace.csv").read_bytes() == trace.to_csv().encode()
+    # both exports against a formatter of their own, around the 4,096-record
+    # chunk edges, with frames of None, 0 and -1 and subjects that a
+    # %-format would read as conversions
+    nodes, subjects, frames = ("gap8", "esp32"), ("inference", "100% %d", "%s"), (None, 0, -1, 7)
+    for n in (0, 1, 4095, 4096, 4097, 8197):
+        trace = TraceLog()
+        trace.events = [TraceEvent(i * 3 - 5, nodes[i % 2], Kind.STAGE_END, subjects[i % 3],
+                                   frames[i % 4]) for i in range(n)]
+        expected = CSV_HEADER + "\n" + "".join(
+            f"{e.t_us},{e.node},{e.kind},{e.subject},{'' if e.frame is None else e.frame}\n"
+            for e in trace.events)
+        trace.write_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == expected.encode(), n
+        assert trace.to_csv() == expected, n
 
 
 @pytest.mark.parametrize("command", ["run", "bench", "list-scenarios"])

@@ -71,7 +71,6 @@ def test_acquire_release_round_trip():
     pool = pool_create(loop, 1, 64)
     buf = pool.try_acquire()
     assert buf.state == BufferState.FILLING
-    buf.fill()
     pool.mark_ready(buf, 0)
     pool.attach(buf)
     pool.release(buf)
