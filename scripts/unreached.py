@@ -8,7 +8,7 @@ in this process, every CLI command through ``nanopipe.cli.main``:
 ``list-scenarios``; ``bench --kind`` for each kind, with each batch cut to 2
 operations; ``run --check`` on every (fixture, mode, router mode) case, the
 fixture given by name; and ``run --seed --check`` on COUNT variants (default
-300) that ``compare_variants.variant`` draws at seed 1. It then parses each
+300) that ``variants.variant`` draws at seed 1. It then parses each
 module with ``ast`` and prints the statements that never ran: a function
 whose body never ran as one item, and other statements as runs of
 neighbours. Docstrings and other bare constants do not count as statements.
@@ -30,7 +30,7 @@ import tempfile
 from collections import defaultdict
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from compare_variants import variant  # noqa: E402
+from variants import variant  # noqa: E402
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

@@ -1,7 +1,7 @@
 """Relations between two runs of one scenario that need no oracle.
 
 Most tests draw seeded variants of the shipped fixtures with ``variant`` from
-``scripts/compare_variants.py``, set every link's jitter to 0, run each
+``scripts/variants.py``, set every link's jitter to 0, run each
 variant twice with one thing changed, and check how the two runs' metrics
 relate. A variant that does not load, or gives too few receipts for metrics,
 is illegal and skipped. The clock-offset relation runs the shipped fixtures
@@ -21,7 +21,7 @@ from nanopipe.errors import ConfigError, MetricsError
 from nanopipe.scenarios import run_scenario, scenario_from_dict
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
-from compare_variants import NODES, variant  # noqa: E402
+from variants import NODES, variant  # noqa: E402
 
 FIXTURES = [json.loads(p.read_text()) for p in
             sorted((pathlib.Path(scenarios.__file__).parent / "fixtures").glob("*.json"))]
