@@ -151,12 +151,11 @@ class Event:
     registered waiter exactly once, in registration order.
     """
 
-    __slots__ = ("completed", "waiters", "completion_count", "label")
+    __slots__ = ("completed", "waiters", "label")
 
     def __init__(self, label: str = "event"):
         self.completed = False
         self.waiters: deque = deque()
-        self.completion_count = 0
         self.label = label
 
 
@@ -169,7 +168,6 @@ def event_complete(loop: "EventLoop", ev: Event) -> None:
     if ev.completed:
         raise UsageError(f"double complete of event {ev.label!r} without reset")
     ev.completed = True
-    ev.completion_count += 1
     tr = loop._trace
     if tr is not None:
         tr.emit(loop, Kind.EVENT_COMPLETE, ev.label)
@@ -229,7 +227,6 @@ class EventLoop:
         self.ready: deque = deque()
         self.clock.readies.append(self.ready)
         self._trace = trace
-        self.dispatch_count = 0
 
     @property
     def now(self) -> int:
@@ -278,7 +275,6 @@ def call_at(loop: EventLoop, deadline_us: int, fn: Callable[[], None]) -> None:
 
 def _dispatch(loop: EventLoop, task: Task) -> None:
     """Run ``task``'s steps from its resume point until it waits or ends."""
-    loop.dispatch_count += 1
     if task.state != _START and task.state != _SUSPENDED:
         task._transition(_RUNNING)           # unreachable legally: reject loudly
     task.state = _RUNNING

@@ -138,9 +138,6 @@ class RouterQueue:
         self._credit_waiters: deque = deque()
         self._spare_events: list = []
         self._full_codes: dict = {}      # waiting loop -> its QueueFull key code (see reserve)
-        self.enqueued = 0
-        self.delivered = 0
-        self.max_occupancy = 0
 
     def try_reserve(self) -> bool:
         """Sender-side: claim a slot before transmitting toward this queue."""
@@ -164,9 +161,6 @@ class RouterQueue:
         if len(self.items) >= self.capacity:
             raise UsageError(f"queue {self.name} occupancy above capacity")
         self.items.append(pkt)
-        self.enqueued += 1
-        if (occupancy := self.capacity - self.credits) > self.max_occupancy:
-            self.max_occupancy = occupancy
         if self.idle:
             self.idle = False
             self.loop.ready.append(self.serve)
@@ -179,7 +173,6 @@ class RouterQueue:
         then send the next packet, or wait idle for ``enqueue``."""
         if self.sending is not None:
             self.sending = None
-            self.delivered += 1
             self.release_slot()
         if not self.items:
             self.idle = True
@@ -219,8 +212,6 @@ class Router:
         self.copy_ns_per_byte = copy_ns_per_byte if mode == BASELINE else None
         self.queues: dict = {}
         self._routes: dict = {}
-        self.error_count = 0
-        self.forwarded = 0
 
     def attach_interface(self, name: str, in_link: Optional[Link], out_link: Optional[Link],
                          destinations: tuple = ()) -> RouterQueue:
@@ -244,15 +235,13 @@ def router_forward(router: Router, pkt: CpxPacket) -> None:
     """Pick the output queue from the header and enqueue the packet handle.
 
     The payload is never touched; an unroutable destination goes to the error
-    sink and is counted.
+    sink, a ``Drop`` record of ``router-error``.
     """
     queue = router._routes.get(pkt.destination)
     if queue is None:
-        router.error_count += 1
         router.trace.emit(router.loop, Kind.DROP, "router-error")
         return
     queue.enqueue(pkt)
-    router.forwarded += 1
 
 
 @guard

@@ -86,10 +86,6 @@ class Link:
         self.rx = Channel(dst, f"{cfg.name}-rx")
         self.in_flight: deque = deque()
         self._serialization_us = lru_cache(maxsize=None)(cfg.serialization_us)
-        self.bytes_sent = 0
-        self.bytes_delivered = 0
-        self.messages_sent = 0
-        self.messages_delivered = 0
         self.free_at = src.clock.now    # global time the last queued byte leaves
         self.last_arrival = src.clock.now   # global time the last message arrives
         self._tx = trace.key(src.name, Kind.LINK_TX_START, cfg.name)
@@ -100,10 +96,9 @@ class Link:
         name ``frame``; it arrives as a ``Received`` on ``rx``.
 
         Returns the sender-local time at which its last byte leaves the
-        sender. The sent counters count a message when it is queued, the
-        delivered counters when it arrives. A message that would arrive
-        before the one sent ahead of it, which only a delay lowered while
-        the link is busy can cause, raises ``UsageError``.
+        sender. A message that would arrive before the one sent ahead of it,
+        which only a delay lowered while the link is busy can cause, raises
+        ``UsageError``.
         """
         if nbytes < 0:
             raise UsageError("negative message size")
@@ -120,8 +115,6 @@ class Link:
                              f"{arrival} us, before the one ahead of it at {self.last_arrival} us")
         self.last_arrival = arrival
         self.free_at = start + ser
-        self.bytes_sent += nbytes
-        self.messages_sent += 1
         if start == now:        # idle link: what call_at would run inline
             self.trace.record(src, self._tx, frame)
         else:
@@ -131,8 +124,6 @@ class Link:
             # due now: delivered inline, with no timer, so not through in_flight;
             # put queues the handler's drain after the sender's step
             self.trace.record(self.dst, self._rx, frame)
-            self.bytes_delivered += nbytes
-            self.messages_delivered += 1
             self.rx.put(received)
         else:
             # what call_at(dst, arrival + dst.offset_us, ...) would push
@@ -147,10 +138,7 @@ class Link:
         With a handler on ``rx``, no drain queued and nothing else ready on the
         loop, the drain ``put`` would queue runs next: the handler runs here."""
         received = self.in_flight.popleft()
-        _, nbytes, frame = received
-        self.trace.record(self.dst, self._rx, frame)
-        self.bytes_delivered += nbytes
-        self.messages_delivered += 1
+        self.trace.record(self.dst, self._rx, received[2])     # its frame
         rx = self.rx
         if rx.handler is None or rx.drain_queued or self.dst.ready:
             rx.put(received)

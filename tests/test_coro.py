@@ -143,20 +143,20 @@ def test_respawn_non_start_task_rejected():
         spawn(loop, task)
 
 
-def test_counting_oracle_1000_tasks_10_yields():
+def test_counting_oracle_1000_tasks_10_yields(dispatches):
     # each task is dispatched 10 times for its yields plus one terminal pass
     loop, _ = fresh_loop()
     for _ in range(1000):
         spawn_task(loop, "y", yields_n(10))
     loop_run(loop)
-    assert loop.dispatch_count == 10_000 + 1000
+    assert dispatches == {loop: 10_000 + 1000}
 
 
 def test_event_complete_without_waiters_sets_flag_only():
     loop, _ = fresh_loop()
     ev = event_init("e")
     event_complete(loop, ev)
-    assert ev.completed and ev.completion_count == 1
+    assert ev.completed
     assert not loop.ready
 
 
@@ -168,7 +168,9 @@ def test_double_complete_detected():
         event_complete(loop, ev)
     event_reset(ev)
     event_complete(loop, ev)
-    assert ev.completion_count == 2
+    assert ev.completed
+    with pytest.raises(UsageError):     # the reset re-armed it for one completion only
+        event_complete(loop, ev)
 
 
 def test_three_waiters_resumed_in_registration_order():
@@ -349,8 +351,9 @@ def test_join_fires_at_max_over_all_completion_orders(order):
     evs = [timer_event(loop, d, f"t{i}") for i, d in enumerate(deadlines)]
     out = join(loop, evs)
     loop_run(loop)
-    assert out.completed and out.completion_count == 1
-    assert loop.now == max(deadlines)
+    assert out.completed and loop.now == max(deadlines)
+    with pytest.raises(UsageError):     # so the run completed out only once
+        event_complete(loop, out)
 
 
 # --- timers ---
@@ -379,7 +382,7 @@ def test_timers_fire_in_deadline_order():
     assert loop.now == 30
 
 
-def test_call_at_runs_callbacks_at_their_deadlines_without_tasks():
+def test_call_at_runs_callbacks_at_their_deadlines_without_tasks(dispatches):
     loop, _ = fresh_loop()
     fired = []
     for deadline in (30, 10, 20):
@@ -388,7 +391,7 @@ def test_call_at_runs_callbacks_at_their_deadlines_without_tasks():
     assert fired == [("now", 0)]
     loop_run(loop)
     assert fired[1:] == [(10, 10), (20, 20), (30, 30)]
-    assert loop.dispatch_count == 0
+    assert not dispatches
 
 
 def test_call_at_callback_keeps_its_place_among_tasks_woken_at_the_same_instant():

@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+from bisect import bisect_right
 from collections import Counter
 from operator import attrgetter
 
@@ -188,11 +189,30 @@ def run_stream(mode, t_spi_us, t_wifi_us, nbytes=25600, frames=40, capacity=4,
     return graph, router, sender, arrivals
 
 
+def router_counts(graph):
+    """From the trace: packets into the router (its spi arrivals), packets out
+    of its wifi queue (its wifi transmissions), and router errors."""
+    n = Counter((e.node, e.kind, e.subject) for e in graph.trace.events)
+    return (n["esp32", Kind.LINK_RX_END, "spi"], n["esp32", Kind.LINK_TX_START, "wifi"],
+            n["esp32", Kind.DROP, "router-error"])
+
+
+def peak_credits_held(graph, nbytes=25600):
+    """From the trace: the most wifi-queue credits held at one spi send. The
+    sender takes a credit before each spi send, and the queue frees it when
+    that packet's last byte leaves on wifi; a slot freed at the instant of a
+    send counts as free, so this is at most the true peak."""
+    wifi_us = graph.links["wifi_up"].cfg.serialization_us(nbytes + 4)
+    freed = [t + wifi_us for t in graph.trace.times(Kind.LINK_TX_START, "wifi")]
+    sends = graph.trace.times(Kind.LINK_TX_START, "spi")
+    return max(k + 1 - bisect_right(freed, t) for k, t in enumerate(sends))
+
+
 def test_zero_copy_forwarding_copy_count_delta_zero():
-    _, router, sender, arrivals = run_stream(ZEROCOPY, 10000, 10000, frames=10)
+    graph, router, sender, arrivals = run_stream(ZEROCOPY, 10000, 10000, frames=10)
     assert len(arrivals) == 10
     assert all(pkt.copy_count == 0 for _, _, pkt in arrivals)
-    assert router.forwarded == 10 and router.error_count == 0
+    assert router_counts(graph) == (10, 10, 0)
 
 
 def test_baseline_copies_once_per_forward():
@@ -226,8 +246,10 @@ def test_backpressure_no_loss_under_2x_overload_for_10s():
     assert sender.frame == frames
     assert [a[0] for a in arrivals] == list(range(frames))
     q = router.queues["wifi"]
-    assert q.enqueued == q.delivered == frames
-    assert q.max_occupancy == q.capacity     # overload fills the queue, and no further
+    assert router_counts(graph) == (frames, frames, 0)
+    # overload fills the queue, and enqueue's and release_slot's guards keep
+    # it from going further
+    assert peak_credits_held(graph) == q.capacity
     assert graph.trace.count(Kind.QUEUE_FULL, "wifi") > 0    # it really blocked
     assert graph.loop("gap8").now >= 10_000_000
 
@@ -235,15 +257,16 @@ def test_backpressure_no_loss_under_2x_overload_for_10s():
 def test_conservation_enqueued_equals_delivered_plus_in_flight():
     graph, router, sender, arrivals = run_stream(ZEROCOPY, 3000, 9000, frames=25)
     q = router.queues["wifi"]
-    assert q.enqueued == q.delivered + len(q.items)
+    into, out, errors = router_counts(graph)
+    assert into == out + len(q.items) and errors == 0
     assert len(q.items) == 0
     assert len(arrivals) == 25
 
 
-def test_forwarding_runs_no_task_on_the_router():
+def test_forwarding_runs_no_task_on_the_router(dispatches):
     graph, router, _, arrivals = run_stream(ZEROCOPY, 3000, 9000, frames=10)
     assert len(arrivals) == 10
-    assert router.loop.dispatch_count == 0
+    assert dispatches[router.loop] == 0
 
 
 @pytest.mark.parametrize("copy_ns_per_byte,copy_us", [(50.0, 1280), (0.0, 0)])
@@ -266,8 +289,7 @@ def test_full_queue_sender_wakes_when_the_last_byte_leaves():
     wifi_us = graph.links["wifi_up"].cfg.serialization_us(25600 + 4)
     last_byte_out = [t + wifi_us for t in graph.trace.times(Kind.LINK_TX_START, "wifi")]
     assert graph.trace.times(Kind.LINK_TX_START, "spi")[1:] == last_byte_out[:-1]
-    q = router.queues["wifi"]
-    assert q.enqueued == q.delivered == 5
+    assert router_counts(graph) == (5, 5, 0)
 
 
 def test_credit_events_are_reused_and_wake_the_oldest_sender():
@@ -314,11 +336,13 @@ def test_unknown_destination_goes_to_error_sink():
     graph, router, _ = build_router_rig(ZEROCOPY, 1000, 1000, 100)
     pkt = CpxPacket(NODE_IDS["gap8"], 6, 9)      # 6: no interface routes there
     router_forward(router, pkt)
-    assert router.error_count == 1
+    assert graph.trace.count(Kind.DROP, "router-error") == 1
+    assert not any(q.items for q in router.queues.values())
     ok = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], 9)
     router.queues["wifi"].try_reserve()
     router_forward(router, ok)
-    assert router.forwarded == 1
+    assert graph.trace.count(Kind.DROP, "router-error") == 1
+    assert list(router.queues["wifi"].items) == [ok] and not router.queues["spi"].items
 
 
 def test_baseline_forces_queue_depth_one():

@@ -279,7 +279,7 @@ def _tagged_waiter(ev, tag, log):
 
 
 @pytest.mark.parametrize("reader", ["task", "handler"])
-def test_channel_handler_runs_where_a_reader_task_would(reader):
+def test_channel_handler_runs_where_a_reader_task_would(reader, dispatches):
     # the put at t=100 comes before the "tick" task woken at the same instant,
     # yet a reader task runs after it; and the reader handles "b", put while it
     # handles "a", before the task that "a" woke. A handler must do the same.
@@ -303,7 +303,7 @@ def test_channel_handler_runs_where_a_reader_task_would(reader):
     spawn_task(loop, "woken", _tagged_waiter(woken, "woken", log))
     loop_run(loop)
     assert log == ["tick", "a", "b", "woken"]
-    assert loop.dispatch_count == (6 if reader == "task" else 4)   # the handler is no task
+    assert dispatches[loop] == (6 if reader == "task" else 4)   # the handler is no task
 
 
 def test_channel_takes_one_reader():
@@ -350,7 +350,7 @@ def test_guard_step_runs_again_after_its_wait():
     assert log == [("check", 0), ("check", 100), ("check", 200), ("after", 200)]
 
 
-def test_other_wait_resumes_at_the_next_step():
+def test_other_wait_resumes_at_the_next_step(dispatches):
     loop = EventLoop(VirtualClock(), name="n0")
     log = []
 
@@ -372,7 +372,7 @@ def test_other_wait_resumes_at_the_next_step():
     spawn_task(loop, "sleeper", [sleep, done_already, after])
     loop_run(loop)
     assert log == [("sleep", 0), ("done-already", 50), ("after", 50)]
-    assert loop.dispatch_count == 2
+    assert dispatches == {loop: 2}
 
 
 def test_end_and_restart_markers():
@@ -418,7 +418,7 @@ def test_last_step_wraps_to_the_first():
 
 
 @pytest.mark.parametrize("ahead", [-5, 0])
-def test_due_deadline_goes_on_without_suspending(ahead):
+def test_due_deadline_goes_on_without_suspending(ahead, dispatches):
     loop = fresh_loop()
     loop_run(loop, until=100)
     log = []
@@ -433,7 +433,7 @@ def test_due_deadline_goes_on_without_suspending(ahead):
     spawn_task(loop, "due", [sleep, after])
     loop_run(loop)
     assert log == [(100, 0, 0)]
-    assert loop.dispatch_count == 1
+    assert dispatches == {loop: 1}
     assert loop._trace.count(Kind.SUSPEND) == 0
 
 
