@@ -16,9 +16,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import os
 import pathlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -309,19 +311,24 @@ def compute_metrics(trace: TraceLog, *, offset_us: float = 0.0,
     ``offset_us`` is the estimated clock offset of the sink's node relative to
     the capture node and is subtracted from every per-frame latency.
     """
-    receipts = sorted(trace.frames_of(Kind.STAGE_END, "sink"))
-    steady = [(f, t) for f, t in receipts if f >= steady_start_frame]
-    if len(steady) < 10:
+    frames, times = trace.columns(Kind.STAGE_END, "sink")
+    # in (frame, t) order; only strictly increasing frames are sure to be in
+    # it already, as a frame's receipts on two nodes need not be in time order
+    if any(map(operator.ge, frames, frames[1:])):
+        frames, times = zip(*sorted(zip(frames, times)))
+    first = bisect_left(frames, steady_start_frame)
+    steady = len(frames) - first
+    if steady < 10:
         raise MetricsError(
-            f"only {len(steady)} steady-state receipts past frame {steady_start_frame}; "
+            f"only {steady} steady-state receipts past frame {steady_start_frame}; "
             f"need at least 10")
-    t_first, t_last = steady[0][1], steady[-1][1]
+    t_first, t_last = times[first], times[-1]
     if t_last == t_first:
         raise MetricsError("empty steady-state window")
-    closed_loop_hz = (len(steady) - 1) / ((t_last - t_first) / 1e6)
+    closed_loop_hz = (steady - 1) / ((t_last - t_first) / 1e6)
 
-    starts = dict(trace.frames_of(Kind.STAGE_START, "capture"))
-    lat = [t - starts[f] - offset_us for f, t in steady if f in starts]
+    starts = dict(zip(*trace.columns(Kind.STAGE_START, "capture")))
+    lat = [t - starts[f] - offset_us for f, t in zip(frames[first:], times[first:]) if f in starts]
     e2e_mean = e2e_p95 = None
     if lat:
         e2e_mean = (sum(lat) / len(lat)) / 1000.0
@@ -333,8 +340,8 @@ def compute_metrics(trace: TraceLog, *, offset_us: float = 0.0,
         if not -2.0 <= drop_pct <= 100.0:
             raise MetricsError(f"drop_pct {drop_pct:.3f} outside [-2, 100]")
 
-    rtt_starts = dict(trace.frames_of(Kind.STAGE_START, "rtt_probe"))
-    rtt_ends = dict(trace.frames_of(Kind.STAGE_END, "rtt_probe"))
+    rtt_starts = dict(zip(*trace.columns(Kind.STAGE_START, "rtt_probe")))
+    rtt_ends = dict(zip(*trace.columns(Kind.STAGE_END, "rtt_probe")))
     rtt_ms = None
     if rtt_ends:
         samples = [rtt_ends[k] - rtt_starts[k] for k in sorted(rtt_ends)]
@@ -348,7 +355,7 @@ def compute_metrics(trace: TraceLog, *, offset_us: float = 0.0,
         e2e_ms_p95=e2e_p95,
         rtt_ms_mean=rtt_ms,
         frames_dropped=trace.count(Kind.DROP, "capture"),
-        steady_receipts=len(steady),
+        steady_receipts=steady,
         steady_start_frame=steady_start_frame,
         offset_us_applied=offset_us,
         offsets_estimated_us=dict(offsets_estimated_us or {}),

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from array import array
 from contextlib import suppress
+from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 
@@ -110,10 +112,24 @@ class TraceLog:
     def times(self, kind: str, subject: str) -> list[int]:
         return [self._t[i] for i in self._indices(kind, subject)]
 
+    def columns(self, kind: str, subject: str) -> tuple[array, array]:
+        """The frames and the times of the matching records that name a frame,
+        as two ``array('q')``s in emission order. One ``itemgetter`` gathers
+        each column at C level, so no per-record object outlives the call."""
+        positions = self._indices(kind, subject)
+        if not positions:
+            return array("q"), array("q")
+        get = itemgetter(positions[0], *positions)   # two or more items: it returns a tuple
+        frames, times = array("q", get(self._frame)), array("q", get(self._t))
+        del frames[0], times[0]
+        if _NO_FRAME in frames:
+            named = [f != _NO_FRAME for f in frames]
+            frames, times = array("q", compress(frames, named)), array("q", compress(times, named))
+        return frames, times
+
     def frames_of(self, kind: str, subject: str) -> list[tuple[int, int]]:
         """(frame, t_us) pairs for the matching events, in emission order."""
-        t, f = self._t, self._frame
-        return [(f[i], t[i]) for i in self._indices(kind, subject) if f[i] != _NO_FRAME]
+        return list(zip(*self.columns(kind, subject)))
 
     def count(self, kind: str, subject: Optional[str] = None) -> int:
         return len(self._indices(kind, subject))

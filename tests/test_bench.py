@@ -15,7 +15,7 @@ from calls_per_frame import calls_per_frame  # noqa: E402
 
 # Python calls per frame at 1,000 frames (scripts/calls_per_frame.py), at most;
 # the exact counts of CPython 3.11.7 at the commit that set them
-CALLS_PER_FRAME = {"streaming-72hz": 131.544, "remote-sweep": 228.429}
+CALLS_PER_FRAME = {"streaming-72hz": 131.538, "remote-sweep": 228.423}
 
 
 def test_unknown_kind_rejected():

@@ -5,7 +5,9 @@ Most tests draw seeded variants of the shipped fixtures with ``variant`` from
 variant twice with one thing changed, and check how the two runs' metrics
 relate. A variant that does not load, or gives too few receipts for metrics,
 is illegal and skipped. The clock-offset relation runs the shipped fixtures
-themselves. A relation that fails is a bug in the simulator.
+themselves. The router relation compares whole outputs, on the remote and
+stream fixtures and on variants of them with their jitter kept. A relation
+that fails is a bug in the simulator.
 """
 
 import copy
@@ -21,7 +23,7 @@ from nanopipe.errors import ConfigError, MetricsError
 from nanopipe.scenarios import run_scenario, scenario_from_dict
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
-from variants import NODES, variant  # noqa: E402
+from variants import NODES, outcome, variant  # noqa: E402
 
 FIXTURES = [json.loads(p.read_text()) for p in
             sorted((pathlib.Path(scenarios.__file__).parent / "fixtures").glob("*.json"))]
@@ -123,3 +125,42 @@ def test_clock_offsets_change_nothing(doc):
         got = metrics_json(doc, offsets)
         assert {key: value for key, value in got.items() if key not in estimates} == rest, offsets
         assert got["offsets_estimated_us"] != ref["offsets_estimated_us"]    # they reached the run
+
+
+ROUTED = [doc for doc in FIXTURES if doc["kind"] in ("remote", "stream")]
+
+
+def router_outcomes(doc, tmp_path):
+    """The outcomes (``variants.outcome``) of ``doc`` with the baseline router
+    copying at 0 ns per byte, and with the zerocopy router at depth 1."""
+    baseline, zerocopy = copy.deepcopy(doc), copy.deepcopy(doc)
+    baseline["router_mode"] = "baseline"
+    baseline.setdefault("router", {})["copy_ns_per_byte"] = 0
+    zerocopy["router_mode"] = "zerocopy"
+    zerocopy.setdefault("router", {})["queue_capacity"] = 1
+    return outcome(baseline, tmp_path / "baseline.csv"), outcome(zerocopy, tmp_path / "zerocopy.csv")
+
+
+def test_baseline_router_is_the_zerocopy_router_at_depth_1_on_the_fixtures(tmp_path):
+    # the baseline router holds one packet and copies it; at 0 ns per byte
+    # the copy takes no time, so the run is the zerocopy run at depth 1, the
+    # same metrics.json and the same trace.csv byte for byte
+    legal = 0
+    for doc in ROUTED:
+        for mode in ("pipelined", "serialized"):
+            baseline, zerocopy = router_outcomes(dict(doc, mode=mode), tmp_path)
+            assert baseline == zerocopy, (doc["name"], mode)
+            legal += "error" not in baseline
+    assert legal == 7
+
+
+def test_baseline_router_is_the_zerocopy_router_at_depth_1_on_variants(tmp_path):
+    # the variants keep their jitter and their drawn queue depth, which the
+    # baseline router ignores; an illegal variant must fail the same way
+    rng, legal = random.Random(31), 0
+    for _ in range(168):
+        doc = variant(rng.choice(ROUTED), rng)
+        baseline, zerocopy = router_outcomes(doc, tmp_path)
+        assert baseline == zerocopy, doc
+        legal += "error" not in baseline
+    assert legal >= 80

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +13,7 @@ from nanopipe.errors import ConfigError, MetricsError
 from nanopipe.scenarios import (_FIELDS, Metrics, Scenario, _build_graph, compute_metrics,
                                 expected_period_us, list_scenarios, load_scenario, run_scenario,
                                 scenario_from_dict)
-from nanopipe.trace import Kind, TraceLog
+from nanopipe.trace import Kind, TraceEvent, TraceLog
 from nanopipe.vnode import LINKS, LinkConfig
 
 
@@ -200,6 +203,99 @@ def test_metrics_json_round_trip():
     again = json.loads(m.to_json())
     assert again["closed_loop_hz"] == pytest.approx(m.closed_loop_hz)
     assert again["steady_receipts"] == m.steady_receipts
+
+
+def _tuple_metrics(records, *, offset_us, inference_hz, steady_start_frame):
+    """compute_metrics as it was defined on (frame, t_us) tuples, reading the
+    records themselves."""
+    def pairs(kind, subject):
+        return [(e.frame, e.t_us) for e in records
+                if (e.kind, e.subject) == (kind, subject) and e.frame is not None]
+    receipts = sorted(pairs(Kind.STAGE_END, "sink"))
+    steady = [(f, t) for f, t in receipts if f >= steady_start_frame]
+    if len(steady) < 10:
+        raise MetricsError(
+            f"only {len(steady)} steady-state receipts past frame {steady_start_frame}; "
+            f"need at least 10")
+    t_first, t_last = steady[0][1], steady[-1][1]
+    if t_last == t_first:
+        raise MetricsError("empty steady-state window")
+    closed_loop_hz = (len(steady) - 1) / ((t_last - t_first) / 1e6)
+    starts = dict(pairs(Kind.STAGE_START, "capture"))
+    lat = [t - starts[f] - offset_us for f, t in steady if f in starts]
+    e2e_mean = e2e_p95 = None
+    if lat:
+        e2e_mean = (sum(lat) / len(lat)) / 1000.0
+        e2e_p95 = sorted(lat)[max(1, math.ceil(0.95 * len(lat))) - 1] / 1000.0
+    drop_pct = None
+    if inference_hz:
+        drop_pct = (1.0 - closed_loop_hz / inference_hz) * 100.0
+        if not -2.0 <= drop_pct <= 100.0:
+            raise MetricsError(f"drop_pct {drop_pct:.3f} outside [-2, 100]")
+    rtt_starts = dict(pairs(Kind.STAGE_START, "rtt_probe"))
+    rtt_ends = dict(pairs(Kind.STAGE_END, "rtt_probe"))
+    rtt_ms = None
+    if rtt_ends:
+        samples = [rtt_ends[k] - rtt_starts[k] for k in sorted(rtt_ends)]
+        rtt_ms = (sum(samples) / len(samples)) / 1000.0
+    return Metrics(
+        closed_loop_hz=closed_loop_hz, inference_hz=inference_hz, drop_pct=drop_pct,
+        e2e_ms_mean=e2e_mean, e2e_ms_p95=e2e_p95, rtt_ms_mean=rtt_ms,
+        frames_dropped=sum((e.kind, e.subject) == (Kind.DROP, "capture") for e in records),
+        steady_receipts=len(steady), steady_start_frame=steady_start_frame,
+        offset_us_applied=offset_us, offsets_estimated_us={})
+
+
+def _random_metrics_records(rng):
+    """Sink receipts on two nodes whose clocks differ, so a frame received on
+    both may come later with an earlier time; frames received twice, in order
+    or, in half the traces, out of order; capture starts, some of a frame
+    twice; RTT probes, drops and other records. About one record in ten that
+    is not a probe has no frame. A time step of 0 gives an empty steady window."""
+    keys = [("host", Kind.STAGE_END, "sink")] * 6 + [
+        ("stm32", Kind.STAGE_END, "sink"), ("host", Kind.STAGE_START, "sink"),
+        ("gap8", Kind.STAGE_START, "capture"), ("gap8", Kind.STAGE_START, "capture"),
+        ("gap8", Kind.DROP, "capture"), ("host", Kind.STAGE_START, "rtt_probe")]
+    step, spread = rng.choice((0, 3, 40, 40)), rng.choice((0, 3))
+    offsets = {"host": 0, "gap8": rng.randrange(-100, 100), "stm32": rng.choice((0, -500, 900))}
+    records, t_us = [], 0
+    for i in range(rng.randrange(5, 150)):
+        t_us += rng.randrange(step + 1)
+        node, kind, subject = rng.choice(keys)
+        frame = None if rng.random() < 0.1 else max(0, i // 2 + rng.randrange(-spread, spread + 1))
+        records.append(TraceEvent(t_us + offsets[node] * bool(step), node, kind, subject, frame))
+        if subject == "rtt_probe":      # a probe's end follows its start, with its frame
+            records[-1] = records[-1]._replace(frame=i)
+            records.append(TraceEvent(t_us + rng.randrange(100), node, Kind.STAGE_END, subject, i))
+    return records
+
+
+def test_metrics_from_columns_equal_the_tuple_definition():
+    outcomes = Counter()
+    for seed in range(600):
+        rng = random.Random(seed)
+        records = _random_metrics_records(rng)
+        trace = TraceLog()
+        trace.events = records
+        receipts = [e.frame for e in records if (e.kind, e.subject) == (Kind.STAGE_END, "sink")
+                    and e.frame is not None] or [0]
+        args = {"offset_us": rng.choice((0.0, 250.3)), "inference_hz": rng.choice((None, 5e4)),
+                "steady_start_frame": min(receipts) + rng.choice((-2, 0, 0, 2, 10))}
+        try:
+            want = _tuple_metrics(records, **args)
+        except MetricsError as exc:
+            with pytest.raises(MetricsError) as got:
+                compute_metrics(trace, **args)
+            assert str(got.value) == str(exc), seed
+            outcome = str(exc).split()[0]
+        else:
+            assert compute_metrics(trace, **args) == want, seed
+            outcome = "metrics"
+        outcomes[outcome] += 1
+    # the metrics and each error path (too few receipts, an empty window, the
+    # drop bound) come up often
+    assert set(outcomes) == {"metrics", "only", "empty", "drop_pct"}, outcomes
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 # --- closed-loop table rows ---

@@ -3,7 +3,9 @@ queries, memory."""
 
 import dataclasses
 import gc
+import pathlib
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -12,6 +14,9 @@ from nanopipe.coro import EventLoop, VirtualClock, loop_run
 from nanopipe.scenarios import load_scenario, run_scenario
 from nanopipe.trace import CSV_HEADER, Kind, TraceEvent, TraceLog
 from nanopipe.vnode import Link, LinkConfig
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+from heap_peak import SEED, metrics_peak  # noqa: E402
 
 
 def _two_loop_trace():
@@ -107,8 +112,12 @@ def test_queries_agree_with_a_scan_of_every_record():
         for kind, subject in queries:
             match = [e for e in records if (e.kind, e.subject) == (kind, subject)]
             assert trace.times(kind, subject) == [e.t_us for e in match]
-            assert trace.frames_of(kind, subject) == [(e.frame, e.t_us) for e in match
-                                                      if e.frame is not None]
+            named = [e for e in match if e.frame is not None]
+            frames, times = trace.columns(kind, subject)
+            assert (frames.typecode, times.typecode) == ("q", "q")
+            assert list(frames) == [e.frame for e in named]
+            assert list(times) == [e.t_us for e in named]
+            assert trace.frames_of(kind, subject) == [(e.frame, e.t_us) for e in named]
             assert trace.count(kind, subject) == len(match)
         for kind in Kind.ALL:
             assert trace.count(kind) == sum(e.kind == kind for e in records)
@@ -151,3 +160,14 @@ def test_trace_retains_at_most_40_bytes_per_record():
         tracemalloc.stop()
     assert records > 30000
     assert freed / records <= 40
+
+
+@pytest.mark.parametrize("name", ["remote-sweep", "streaming-72hz"])
+def test_metrics_extraction_peaks_at_most_200_bytes_per_receipt(name):
+    # The metrics read the trace as two array('q') columns per query. Built
+    # as (frame, t) tuples, with a sorted copy and a steady copy of them, the
+    # receipts peaked at about 360 B each (scripts/heap_peak.py).
+    spec = dataclasses.replace(load_scenario(name), frames=5000, seed=SEED)
+    trace, metrics = run_scenario(spec)
+    assert metrics.steady_receipts > 4900
+    assert metrics_peak(spec, trace, metrics) / metrics.steady_receipts <= 200
