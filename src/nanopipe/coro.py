@@ -19,10 +19,6 @@ their loop. At one instant the due timers fire in (global deadline, push
 order), then the loops drain in registration order, round after round, until
 no ready queue holds work; a timer due alone runs in place (``run_all``, one
 drain block of which serves its first pass and every instant).
-
-A loop emits runtime records (Spawn, Suspend, Resume, EventComplete) only
-when it is given its own ``TraceLog``. The loops of a ``NodeGraph`` have none,
-so a scenario trace holds the domain records of stages, links and drops only.
 """
 from __future__ import annotations
 
@@ -33,7 +29,6 @@ from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .errors import UsageError
-from .trace import Kind, TraceLog
 
 
 class TaskState(IntEnum):
@@ -80,7 +75,7 @@ class Task:
     The runtime state is exactly what ``pack()`` serializes: the resume point,
     the state, and the step table's address; ``next`` and ``after_wait`` are
     derived from the steps. The fields are user data and are left out of the
-    bookkeeping budget; ``label`` only names the task in traces.
+    bookkeeping budget; ``label`` only names the task in errors.
     """
 
     __slots__ = ("state", "resume_point", "label", "loop", "steps", "next", "after_wait",
@@ -168,16 +163,8 @@ def event_complete(loop: "EventLoop", ev: Event) -> None:
     if ev.completed:
         raise UsageError(f"double complete of event {ev.label!r} without reset")
     ev.completed = True
-    tr = loop._trace
-    if tr is not None:
-        tr.emit(loop, Kind.EVENT_COMPLETE, ev.label)
-    waiters = ev.waiters
-    ready = loop.ready
-    while waiters:
-        task = waiters.popleft()
-        if tr is not None:
-            tr.emit(loop, Kind.RESUME, task.label)
-        ready.append(task)
+    loop.ready.extend(ev.waiters)
+    ev.waiters.clear()
 
 
 def event_reset(ev: Event) -> None:
@@ -217,8 +204,7 @@ class EventLoop:
     woken router egress (``RouterQueue.serve``).
     """
 
-    def __init__(self, clock=None, name: str = "node0", offset_us: int = 0,
-                 trace: Optional[TraceLog] = None):
+    def __init__(self, clock=None, name: str = "node0", offset_us: int = 0):
         self.clock = clock if clock is not None else VirtualClock()
         self.index = len(self.clock.loops)
         self.clock.loops.append(self)
@@ -226,7 +212,6 @@ class EventLoop:
         self.offset_us = offset_us
         self.ready: deque = deque()
         self.clock.readies.append(self.ready)
-        self._trace = trace
 
     @property
     def now(self) -> int:
@@ -239,8 +224,6 @@ def spawn(loop: EventLoop, task: Task) -> None:
     if task.state != TaskState.START:
         raise UsageError(f"spawn of non-Start task {task.label!r} "
                          f"(state {TaskState(task.state).name})")
-    if loop._trace is not None:
-        loop._trace.emit(loop, Kind.SPAWN, task.label)
     loop.ready.append(task)
 
 
@@ -311,10 +294,6 @@ def _dispatch(loop: EventLoop, task: Task) -> None:
             raise UsageError(f"step {steps[i].__name__} of {task.label!r} returned {out!r}")
     task.resume_point = i
     task.state = _SUSPENDED
-    if loop._trace is not None:
-        loop._trace.emit(loop, Kind.SUSPEND, task.label)
-        if out is YIELD:
-            loop._trace.emit(loop, Kind.RESUME, task.label)
 
 
 def run_all(clock, until_time: Optional[int] = None) -> None:
@@ -355,8 +334,6 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
                 if due.__class__ is Event:
                     event_complete(loop, due)
                 else:
-                    if due.__class__ is Task and loop._trace is not None:
-                        loop._trace.emit(loop, Kind.RESUME, due.label)
                     loop.ready.append(due)      # a sleeping task, or a call_at callback
                 if not timers or timers[0][0] > now:
                     break
@@ -364,8 +341,6 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
         elif due.__class__ is Event:
             event_complete(loop, due)
         elif due.__class__ is Task:
-            if loop._trace is not None:
-                loop._trace.emit(loop, Kind.RESUME, due.label)
             _dispatch(loop, due)
         else:
             due()

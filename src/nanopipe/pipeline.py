@@ -279,7 +279,7 @@ def spawn_chain(loop: EventLoop, mode: str, source: list, works: list, close=(),
 
 def pipeline_run(stages: list, mode: str, pool: BufferPool, frames: int) -> TraceLog:
     """Run ``frames`` frames through a chain of ``(name, duration_us)`` stages
-    and return the full trace.
+    and return a new trace of their stage records.
 
     Serialized mode runs each frame's stages back to back on one task.
     Pipelined mode runs one task per stage (``spawn_chain``). The producer is
@@ -289,10 +289,7 @@ def pipeline_run(stages: list, mode: str, pool: BufferPool, frames: int) -> Trac
     """
     if not stages:
         raise ConfigError("pipeline needs at least one stage")
-    loop = pool.loop
-    trace = loop._trace
-    if trace is None:
-        trace = loop._trace = TraceLog()
+    loop, trace = pool.loop, TraceLog()
     steps = [stage(trace, loop, name, duration_us) for name, duration_us in stages]
     spawn_chain(loop, mode, [acquire, *steps[0]], steps[1:],
                 labels=[name for name, _ in stages], pool=pool, frames=frames)

@@ -1,4 +1,4 @@
-"""Timestamped event records emitted by the runtime and device models.
+"""Timestamped domain records emitted by the stages and device models.
 
 Every record carries the local clock of the node that recorded it, so traces
 from different nodes can only be compared after offset correction. A `TraceLog`
@@ -16,6 +16,8 @@ from typing import NamedTuple, Optional
 
 
 class Kind:
+    # Nothing emits SPAWN to EVENT_COMPLETE. They stay while perfbench builds
+    # synthetic traces from them and keys its per-kind rows on ALL.
     SPAWN = "Spawn"
     SUSPEND = "Suspend"
     RESUME = "Resume"

@@ -165,13 +165,12 @@ LINKS = {
 
 
 class NodeGraph:
-    """The four platform nodes, each with its own loop and fixed clock offset.
-    Only domain records reach ``trace``: the loops get no trace of their own."""
+    """The four platform nodes, each with its own loop and fixed clock offset,
+    on one clock, and the trace of their domain records."""
 
-    def __init__(self, clock=None, trace: Optional[TraceLog] = None,
-                 offsets: Optional[dict] = None, rng=None):
-        self.clock = clock if clock is not None else VirtualClock()
-        self.trace = trace if trace is not None else TraceLog()
+    def __init__(self, offsets: Optional[dict] = None, rng=None):
+        self.clock = VirtualClock()
+        self.trace = TraceLog()
         self.rng = rng
         offsets = offsets or {}
         unknown = set(offsets) - set(NODE_NAMES)

@@ -7,16 +7,30 @@ import pytest
 from nanopipe import coro
 
 
+class Dispatches(Counter):
+    """How many times each loop dispatched a task, by loop; ``log`` holds one
+    ``(clock.now, loop.name, task.label)`` per dispatch, in dispatch order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def of(self, label):
+        """The global times at which the task labelled ``label`` was dispatched."""
+        return [now for now, _, dispatched in self.log if dispatched == label]
+
+
 @pytest.fixture
 def dispatches(monkeypatch):
-    """How many times each loop dispatched a task, by loop. ``run_all`` looks
-    ``_dispatch`` up as a module global on every call, so a wrapper put in its
-    place sees every dispatch."""
-    counts = Counter()
+    """Every task dispatch, counted by loop and logged (``Dispatches``).
+    ``run_all`` looks ``_dispatch`` up as a module global on every call, so a
+    wrapper put in its place sees every dispatch."""
+    counts = Dispatches()
     dispatch = coro._dispatch
 
     def counting(loop, task):
         counts[loop] += 1
+        counts.log.append((loop.clock.now, loop.name, task.label))
         dispatch(loop, task)
 
     monkeypatch.setattr(coro, "_dispatch", counting)

@@ -14,13 +14,13 @@ import pytest
 
 from nanopipe.bench import bench_ctx_switch, context_size_report
 from nanopipe.cli import EXIT_OK, main as cli_main
-from nanopipe.coro import (END, EventLoop, Task, TaskState, VirtualClock, event_complete,
-                           event_init, loop_run, spawn_task)
+from nanopipe.coro import (END, YIELD, EventLoop, Task, TaskState, VirtualClock,
+                           event_complete, event_init, loop_run, spawn_task)
 from nanopipe.errors import UsageError
 from nanopipe.oracle import analytic_oracle
 from nanopipe.pipeline import PIPELINED, SERIALIZED, pipeline_run, pool_create
 from nanopipe.scenarios import load_scenario, run_scenario
-from nanopipe.trace import Kind, TraceLog
+from nanopipe.trace import Kind
 
 from test_cpx import peak_credits_held, router_counts, run_stream
 from nanopipe.cpx import ZEROCOPY
@@ -107,7 +107,7 @@ def test_criterion_06_oracle_equivalence():
             for durations in itertools.permutations(base, k):
                 for pool_n in (1, 2, 3):
                     for mode in (SERIALIZED, PIPELINED):
-                        loop = EventLoop(VirtualClock(), name="n0", trace=TraceLog())
+                        loop = EventLoop(VirtualClock(), name="n0")
                         pool = pool_create(loop, pool_n, 64)
                         trace = pipeline_run(list(zip(names, durations)), mode, pool,
                                              frames=25)
@@ -129,13 +129,13 @@ def _acc_waiter(ev, log, tag):
     return [lambda t: ev, record]
 
 
-def test_criterion_07_coroutine_semantics():
+def test_criterion_07_coroutine_semantics(dispatches):
     with criterion(7, "exactly-once resumption, FIFO fairness, multi-waiter fan-out, "
                       "immediate resume on completed events, illegal transitions "
                       "rejected"):
-        # multi-waiter fan-out, FIFO order, exactly-once (via trace counters)
-        tr = TraceLog()
-        loop = EventLoop(VirtualClock(), name="n0", trace=tr)
+        # multi-waiter fan-out, FIFO order, exactly-once: each waiter is
+        # dispatched once up to its wait and once after the completion
+        loop = EventLoop(VirtualClock(), name="n0")
         ev = event_init("e")
         log = []
         for i in range(5):
@@ -144,18 +144,29 @@ def test_criterion_07_coroutine_semantics():
         event_complete(loop, ev)
         loop_run(loop)
         assert log == [0, 1, 2, 3, 4]
-        for i in range(5):
-            assert tr.count(Kind.SUSPEND, f"w{i}") == 1
-            assert tr.count(Kind.RESUME, f"w{i}") == 1
+        assert dispatches.log == [(0, "n0", f"w{i}") for i in range(5)] * 2
 
-        # immediate resume on a pre-completed event: no suspension recorded
+        # immediate resume on a pre-completed event: one dispatch, no suspension
         ev2 = event_init("e2")
         event_complete(loop, ev2)
         log2 = []
         spawn_task(loop, "pre", _acc_waiter(ev2, log2, "x"))
         loop_run(loop)
         assert log2 == ["x"]
-        assert tr.count(Kind.SUSPEND, "pre") == 0
+        assert dispatches.of("pre") == [0]
+
+        # FIFO fairness: same-instant spawns run in spawn order, a yield goes to
+        # the back of the ready queue, and a pipelined chain queues each reader
+        # before its writer
+        dispatches.log.clear()
+        spawn_task(loop, "y", [lambda t: YIELD, lambda t: END])
+        spawn_task(loop, "z", [lambda t: END])
+        loop_run(loop)
+        pipeline_run([("a", 10), ("b", 10), ("c", 10)], PIPELINED, pool_create(loop, 2, 64),
+                     frames=1)
+        order = [label for _, _, label in dispatches.log]
+        assert order[:3] == ["y", "z", "y"]
+        assert list(dict.fromkeys(order[3:])) == ["c", "b", "a"]
 
         # state machine: exactly the four legal transitions, everything else raises
         legal = {(TaskState.START, TaskState.RUNNING),

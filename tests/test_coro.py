@@ -14,14 +14,12 @@ from nanopipe.coro import (END, YIELD, Event, EventLoop, Task, TaskState, Virtua
                            schedule_completion, spawn, spawn_task)
 from nanopipe.errors import UsageError
 from nanopipe.pipeline import Channel
-from nanopipe.trace import Kind, TraceLog
+from nanopipe.trace import TraceLog
 from nanopipe.vnode import Link, LinkConfig
 
 
-def fresh_loop(trace=False):
-    tr = TraceLog() if trace else None
-    loop = EventLoop(VirtualClock(), name="n0", trace=tr)
-    return loop, tr
+def fresh_loop():
+    return EventLoop(VirtualClock(), name="n0")
 
 
 def timer_event(loop, deadline, label="timer"):
@@ -102,21 +100,21 @@ def stepper(tag, total, log):
 
 
 def test_task_fresh_state():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     task = Task(loop, "noop", noop())
     assert task.state == TaskState.START
     assert task.resume_point == 0
 
 
 def test_spawn_and_run_to_ended():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     task = spawn_task(loop, "noop", noop())
     loop_run(loop)
     assert task.state == TaskState.ENDED
 
 
 def test_two_instances_interleave_without_corruption():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     log = []
     a = spawn_task(loop, "a", stepper("a", 3, log))
     b = spawn_task(loop, "b", stepper("b", 3, log))
@@ -127,7 +125,7 @@ def test_two_instances_interleave_without_corruption():
 
 
 def test_spawn_order_is_execution_order():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     log = []
     for tag in ("t1", "t2", "t3"):
         spawn_task(loop, tag, recorder(log, tag))
@@ -136,7 +134,7 @@ def test_spawn_order_is_execution_order():
 
 
 def test_respawn_non_start_task_rejected():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     task = spawn_task(loop, "noop", noop())
     loop_run(loop)
     with pytest.raises(UsageError):
@@ -145,7 +143,7 @@ def test_respawn_non_start_task_rejected():
 
 def test_counting_oracle_1000_tasks_10_yields(dispatches):
     # each task is dispatched 10 times for its yields plus one terminal pass
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     for _ in range(1000):
         spawn_task(loop, "y", yields_n(10))
     loop_run(loop)
@@ -153,7 +151,7 @@ def test_counting_oracle_1000_tasks_10_yields(dispatches):
 
 
 def test_event_complete_without_waiters_sets_flag_only():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     ev = event_init("e")
     event_complete(loop, ev)
     assert ev.completed
@@ -161,7 +159,7 @@ def test_event_complete_without_waiters_sets_flag_only():
 
 
 def test_double_complete_detected():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     ev = event_init("e")
     event_complete(loop, ev)
     with pytest.raises(UsageError):
@@ -174,7 +172,7 @@ def test_double_complete_detected():
 
 
 def test_three_waiters_resumed_in_registration_order():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     ev = event_init("e")
     log = []
     tasks = [spawn_task(loop, f"w{i}", single_waiter(ev, log)) for i in range(3)]
@@ -187,32 +185,32 @@ def test_three_waiters_resumed_in_registration_order():
     assert all(t.state == TaskState.ENDED for t in tasks)
 
 
-def test_wait_on_completed_event_records_no_suspension():
-    loop, tr = fresh_loop(trace=True)
+def test_wait_on_completed_event_records_no_suspension(dispatches):
+    loop = fresh_loop()
     ev = event_init("e")
     event_complete(loop, ev)
     log = []
     spawn_task(loop, "w", single_waiter(ev, log))
     loop_run(loop)
     assert log == ["before", "after"]
-    assert tr.count(Kind.SUSPEND, "w") == 0
+    assert dispatches.log == [(0, "n0", "w")]      # a suspension would take a second
 
 
-def test_complete_before_wait_resumes_in_same_pass():
+def test_complete_before_wait_resumes_in_same_pass(dispatches):
     # completion happens first; the later waiter must not suspend at all
-    loop, tr = fresh_loop(trace=True)
+    loop = fresh_loop()
     ev = event_init("e")
     event_complete(loop, ev)
     log = []
-    spawn_task(loop, "w", single_waiter(ev, log))
+    task = spawn_task(loop, "w", single_waiter(ev, log))
     loop_run(loop)
-    kinds = [e.kind for e in tr.events if e.subject == "w"]
-    assert kinds == [Kind.SPAWN]  # no Suspend, no Resume: ran straight through
+    assert dispatches.of("w") == [0]    # no suspension, no resumption: ran straight through
+    assert task.state == TaskState.ENDED and not ev.waiters
     assert log == ["before", "after"]
 
 
 def test_fork_join_records_two_distinct_suspension_points():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     ev1, ev2 = event_init("e1"), event_init("e2")
     points = []
     task = spawn_task(loop, "main", two_phase(ev1, ev2, points))
@@ -227,23 +225,23 @@ def test_fork_join_records_two_distinct_suspension_points():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_n_waiters_suspended_and_resumed_exactly_once(n):
-    loop, tr = fresh_loop(trace=True)
+def test_n_waiters_suspended_and_resumed_exactly_once(n, dispatches):
+    # each waiter runs once up to its wait and once after the completion
+    loop = fresh_loop()
     ev = event_init("e")
     log = []
-    for i in range(n):
-        spawn_task(loop, f"w{i}", single_waiter(ev, log))
+    tasks = [spawn_task(loop, f"w{i}", single_waiter(ev, log)) for i in range(n)]
     loop_run(loop)
+    assert all(t.state == TaskState.SUSPENDED for t in tasks)
     event_complete(loop, ev)
     loop_run(loop)
-    for i in range(n):
-        assert tr.count(Kind.SUSPEND, f"w{i}") == 1
-        assert tr.count(Kind.RESUME, f"w{i}") == 1
+    assert dispatches.log == [(0, "n0", f"w{i}") for i in range(n)] * 2
+    assert all(t.state == TaskState.ENDED for t in tasks)
 
 
-def test_exactly_once_resumption_counters():
-    # one completion, k waiters: Resume emitted exactly once per (waiter, completion)
-    loop, tr = fresh_loop(trace=True)
+def test_exactly_once_resumption_counters(dispatches):
+    # one completion, k waiters: one dispatch per (waiter, completion) after the first
+    loop = fresh_loop()
     for round_no in range(3):
         ev = event_init(f"e{round_no}")
         for i in range(4):
@@ -251,9 +249,10 @@ def test_exactly_once_resumption_counters():
         loop_run(loop)
         event_complete(loop, ev)
         loop_run(loop)
-    resumes = [e for e in tr.events if e.kind == Kind.RESUME]
+    labels = [label for _, _, label in dispatches.log]
+    resumes = [label for i, label in enumerate(labels) if label in labels[:i]]
     assert len(resumes) == 3 * 4
-    assert len({e.subject for e in resumes}) == 12
+    assert len(set(resumes)) == 12
 
 
 # --- fork-join ---
@@ -286,7 +285,7 @@ def forkjoin_main(loop, d1, d2, ev1, ev2, log):
 
 
 def test_fork_join_main_waits_both_subtasks():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     log = []
     spawn_task(loop, "main", forkjoin_main(loop, 300, 120, event_init("done1"),
                                            event_init("done2"), log))
@@ -317,7 +316,7 @@ def join(loop, events):
 
 
 def test_join_of_completed_events():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     evs = [event_init("a"), event_init("b")]
     for ev in evs:
         event_complete(loop, ev)
@@ -327,7 +326,7 @@ def test_join_of_completed_events():
 
 
 def test_join_of_no_events_completes_at_once():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     out = join(loop, [])
     loop_run(loop)
     assert out.completed and loop.now == 0
@@ -335,7 +334,7 @@ def test_join_of_no_events_completes_at_once():
 
 def test_join_fork_join_timeline():
     # main forks two timed sub-tasks and proceeds only after both finish
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     e1 = timer_event(loop, 100, "t1")
     e2 = timer_event(loop, 250, "t2")
     out = join(loop, [e1, e2])
@@ -346,7 +345,7 @@ def test_join_fork_join_timeline():
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
 def test_join_fires_at_max_over_all_completion_orders(order):
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     deadlines = [(i + 1) * 10 for i in order]   # completion times permuted
     evs = [timer_event(loop, d, f"t{i}") for i, d in enumerate(deadlines)]
     out = join(loop, evs)
@@ -359,20 +358,20 @@ def test_join_fires_at_max_over_all_completion_orders(order):
 # --- timers ---
 
 def test_schedule_completion_now_is_immediate():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     ev = timer_event(loop, loop.now)
     assert ev.completed
 
 
 def test_schedule_completion_past_is_immediate():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     loop.clock.now = 500
     ev = timer_event(loop, 100)
     assert ev.completed
 
 
 def test_timers_fire_in_deadline_order():
-    loop, tr = fresh_loop(trace=True)
+    loop = fresh_loop()
     fired = []
     for tag, deadline in (("c", 30), ("a", 10), ("b", 20)):
         ev = timer_event(loop, deadline, f"t-{tag}")
@@ -383,7 +382,7 @@ def test_timers_fire_in_deadline_order():
 
 
 def test_call_at_runs_callbacks_at_their_deadlines_without_tasks(dispatches):
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     fired = []
     for deadline in (30, 10, 20):
         call_at(loop, deadline, lambda d=deadline: fired.append((d, loop.now)))
@@ -397,7 +396,7 @@ def test_call_at_runs_callbacks_at_their_deadlines_without_tasks(dispatches):
 def test_call_at_callback_keeps_its_place_among_tasks_woken_at_the_same_instant():
     # a due callback runs where a task woken by the same timer would, so the
     # order at a tie follows the order the timers were set in
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     log = []
     ev = timer_event(loop, 100, "first")
     call_at(loop, 100, lambda: log.append("callback"))
@@ -466,21 +465,18 @@ def sweep_run_all(clock, until_time=None):
             _, _, loop, due = heapq.heappop(timers)
             if due.__class__ is Event:
                 event_complete(loop, due)
-                continue
-            if due.__class__ is Task and loop._trace is not None:
-                loop._trace.emit(loop, Kind.RESUME, due.label)
-            loop.ready.append(due)
+            else:
+                loop.ready.append(due)
 
 
 def random_program(seed):
     """Run a seeded random program on 2-5 loops; return its execution log and
-    trace. Callbacks, channel handlers, event waiters and sleeping tasks each
+    its links' trace. Callbacks, channel handlers, event waiters and sleeping tasks each
     post work to any loop, earlier or later, at zero or non-zero delay; the
     delays fall on a 100 us grid, so several timers are often due at once."""
     rng = random.Random(seed)
     clock, tr = VirtualClock(), TraceLog()
-    loops = [EventLoop(clock, name=f"n{i}", offset_us=rng.randrange(-500, 500),
-                       trace=tr if rng.random() < 0.5 else None)
+    loops = [EventLoop(clock, name=f"n{i}", offset_us=rng.randrange(-500, 500))
              for i in range(rng.randint(2, 5))]
     log, budget = [], [60]
 
@@ -524,19 +520,23 @@ def random_program(seed):
     return log, list(tr.events)
 
 
-def test_run_all_keeps_the_order_of_the_full_sweep(monkeypatch):
+def test_run_all_keeps_the_order_of_the_full_sweep(monkeypatch, dispatches):
     # run_all runs a lone due timer in place and starts the sweep at its loop;
     # that must be exactly the order of the sweep it replaces, also where the
     # entry run in place posts work to an earlier loop
-    programs = [random_program(seed) for seed in range(400)]
+    def run(seed):
+        dispatches.log.clear()
+        return random_program(seed), list(dispatches.log)
+
+    programs = [run(seed) for seed in range(400)]
     monkeypatch.setattr(coro, "run_all", sweep_run_all)
     for seed, got in enumerate(programs):
-        assert random_program(seed) == got, seed
-    assert sum(len(log) for log, _ in programs) > 400 * 30
+        assert run(seed) == got, seed
+    assert sum(len(log) for (log, _), _ in programs) > 400 * 30
 
 
 def test_loop_run_until_time_stops_clock_there():
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     ev = timer_event(loop, 1000)
     loop_run(loop, until=400)
     assert loop.now == 400
@@ -547,9 +547,10 @@ def test_loop_run_until_time_stops_clock_there():
     assert ev.completed and loop.now == 1000
 
 
-def test_deterministic_trace_with_random_timers_and_tasks():
+def test_deterministic_trace_with_random_timers_and_tasks(dispatches):
     def run_once(seed):
-        loop, tr = fresh_loop(trace=True)
+        dispatches.log.clear()
+        loop = fresh_loop()
         rng = random.Random(seed)
         for i in range(100):
             deadline = rng.randrange(0, 5000)
@@ -558,7 +559,7 @@ def test_deterministic_trace_with_random_timers_and_tasks():
         for i in range(20):
             spawn_task(loop, f"y{i}", yields_n(rng.randrange(1, 5)))
         loop_run(loop)
-        return tr.to_csv()
+        return list(dispatches.log)
 
     assert run_once(7) == run_once(7)
     assert run_once(7) != run_once(8)
@@ -569,7 +570,7 @@ def test_deterministic_trace_with_random_timers_and_tasks():
 @settings(max_examples=50, deadline=None)
 @given(st.permutations(list(range(6))))
 def test_fifo_fairness_execution_matches_enqueue_order(order):
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     log = []
     for i in order:
         spawn_task(loop, f"r{i}", recorder(log, i))
@@ -591,7 +592,7 @@ def tagged_waiter(ev, log, tag):
 
 def test_fifo_among_tasks_made_ready_at_same_instant():
     # all waiters of one event become ready together; they run in wait order
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     ev = event_init("e")
     log = []
     for i in range(5):
@@ -610,7 +611,7 @@ def test_all_illegal_transitions_rejected():
              (TaskState.RUNNING, TaskState.SUSPENDED),
              (TaskState.RUNNING, TaskState.ENDED),
              (TaskState.SUSPENDED, TaskState.RUNNING)}
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     for src in TaskState:
         for dst in TaskState:
             task = Task(loop, "noop", noop())
@@ -625,7 +626,7 @@ def test_all_illegal_transitions_rejected():
 
 def test_dispatch_of_an_ended_task_rejected():
     # a task resumed after it ended would run twice; the dispatcher refuses it
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     task = spawn_task(loop, "once", noop())
     loop_run(loop)
     assert task.state == TaskState.ENDED
@@ -636,9 +637,9 @@ def test_dispatch_of_an_ended_task_rejected():
 
 # --- yielding ---
 
-def test_yield_requeues_behind_ready_tasks_and_goes_on_as_after_a_wait():
+def test_yield_requeues_behind_ready_tasks_and_goes_on_as_after_a_wait(dispatches):
     # a plain step goes on at the next step, a guard runs again
-    loop, tr = fresh_loop(trace=True)
+    loop = fresh_loop()
     log = []
 
     def first(t):
@@ -659,8 +660,8 @@ def test_yield_requeues_behind_ready_tasks_and_goes_on_as_after_a_wait():
     spawn_task(loop, "r", recorder(log, "other"))
     loop_run(loop)
     assert log == ["first", "other", "poll", "poll", "last"]
-    assert [(e.kind, e.subject) for e in tr.events if e.subject == "y"] == [
-        (Kind.SPAWN, "y")] + [(Kind.SUSPEND, "y"), (Kind.RESUME, "y")] * 2
+    # each yield ends a dispatch and queues the task behind the ready one
+    assert [label for _, _, label in dispatches.log] == ["y", "r", "y", "y"]
 
 
 # --- no stack retention ---
@@ -688,7 +689,7 @@ def test_behavior_is_pure_function_of_fields_and_resume_point():
     # the same tasks produce the same observable log whether or not other
     # tasks churn the shared (Python call) stack between their suspensions
     def run(with_scribblers):
-        loop, _ = fresh_loop()
+        loop = fresh_loop()
         log = []
         for i in range(4):
             spawn_task(loop, f"s{i}", stepper(i, 5, log))
@@ -704,7 +705,7 @@ def test_behavior_is_pure_function_of_fields_and_resume_point():
 
 def test_bookkeeping_packs_into_at_most_32_bytes():
     assert Task.BOOKKEEPING_BYTES <= 32
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     task = Task(loop, "noop", noop())
     assert len(task.pack()) == Task.BOOKKEEPING_BYTES
 
@@ -713,7 +714,7 @@ def test_packed_task_round_trips_and_resumes_identically():
     # suspend a task, clone it from its packed bookkeeping + steps, swap the
     # clone into the waiter list, and check it finishes exactly like the
     # original would: the packed fields are the whole runtime state
-    loop, _ = fresh_loop()
+    loop = fresh_loop()
     ev = event_init("e")
     log = []
     task = spawn_task(loop, "orig", single_waiter(ev, log))
@@ -731,11 +732,12 @@ def test_packed_task_round_trips_and_resumes_identically():
     assert clone.state == TaskState.ENDED
 
 
-def test_trace_timestamps_monotone_per_node():
-    loop, tr = fresh_loop(trace=True)
+def test_trace_timestamps_monotone_per_node(dispatches):
+    loop = fresh_loop()
     for i in range(10):
-        ev = timer_event(loop, i * 7, f"t{i}")
+        ev = timer_event(loop, (9 - i) * 7, f"t{i}")      # pushed latest first
+        spawn_task(loop, f"w{i}", [lambda t, ev=ev: ev, lambda t: END])
     spawn_task(loop, "y", yields_n(3))
     loop_run(loop)
-    stamps = [e.t_us for e in tr.events]
-    assert stamps == sorted(stamps)
+    stamps = [now for now, _, _ in dispatches.log]
+    assert stamps == sorted(stamps) and stamps[-1] == 63

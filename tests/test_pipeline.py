@@ -17,7 +17,7 @@ from test_coro import timer_event
 
 
 def fresh_loop():
-    return EventLoop(VirtualClock(), name="n0", trace=TraceLog())
+    return EventLoop(VirtualClock(), name="n0")
 
 
 # --- independent scheduling oracle -----------------------------------------
@@ -234,15 +234,16 @@ def _chain_log(mode, works):
         note("close")(t)
         return loop.now + 100
 
-    fill = stage(loop._trace, loop, "fill", 10)
+    trace = TraceLog()
+    fill = stage(trace, loop, "fill", 10)
     spawn_chain(loop, mode, [acquire, *fill], [[note(w)] for w in works],
-                [close], labels=("fill", *works), trace=loop._trace, pool=pool, frames=2)
+                [close], labels=("fill", *works), trace=trace, pool=pool, frames=2)
     loop_run(loop)
-    return log, loop._trace
+    return log
 
 
 def test_serialized_chain_closes_each_frame_after_its_release():
-    log, _ = _chain_log(SERIALIZED, ["a", "b"])
+    log = _chain_log(SERIALIZED, ["a", "b"])
     # the close runs with the buffer free and the frame count moved on, and
     # the next frame's fill starts only when the close is over
     assert log == [("a", 0, 0, 10), ("b", 0, 0, 10), ("close", 1, 1, 10),
@@ -250,13 +251,14 @@ def test_serialized_chain_closes_each_frame_after_its_release():
 
 
 def test_pipelined_chain_never_closes():
-    log, _ = _chain_log(PIPELINED, ["a", "b"])
+    log = _chain_log(PIPELINED, ["a", "b"])
     assert log == [("a", 0, 0, 10), ("b", 0, 0, 10), ("a", 1, 0, 20), ("b", 1, 0, 20)]
 
 
-def test_pipelined_chain_queues_its_tasks_last_to_first():
-    _, trace = _chain_log(PIPELINED, ["a", "b"])
-    assert [e.subject for e in trace.events if e.kind == Kind.SPAWN] == ["b", "a", "fill"]
+def test_pipelined_chain_queues_its_tasks_last_to_first(dispatches):
+    _chain_log(PIPELINED, ["a", "b"])
+    first_dispatches = dict.fromkeys(label for _, _, label in dispatches.log)
+    assert list(first_dispatches) == ["b", "a", "fill"]
 
 
 # --- channel readers -----------------------------------------------------------
@@ -433,8 +435,7 @@ def test_due_deadline_goes_on_without_suspending(ahead, dispatches):
     spawn_task(loop, "due", [sleep, after])
     loop_run(loop)
     assert log == [(100, 0, 0)]
-    assert dispatches == {loop: 1}
-    assert loop._trace.count(Kind.SUSPEND) == 0
+    assert dispatches.log == [(100, "n0", "due")]
 
 
 def test_guard_returning_a_deadline_runs_again_after_it():
@@ -472,13 +473,14 @@ def test_deadline_and_event_timer_due_together_fire_in_push_order(order):
     assert log == [(label, 50) for label in order]
 
 
-def test_deadline_sleep_records_suspend_and_resume():
-    # a traced loop records the sleep like a wait, minus the EventComplete
+def test_deadline_sleep_records_suspend_and_resume(dispatches):
+    # the sleep suspends the task like a wait, and the heap resumes it at the deadline
     loop = fresh_loop()
-    spawn_task(loop, "sleeper", [lambda t: 40, lambda t: END])
+    task = spawn_task(loop, "sleeper", [lambda t: 40, lambda t: END])
+    loop_run(loop, until=39)
+    assert task.state == TaskState.SUSPENDED and dispatches.of("sleeper") == [0]
     loop_run(loop)
-    assert [(e.kind, e.subject, e.t_us) for e in loop._trace.events] == [
-        (Kind.SPAWN, "sleeper", 0), (Kind.SUSPEND, "sleeper", 0), (Kind.RESUME, "sleeper", 40)]
+    assert task.state == TaskState.ENDED and dispatches.of("sleeper") == [0, 40]
 
 
 def test_task_rejects_illegal_transitions():

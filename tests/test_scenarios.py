@@ -139,7 +139,6 @@ def test_streaming_period_floor_checked_at_load():
 def synthetic_trace(receipts, capture_starts=None):
     loop = EventLoop(VirtualClock(), name="n0")
     tr = TraceLog()
-    loop._trace = tr
     for frame, t in (capture_starts or []):
         loop.clock.now = t
         tr.emit(loop, Kind.STAGE_START, "capture", frame)

@@ -18,16 +18,19 @@ from test_coro import timer_event
 
 
 def fresh_loop(name="n0", offset=0, clock=None):
-    return EventLoop(clock or VirtualClock(), name=name, offset_us=offset, trace=TraceLog())
+    return EventLoop(clock or VirtualClock(), name=name, offset_us=offset)
 
 
 def spawn_camera(loop, pool, capture_us, frames, period=0, outs=()):
     """A paced frame source built as a scenario's pipelined producer is: wait
-    for the frame's start, take a buffer or drop the frame, capture, publish."""
-    capture = stage(loop._trace, loop, "capture", capture_us)
+    for the frame's start, take a buffer or drop the frame, capture, publish.
+    Returns the trace its captures and drops go to."""
+    trace = TraceLog()
+    capture = stage(trace, loop, "capture", capture_us)
     spawn_task(loop, "camera", [next_frame, grab, *capture, publish], pool=pool,
                outs=list(outs), frames=frames, period=period, t0=loop.now,
-               trace=loop._trace, frame=0, buf=None)
+               trace=trace, frame=0, buf=None)
+    return trace
 
 
 # --- camera: trigger mode ---
@@ -36,10 +39,11 @@ def test_trigger_capture_completes_after_setup_plus_readout():
     loop = fresh_loop()
     pool = pool_create(loop, 1, 160 * 96)
     frames_ch = Channel(loop, "frames")
-    spawn_camera(loop, pool, trigger_capture_us(0, 8000, pool.capacity), 1, outs=[frames_ch])
+    trace = spawn_camera(loop, pool, trigger_capture_us(0, 8000, pool.capacity), 1,
+                         outs=[frames_ch])
     loop_run(loop)
     assert loop.now == 8000
-    assert loop._trace.times(Kind.STAGE_END, "capture") == [8000]
+    assert trace.times(Kind.STAGE_END, "capture") == [8000]
     (frame, buf), = frames_ch.items
     assert frame == 0 and buf.sequence == 0
     assert buf.state == BufferState.IN_USE
@@ -51,9 +55,9 @@ def test_back_to_back_trigger_captures_capped_near_30hz():
     assert 29.9 < 1e6 / capture_us <= 30.1
     loop = fresh_loop()
     n = 10
-    spawn_camera(loop, pool_create(loop, n, 15360), capture_us, n)
+    trace = spawn_camera(loop, pool_create(loop, n, 15360), capture_us, n)
     loop_run(loop)
-    assert len(loop._trace.times(Kind.STAGE_END, "capture")) == n
+    assert len(trace.times(Kind.STAGE_END, "capture")) == n
     assert loop.now == n * capture_us
     assert n / (loop.now / 1e6) <= 30.1
 
@@ -83,11 +87,11 @@ def _stream_with_holder(period, hold, pool_n, frames, readout):
     frames_ch = Channel(loop, "frames")
     spawn_task(loop, "holder", [take, lambda t: loop.now + hold, retire],
                inbox=frames_ch, pool=pool, frame=None, buf=None)
-    spawn_camera(loop, pool, readout, frames, period=period, outs=[frames_ch])
+    trace = spawn_camera(loop, pool, readout, frames, period=period, outs=[frames_ch])
     loop_run(loop)
-    ends = loop._trace.times(Kind.STAGE_END, "capture")
+    ends = trace.times(Kind.STAGE_END, "capture")
     jitter_us = max((abs(b - a - period) for a, b in zip(ends, ends[1:])), default=0)
-    return (len(ends), loop._trace.count(Kind.DROP, "capture"), jitter_us), loop
+    return (len(ends), trace.count(Kind.DROP, "capture"), jitter_us), loop
 
 
 def test_matched_rate_drops_zero_jitter_zero():
@@ -141,10 +145,9 @@ def test_drop_law_against_finer_tick_rerun(period, hold, pool_n):
 
 def two_node_link(cfg, off_src=0, off_dst=0):
     clock = VirtualClock()
-    trace = TraceLog()
-    src = EventLoop(clock, name="a", offset_us=off_src, trace=trace)
-    dst = EventLoop(clock, name="b", offset_us=off_dst, trace=trace)
-    return Link(cfg, src, dst, trace), src, dst
+    src = EventLoop(clock, name="a", offset_us=off_src)
+    dst = EventLoop(clock, name="b", offset_us=off_dst)
+    return Link(cfg, src, dst, TraceLog()), src, dst
 
 
 def test_transfer_time_formula():
@@ -249,7 +252,7 @@ def test_inline_arrival_is_handled_after_the_sending_step():
     # a zero-latency, zero-byte send is delivered inside the sender's step; its
     # handler must still run after that step, as a queued drain does
     loop = fresh_loop()
-    link = Link(LinkConfig("l", bandwidth_bps=1_000_000), loop, loop, loop._trace)
+    link = Link(LinkConfig("l", bandwidth_bps=1_000_000), loop, loop, TraceLog())
     log = []
     link.rx.consume(lambda msg: log.append(("handled", msg.payload)))
 
@@ -338,7 +341,7 @@ def test_lowering_the_delay_mid_flight_raises():
 def test_clock_offsets_stay_fixed_and_stamp_apart():
     clock = VirtualClock()
     a = fresh_loop("gap8", offset=0, clock=clock)
-    b = EventLoop(clock, name="esp32", offset_us=1000, trace=a._trace)
+    b = EventLoop(clock, name="esp32", offset_us=1000)
     for t in (0, 5000, 123456):
         clock.now = t
         assert b.now - a.now == 1000
