@@ -17,8 +17,6 @@ from .coro import (END, YIELD, EventLoop, Task, VirtualClock, event_complete, ev
 from .cpx import CpxPacket, packet_encode
 from .errors import ConfigError
 
-BENCH_KINDS = ("ctx_switch", "event_complete", "packet_encode")
-
 # the figure the runtime's per-task footprint is held against
 REFERENCE_TASK_BYTES_32BIT = 18
 
@@ -121,11 +119,12 @@ def context_size_report() -> dict:
     }
 
 
+_BENCHES = {"ctx_switch": bench_ctx_switch, "event_complete": bench_event_complete,
+            "packet_encode": bench_packet_encode}
+BENCH_KINDS = tuple(_BENCHES)
+
+
 def microbench(kind: str) -> BenchReport:
-    if kind == "ctx_switch":
-        return bench_ctx_switch()
-    if kind == "event_complete":
-        return bench_event_complete()
-    if kind == "packet_encode":
-        return bench_packet_encode()
-    raise ConfigError(f"unknown benchmark kind {kind!r}; pick one of {BENCH_KINDS}")
+    if kind not in _BENCHES:
+        raise ConfigError(f"unknown benchmark kind {kind!r}; pick one of {BENCH_KINDS}")
+    return _BENCHES[kind]()

@@ -26,7 +26,7 @@ import struct
 from collections import deque
 from enum import IntEnum
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import UsageError
 
@@ -68,7 +68,7 @@ class Task:
     run next), its steps and loop, and the fields its steps keep across waits.
     Shared steps read frame, frames and count (the frame or round at hand, how
     many, how many done), buf and pool, inbox and outs (channels in and out),
-    period and t0 (frame n starts at t0 + n * period), and link, queue, pkt and
+    period and t0 (frame n starts at t0 + n * period), and link, queue and
     nbytes (where and what a task sends); the rest serve one kind of task. With
     slots, not a dict per task, a shared step reads every task's fields alike.
 
@@ -80,7 +80,7 @@ class Task:
 
     __slots__ = ("state", "resume_point", "label", "loop", "steps", "next", "after_wait",
                  "frame", "frames", "count", "buf", "pool", "inbox", "outs", "period", "t0",
-                 "link", "queue", "pkt", "nbytes", "reply", "trace", "receipts",
+                 "link", "queue", "nbytes", "reply", "trace", "receipts",
                  "up", "down", "samples", "t1")
 
     def __init__(self, loop: "EventLoop", label: str, steps, **fields):
@@ -296,8 +296,8 @@ def _dispatch(loop: EventLoop, task: Task) -> None:
     task.state = _SUSPENDED
 
 
-def run_all(clock, until_time: Optional[int] = None) -> None:
-    """Drive every loop on ``clock`` until idle, or until global ``until_time``.
+def run_all(clock) -> None:
+    """Drive every loop on ``clock`` until idle: no work is ready and no timer left.
 
     Virtual time only advances when all ready queues are empty, jumping to the
     earliest timer deadline. The timers due then fire in (global deadline, push
@@ -322,7 +322,7 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
                 if not any(readies):
                     break
                 sweep = loops
-        if not timers or until_time is not None and timers[0][0] > until_time:
+        if not timers:
             break
         now, _, loop, due = heappop(timers)     # no timer is ever pushed at or before now
         clock.now = now
@@ -344,11 +344,8 @@ def run_all(clock, until_time: Optional[int] = None) -> None:
             _dispatch(loop, due)
         else:
             due()
-    if until_time is not None and until_time > clock.now:
-        clock.now = until_time     # the clock never moves backwards
 
 
-def loop_run(loop: EventLoop, until: Optional[int] = None) -> None:
-    """Run the loop's whole clock group until idle (``until=None``) or until
-    the loop-local time ``until`` is reached."""
-    run_all(loop.clock, None if until is None else until - loop.offset_us)
+def loop_run(loop: EventLoop) -> None:
+    """Run the loop's whole clock group until idle (``run_all``)."""
+    run_all(loop.clock)

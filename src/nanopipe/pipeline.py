@@ -64,9 +64,6 @@ class BufferPool:
         self._free: deque = deque(self.buffers)
         self.free_event = event_init("pool-free")
 
-    def __len__(self):
-        return len(self.buffers)
-
     def try_acquire(self) -> Optional[FrameBuffer]:
         """Take a Free buffer (now Filling), or None when the pool is exhausted.
 

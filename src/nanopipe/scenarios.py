@@ -38,6 +38,7 @@ from .vnode import (DEFAULT_TRIGGER_SETUP_US, LINKS, NODE_NAMES, STREAMING,
 FUNCTION_PING = 6
 
 PLATFORM_MEMORY_BYTES = 8 * 2**20     # the AI-deck's HyperRAM, the most memory on board
+OFFSET_ROUNDS = 3       # two-way exchanges per offset hop (_estimate_offsets)
 
 # Each kind's links, in build order, and its offset exchange as (out, back)
 # link pairs, one per hop from the capture node to the sink's node; the sum
@@ -164,8 +165,11 @@ class Scenario:
         for key, raw in self.links.items():
             _check_fields(f"links.{key}", raw, _FIELDS["links"])
             _require("bandwidth_bps" in raw, f"link {key!r} is missing 'bandwidth_bps'")
+        _require(self.rate_hz is None or 1e6 / self.rate_hz < math.inf,
+                 f"rate_hz {self.rate_hz} gives no frame period")
+        _require(self.time_ceiling_us < 2**62,      # trace times are 64-bit: stay well inside
+                 "a run of this scenario could reach 2**62 us of virtual time")
         if self.rate_hz is not None:
-            _require(1e6 / self.rate_hz < math.inf, f"rate_hz {self.rate_hz} gives no frame period")
             period = self.frame_period_us
             if self.camera_mode == TRIGGER:
                 # a capture that takes no time sets no ceiling
@@ -187,6 +191,22 @@ class Scenario:
         if self.rate_hz is None:
             return 0
         return round(1e6 / self.rate_hz)
+
+    @property
+    def time_ceiling_us(self) -> int:
+        """A bound on the |time| of any record: each offset exchange, frame and
+        RTT probe takes at most the period, every stage, two baseline copies of the
+        largest message and two crossings of each built link with it; add the largest |offset|."""
+        built, hops = _KIND_LINKS[self.kind]
+        nbytes = max(self.frame_bytes, self.result_bytes, 8) + 4     # with a packet header
+        num, den = self.copy_ns_per_byte.as_integer_ratio()     # exact: no float overflow
+        cost = (self.frame_period_us + self.capture_us + self.inference_us
+                + self.host_compute_us + 2 * -(-nbytes * num // (den * 1000)))
+        for cfg in map(self.link_cfg, built):
+            cost += 2 * (cfg.base_latency_us + cfg.injected_delay_us + cfg.jitter_us
+                         + cfg.serialization_us(nbytes))
+        rounds = OFFSET_ROUNDS * len(hops) + self.frames + self.rtt_probe_rounds
+        return rounds * cost + max(map(abs, self.offsets_us.values()), default=0)
 
     @property
     def capture_us(self) -> int:
@@ -459,7 +479,7 @@ def _estimate_offsets(graph, spec):
         link.cfg.injected_delay_us = 0
     est, total = {}, 0
     for out, back in _KIND_LINKS[spec.kind][1]:
-        total += estimate_clock_offset(links[out], links[back], rounds=3)
+        total += estimate_clock_offset(links[out], links[back], rounds=OFFSET_ROUNDS)
         est[links[out].dst.name] = total
     for key, link in links.items():
         link.cfg.injected_delay_us = injected[key]

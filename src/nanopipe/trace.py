@@ -99,20 +99,17 @@ class TraceLog:
     def emit(self, loop, kind: str, subject: str, frame: Optional[int] = None) -> None:
         self.record(loop, self.key(loop.name, kind, subject), frame)
 
-    def _indices(self, kind: str, subject: Optional[str]) -> list[int]:
-        """Positions of the records of `kind`, and of `subject` unless it is None,
-        in order. C-level scans (``array.index``) find each matching code's."""
+    def _indices(self, kind: str, subject: str) -> list[int]:
+        """Positions of the records of (`kind`, `subject`), on any node, in
+        order. C-level scans (``array.index``) find each matching code's."""
         column, found = self._code, []
         for (_, k, s), code in self._codes.items():
-            if k == kind and subject in (None, s):
+            if k == kind and s == subject:
                 i = -1
                 with suppress(ValueError):      # raised past the code's last record
                     while True:
                         found.append(i := column.index(code, i + 1))
         return sorted(found)    # the codes of several nodes interleave
-
-    def times(self, kind: str, subject: str) -> list[int]:
-        return [self._t[i] for i in self._indices(kind, subject)]
 
     def columns(self, kind: str, subject: str) -> tuple[array, array]:
         """The frames and the times of the matching records that name a frame,
@@ -129,31 +126,20 @@ class TraceLog:
             frames, times = array("q", compress(frames, named)), array("q", compress(times, named))
         return frames, times
 
-    def frames_of(self, kind: str, subject: str) -> list[tuple[int, int]]:
-        """(frame, t_us) pairs for the matching events, in emission order."""
-        return list(zip(*self.columns(kind, subject)))
-
-    def count(self, kind: str, subject: Optional[str] = None) -> int:
+    def count(self, kind: str, subject: str) -> int:
         return len(self._indices(kind, subject))
 
-    def _csv_chunks(self):
-        """The CSV text: the header, then 4,096 records per chunk, each chunk
-        formatted by one ``%`` call."""
-        yield CSV_HEADER + "\n"
+    def write_csv(self, path) -> None:
+        """Write the CSV: the header, then 4,096 records per chunk, each chunk
+        formatted by one ``%`` call, so the whole text is never held."""
         formats = ["%d," + ",".join(key).replace("%", "%%") + ",%d\n" for key in self._codes]
         code, times, frames = self._code, self._t, self._frame
-        for i in range(0, len(code), 4096):
-            j = min(i + 4096, len(code))
-            args = [0] * (2 * (j - i))
-            args[::2], args[1::2] = times[i:j], frames[i:j]
-            text = "".join(map(formats.__getitem__, code[i:j])) % tuple(args)
-            # the frame is a line's last field, so only a frame can put this before a newline
-            yield text.replace(f",{_NO_FRAME}\n", ",\n")
-
-    def to_csv(self) -> str:
-        return "".join(self._csv_chunks())
-
-    def write_csv(self, path) -> None:
-        """Write the CSV a 4,096-record chunk at a time, never holding the whole text."""
         with open(path, "w", newline="") as fp:
-            fp.writelines(self._csv_chunks())
+            fp.write(CSV_HEADER + "\n")
+            for i in range(0, len(code), 4096):
+                j = min(i + 4096, len(code))
+                args = [0] * (2 * (j - i))
+                args[::2], args[1::2] = times[i:j], frames[i:j]
+                text = "".join(map(formats.__getitem__, code[i:j])) % tuple(args)
+                # the frame is a line's last field: only a frame can put this before a newline
+                fp.write(text.replace(f",{_NO_FRAME}\n", ",\n"))

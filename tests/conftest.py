@@ -1,10 +1,26 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and trace readers shared by the test modules."""
 
+import pathlib
+import tempfile
 from collections import Counter
 
 import pytest
 
 from nanopipe import coro
+
+
+def times_of(trace, kind, subject):
+    """The times of the records of (``kind``, ``subject``), with or without a
+    frame, in record order: a scan of ``trace.events``."""
+    return [e.t_us for e in trace.events if e.kind == kind and e.subject == subject]
+
+
+def csv_text(trace):
+    """The text of the file that ``trace.write_csv`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "trace.csv"
+        trace.write_csv(path)
+        return path.read_bytes().decode()
 
 
 class Dispatches(Counter):

@@ -111,8 +111,7 @@ def test_criterion_06_oracle_equivalence():
                         pool = pool_create(loop, pool_n, 64)
                         trace = pipeline_run(list(zip(names, durations)), mode, pool,
                                              frames=25)
-                        times = sorted(t for _, t in
-                                       trace.frames_of(Kind.STAGE_END, names[k - 1]))
+                        times = sorted(trace.columns(Kind.STAGE_END, names[k - 1])[1])
                         gaps = [b - a for a, b in zip(times[10:], times[11:])]
                         expected = analytic_oracle(list(durations), mode, pool_n)
                         assert gaps, (durations, pool_n, mode)

@@ -12,10 +12,15 @@ from nanopipe.errors import ConfigError
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
 from calls_per_frame import calls_per_frame  # noqa: E402
+from ops_per_frame import ops_per_frame  # noqa: E402
 
 # Python calls per frame at 1,000 frames (scripts/calls_per_frame.py), at most;
 # the exact counts of CPython 3.11.7 at the commit that set them
 CALLS_PER_FRAME = {"streaming-72hz": 131.538, "remote-sweep": 228.423}
+
+# bytecodes per frame at 1,000 frames (scripts/ops_per_frame.py), at most;
+# the exact counts of CPython 3.11.7 at the commit that set them
+OPS_PER_FRAME = {"streaming-72hz": 2215.368, "remote-sweep": 3892.017}
 
 
 def test_unknown_kind_rejected():
@@ -58,3 +63,12 @@ def test_all_kinds_run_quickly_in_smoke_mode():
 def test_calls_per_frame_stay_at_most_the_recorded_count(fixture):
     # a count, not a timing: the run is deterministic, so it repeats exactly
     assert calls_per_frame(fixture, 1000) <= CALLS_PER_FRAME[fixture]
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython"
+                    or sys.version_info[:2] != (3, 11),
+                    reason="bytecodes differ between interpreters")
+@pytest.mark.parametrize("fixture", sorted(OPS_PER_FRAME))
+def test_bytecodes_per_frame_stay_at_most_the_recorded_count(fixture):
+    # exact too, and it sees work inside a function that calls per frame miss
+    assert round(sum(ops_per_frame(fixture, 1000).values()), 3) <= OPS_PER_FRAME[fixture]

@@ -154,6 +154,32 @@ def test_oversized_buffers_are_config_error(tmp_path, capsys, monkeypatch, fixtu
     assert "platform memory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixture,edits", [
+    ("pulp-frontnet-48", {("links", "uart_down", "base_latency_us"): 2**62}),
+    ("pulp-frontnet-48", {("links", "uart_down", "injected_delay_us"): 2**63}),
+    ("pulp-frontnet-48", {("offsets_us", "gap8"): 2**63}),
+    ("pulp-frontnet-48", {("inference_us",): 2**63}),
+    ("pulp-frontnet-48", {("rate_hz",): 1e-300}),
+    ("streaming-72hz", {("pool_size",): 1, ("image_bytes",): 8 * 2**20,
+                        ("links", "spi_up", "bandwidth_bps"): 1, ("frames",): 140_000}),
+    ("streaming-72hz", {("router_mode",): "baseline", ("router", "copy_ns_per_byte"): 1e300}),
+    ("streaming-72hz", {("links", "wifi_up", "jitter_us"): 2**62}),
+], ids=lambda v: str(v))
+def test_a_run_past_the_trace_time_range_is_config_error(tmp_path, capsys, fixture, edits):
+    # each of these ran until a trace time overflowed array('q'), and exited 1
+    doc = json.loads((fixture_dir() / f"{fixture}.json").read_text())
+    for where, value in edits.items():
+        block = doc
+        for key in where[:-1]:
+            block = block[key]
+        block[where[-1]] = value
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    rc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "o"))
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: a run of this scenario could reach 2**62 us")
+
+
 def test_trigger_capture_of_no_time_runs(tmp_path, capsys):
     # setup and readout both 0: the camera sets no rate ceiling
     doc = json.loads((fixture_dir() / "imav-30.json").read_text())
@@ -276,8 +302,8 @@ def test_metrics_recomputed_from_csv_match_json(tmp_path):
     assert again.to_dict() == stored
 
 
-def test_write_csv_in_chunks_matches_to_csv(tmp_path):
-    # both exports against a formatter of their own, around the 4,096-record
+def test_write_csv_in_chunks_matches_a_formatter(tmp_path):
+    # the export against a formatter of its own, around the 4,096-record
     # chunk edges, with frames of None, 0 and -1 and subjects that a
     # %-format would read as conversions
     nodes, subjects, frames = ("gap8", "esp32"), ("inference", "100% %d", "%s"), (None, 0, -1, 7)
@@ -290,7 +316,6 @@ def test_write_csv_in_chunks_matches_to_csv(tmp_path):
             for e in trace.events)
         trace.write_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == expected.encode(), n
-        assert trace.to_csv() == expected, n
 
 
 @pytest.mark.parametrize("command", ["run", "bench", "list-scenarios"])

@@ -436,7 +436,7 @@ def test_clock_wide_timer_heap_keeps_each_loops_order_at_shared_instants():
     assert ran == sorted(expected)
 
 
-def sweep_run_all(clock, until_time=None):
+def sweep_run_all(clock):
     """``run_all`` as it was before a timer due alone ran in place: every due
     timer joins its loop's ready queue, and every instant ends on a round over
     all loops that finds no work. The reference for the order of ``run_all``."""
@@ -454,9 +454,7 @@ def sweep_run_all(clock, until_time=None):
                     else:
                         item()
                     progressed = True
-        if not timers or until_time is not None and timers[0][0] > until_time:
-            if until_time is not None and until_time > clock.now:
-                clock.now = until_time
+        if not timers:
             return
         now = clock.now
         if timers[0][0] > now:
@@ -533,18 +531,6 @@ def test_run_all_keeps_the_order_of_the_full_sweep(monkeypatch, dispatches):
     for seed, got in enumerate(programs):
         assert run(seed) == got, seed
     assert sum(len(log) for (log, _), _ in programs) > 400 * 30
-
-
-def test_loop_run_until_time_stops_clock_there():
-    loop = fresh_loop()
-    ev = timer_event(loop, 1000)
-    loop_run(loop, until=400)
-    assert loop.now == 400
-    assert not ev.completed
-    loop_run(loop, until=200)      # a stop time in the past never rewinds
-    assert loop.now == 400
-    loop_run(loop)
-    assert ev.completed and loop.now == 1000
 
 
 def test_deterministic_trace_with_random_timers_and_tasks(dispatches):

@@ -19,6 +19,8 @@ from nanopipe.pipeline import next_frame, pool_create
 from nanopipe.trace import Kind, TraceLog
 from nanopipe.vnode import LinkConfig, NodeGraph
 
+from conftest import times_of
+
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cpx_frames.txt"
 
 # the five header fields a frame carries besides its length
@@ -151,17 +153,18 @@ def build_router_rig(mode, t_spi_us, t_wifi_us, nbytes, capacity=4,
 
 
 def _make_image(t):
-    t.pkt = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_APP_STREAM,
+    # the sender's buffer is the packet, as on the host
+    t.buf = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_APP_STREAM,
                       memoryview(bytes(t.nbytes)), meta=t.frame)
 
 
 def _send_image(t):
-    return t.link.send(t.pkt, t.pkt.wire_bytes, frame=t.frame)
+    return t.link.send(t.buf, t.buf.wire_bytes, frame=t.frame)
 
 
 def _sent(t):
     t.frame += 1
-    t.pkt = None
+    t.buf = None
 
 
 def run_stream(mode, t_spi_us, t_wifi_us, nbytes=25600, frames=40, capacity=4,
@@ -173,7 +176,7 @@ def run_stream(mode, t_spi_us, t_wifi_us, nbytes=25600, frames=40, capacity=4,
     sender = spawn_task(gap8, "image-tx", [next_frame, _make_image, reserve, _send_image, _sent],
                         link=spi_up, queue=router.queues["wifi"], trace=graph.trace,
                         frames=frames, nbytes=nbytes, period=period_us, t0=gap8.now,
-                        frame=0, pkt=None)
+                        frame=0, buf=None)
     arrivals = []
     link = graph.links["wifi_up"]
 
@@ -203,8 +206,8 @@ def peak_credits_held(graph, nbytes=25600):
     that packet's last byte leaves on wifi; a slot freed at the instant of a
     send counts as free, so this is at most the true peak."""
     wifi_us = graph.links["wifi_up"].cfg.serialization_us(nbytes + 4)
-    freed = [t + wifi_us for t in graph.trace.times(Kind.LINK_TX_START, "wifi")]
-    sends = graph.trace.times(Kind.LINK_TX_START, "spi")
+    freed = [t + wifi_us for t in times_of(graph.trace, Kind.LINK_TX_START, "wifi")]
+    sends = times_of(graph.trace, Kind.LINK_TX_START, "spi")
     return max(k + 1 - bisect_right(freed, t) for k, t in enumerate(sends))
 
 
@@ -276,8 +279,8 @@ def test_baseline_copy_delays_transmit_after_dequeue(copy_ns_per_byte, copy_us):
     graph, _, _, arrivals = run_stream(BASELINE, 2000, 10000, frames=5,
                                        copy_ns_per_byte=copy_ns_per_byte)
     assert len(arrivals) == 5
-    dequeued = graph.trace.times(Kind.LINK_RX_END, "spi")
-    assert graph.trace.times(Kind.LINK_TX_START, "wifi") == [t + copy_us for t in dequeued]
+    dequeued = times_of(graph.trace, Kind.LINK_RX_END, "spi")
+    assert times_of(graph.trace, Kind.LINK_TX_START, "wifi") == [t + copy_us for t in dequeued]
 
 
 def test_full_queue_sender_wakes_when_the_last_byte_leaves():
@@ -285,10 +288,10 @@ def test_full_queue_sender_wakes_when_the_last_byte_leaves():
     # sender goes on at the instant the packet ahead of it is off the router
     graph, router, _, arrivals = run_stream(ZEROCOPY, 2000, 10000, frames=5, capacity=1)
     assert len(arrivals) == 5
-    assert len(graph.trace.times(Kind.QUEUE_FULL, "wifi")) == 4
+    assert graph.trace.count(Kind.QUEUE_FULL, "wifi") == 4
     wifi_us = graph.links["wifi_up"].cfg.serialization_us(25600 + 4)
-    last_byte_out = [t + wifi_us for t in graph.trace.times(Kind.LINK_TX_START, "wifi")]
-    assert graph.trace.times(Kind.LINK_TX_START, "spi")[1:] == last_byte_out[:-1]
+    last_byte_out = [t + wifi_us for t in times_of(graph.trace, Kind.LINK_TX_START, "wifi")]
+    assert times_of(graph.trace, Kind.LINK_TX_START, "spi")[1:] == last_byte_out[:-1]
     assert router_counts(graph) == (5, 5, 0)
 
 

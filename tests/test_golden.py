@@ -27,6 +27,8 @@ from nanopipe.pipeline import MODES, PIPELINED
 from nanopipe.scenarios import list_scenarios, load_scenario, run_scenario
 from nanopipe.trace import Kind
 
+from conftest import csv_text
+
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "metrics.json"
 DOMAIN_TRACE = pathlib.Path(__file__).parent / "golden" / "domain_trace.json"
 
@@ -49,7 +51,7 @@ def _metrics_json(name, mode, router):
 
 def _trace_digest(trace):
     return {"records": len(trace.events),
-            "sha256": hashlib.sha256(trace.to_csv().encode()).hexdigest()}
+            "sha256": hashlib.sha256(csv_text(trace).encode()).hexdigest()}
 
 
 @pytest.fixture(scope="module")

@@ -48,7 +48,7 @@ def sim_receipts(durations, mode, pool_n, frames):
     names = ["capture", "inference", "tx", "s3", "s4"]
     trace = pipeline_run(list(zip(names, durations)), mode, pool, frames)
     last = names[len(durations) - 1]
-    return [t for _, t in sorted(trace.frames_of(Kind.STAGE_END, last))], trace
+    return [t for _, t in sorted(zip(*trace.columns(Kind.STAGE_END, last)))], trace
 
 
 # --- pool lifecycle ---------------------------------------------------------
@@ -56,8 +56,8 @@ def sim_receipts(durations, mode, pool_n, frames):
 def test_pool_create_double_buffer():
     loop = fresh_loop()
     pool = pool_create(loop, 2, 25600)
-    assert len(pool) == 2
-    assert len(pool) * pool.capacity == 2 * 25600
+    assert len(pool.buffers) == 2
+    assert len(pool.buffers) * pool.capacity == 2 * 25600
     assert all(b.state == BufferState.FREE for b in pool.buffers)
 
 
@@ -422,7 +422,7 @@ def test_last_step_wraps_to_the_first():
 @pytest.mark.parametrize("ahead", [-5, 0])
 def test_due_deadline_goes_on_without_suspending(ahead, dispatches):
     loop = fresh_loop()
-    loop_run(loop, until=100)
+    loop.clock.now = 100
     log = []
 
     def sleep(t):
@@ -477,9 +477,10 @@ def test_deadline_sleep_records_suspend_and_resume(dispatches):
     # the sleep suspends the task like a wait, and the heap resumes it at the deadline
     loop = fresh_loop()
     task = spawn_task(loop, "sleeper", [lambda t: 40, lambda t: END])
-    loop_run(loop, until=39)
-    assert task.state == TaskState.SUSPENDED and dispatches.of("sleeper") == [0]
+    at_39 = []
+    call_at(loop, 39, lambda: at_39.append((task.state, dispatches.of("sleeper"))))
     loop_run(loop)
+    assert at_39 == [(TaskState.SUSPENDED, [0])]
     assert task.state == TaskState.ENDED and dispatches.of("sleeper") == [0, 40]
 
 

@@ -1,5 +1,6 @@
 """Scenario loading, closed-loop runs, and metric extraction."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -15,6 +16,9 @@ from nanopipe.scenarios import (_FIELDS, Metrics, Scenario, _build_graph, comput
                                 scenario_from_dict)
 from nanopipe.trace import Kind, TraceEvent, TraceLog
 from nanopipe.vnode import LINKS, LinkConfig
+
+from test_golden import LEGAL, _spec
+from test_variant_corpus import corpus_docs
 
 
 # --- loading and validation ---
@@ -132,6 +136,24 @@ def test_streaming_period_floor_checked_at_load():
     with pytest.raises(ConfigError):
         dataclasses.replace(spec, rate_hz=160.0)
     dataclasses.replace(spec, rate_hz=160.0, mode="serialized")
+
+
+def test_time_ceiling_bounds_every_recorded_time():
+    # the load-time check of a run's length stands on this bound: no record
+    # of a golden case or of a legal corpus variant is past time_ceiling_us
+    specs = [_spec(*case) for case in LEGAL]
+    for doc in corpus_docs():
+        with contextlib.suppress(ConfigError):
+            specs.append(scenario_from_dict(doc))
+    ran = 0
+    for spec in specs:
+        try:
+            trace, _ = run_scenario(spec)
+        except MetricsError:
+            continue
+        ran += 1
+        assert max(abs(e.t_us) for e in trace.events) < spec.time_ceiling_us, spec.name
+    assert ran > len(LEGAL) + 250
 
 
 # --- compute_metrics on synthetic traces ---
@@ -436,8 +458,8 @@ def test_trigger_camera_numbers_captures_by_tick_when_ticks_drop():
     _, (trace, m) = run_named("imav-30", mode="pipelined", pool_size=1, rate_hz=29.9)
     assert m.frames_dropped > 0
     assert m.e2e_ms_mean >= 0
-    captured = {f for f, _ in trace.frames_of(Kind.STAGE_END, "capture")}
-    inferred = {f for f, _ in trace.frames_of(Kind.STAGE_END, "inference")}
+    captured = {f for f, _ in zip(*trace.columns(Kind.STAGE_END, "capture"))}
+    inferred = {f for f, _ in zip(*trace.columns(Kind.STAGE_END, "inference"))}
     assert captured and captured <= inferred, sorted(captured - inferred)[:5]
 
 
@@ -449,8 +471,8 @@ def test_serialized_trigger_loop_pays_the_camera_setup():
     _, (trace, serial) = run_named("imav-30", mode="serialized")
     _, (_, piped) = run_named("imav-30", mode="pipelined")
     assert serial.e2e_ms_mean == pytest.approx(piped.e2e_ms_mean, abs=1e-9)
-    starts = dict(trace.frames_of(Kind.STAGE_START, "capture"))
-    ends = dict(trace.frames_of(Kind.STAGE_END, "capture"))
+    starts = dict(zip(*trace.columns(Kind.STAGE_START, "capture")))
+    ends = dict(zip(*trace.columns(Kind.STAGE_END, "capture")))
     assert {ends[f] - starts[f] for f in ends} == {spec.capture_us}
     serial_spec = dataclasses.replace(spec, mode="serialized")
     assert serial.closed_loop_hz == pytest.approx(1e6 / expected_period_us(serial_spec),

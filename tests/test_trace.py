@@ -15,6 +15,8 @@ from nanopipe.scenarios import load_scenario, run_scenario
 from nanopipe.trace import CSV_HEADER, Kind, TraceEvent, TraceLog
 from nanopipe.vnode import Link, LinkConfig
 
+from conftest import csv_text
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
 from heap_peak import SEED, metrics_peak  # noqa: E402
 
@@ -35,7 +37,7 @@ def _two_loop_trace():
 
 
 def test_csv_of_two_loops_with_offsets():
-    assert _two_loop_trace().to_csv() == (
+    assert csv_text(_two_loop_trace()) == (
         "t_us,node,kind,subject,frame\n"
         "0,gap8,StageStart,capture,0\n"
         "1000,gap8,StageEnd,capture,0\n"
@@ -56,7 +58,7 @@ def test_events_clear_leaves_only_the_header():
     trace = _two_loop_trace()
     trace.events.clear()
     assert len(trace.events) == 0
-    assert trace.to_csv() == CSV_HEADER + "\n"
+    assert csv_text(trace) == CSV_HEADER + "\n"
 
 
 def test_assigning_events_replaces_the_records():
@@ -65,7 +67,7 @@ def test_assigning_events_replaces_the_records():
            TraceEvent(9, "esp32", Kind.QUEUE_FULL, "wifi", 3)]
     trace.events = new
     assert list(trace.events) == new
-    assert trace.to_csv() == CSV_HEADER + "\n7,host,StageEnd,sink,\n9,esp32,QueueFull,wifi,3\n"
+    assert csv_text(trace) == CSV_HEADER + "\n7,host,StageEnd,sink,\n9,esp32,QueueFull,wifi,3\n"
 
 
 def test_a_link_records_its_keys_after_the_trace_is_cleared():
@@ -78,12 +80,12 @@ def test_a_link_records_its_keys_after_the_trace_is_cleared():
     trace.events.clear()
     link.send(b"", 1000, frame=4)
     loop_run(gap8)
-    assert trace.to_csv() == (CSV_HEADER + "\n0,gap8,LinkTxStart,spi_up,4\n"
-                              "1000,esp32,LinkRxEnd,spi_up,4\n")
+    assert csv_text(trace) == (CSV_HEADER + "\n0,gap8,LinkTxStart,spi_up,4\n"
+                               "1000,esp32,LinkRxEnd,spi_up,4\n")
     trace.events = [TraceEvent(5, "host", Kind.STAGE_END, "sink", None)]
     link.send(b"", 0)
-    assert trace.to_csv() == (CSV_HEADER + "\n5,host,StageEnd,sink,\n"
-                              "1000,gap8,LinkTxStart,spi_up,\n1000,esp32,LinkRxEnd,spi_up,\n")
+    assert csv_text(trace) == (CSV_HEADER + "\n5,host,StageEnd,sink,\n"
+                               "1000,gap8,LinkTxStart,spi_up,\n1000,esp32,LinkRxEnd,spi_up,\n")
 
 
 def _random_records(rng):
@@ -111,16 +113,16 @@ def test_queries_agree_with_a_scan_of_every_record():
         trace.events = records
         for kind, subject in queries:
             match = [e for e in records if (e.kind, e.subject) == (kind, subject)]
-            assert trace.times(kind, subject) == [e.t_us for e in match]
             named = [e for e in match if e.frame is not None]
             frames, times = trace.columns(kind, subject)
             assert (frames.typecode, times.typecode) == ("q", "q")
             assert list(frames) == [e.frame for e in named]
             assert list(times) == [e.t_us for e in named]
-            assert trace.frames_of(kind, subject) == [(e.frame, e.t_us) for e in named]
             assert trace.count(kind, subject) == len(match)
         for kind in Kind.ALL:
-            assert trace.count(kind) == sum(e.kind == kind for e in records)
+            for subject in ("sink", "capture", "rtt_probe"):
+                assert trace.count(kind, subject) == sum(
+                    (e.kind, e.subject) == (kind, subject) for e in records)
 
 
 @pytest.mark.parametrize("name", ["remote-sweep", "streaming-72hz"])
@@ -137,10 +139,10 @@ def test_only_rare_records_look_up_their_key(name, monkeypatch):
     monkeypatch.setattr(TraceLog, "emit", counted)
     trace, _ = run_scenario(dataclasses.replace(load_scenario(name), frames=300))
     assert all(kind == Kind.DROP for _, _, kind, *_ in calls)
-    assert len(calls) == trace.count(Kind.DROP)
+    assert len(calls) == sum(e.kind == Kind.DROP for e in trace.events)
     if name == "streaming-72hz":
         # QueueFull comes about once a frame here, through the cached code
-        assert trace.count(Kind.QUEUE_FULL) > 0
+        assert trace.count(Kind.QUEUE_FULL, "wifi") > 0
     assert len(trace.events) > 300 * 5
 
 

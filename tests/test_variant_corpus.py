@@ -30,12 +30,16 @@ SEED, COUNT = 0, 500
 ILLEGAL = {"ConfigError", "MetricsError"}    # what an illegal variant may raise
 
 
-def digests(csv_path):
+def corpus_docs():
+    """The corpus's variant documents, legal and illegal, in order."""
     fixtures = [json.loads(p.read_text()) for p in
                 sorted((pathlib.Path(scenarios.__file__).parent / "fixtures").glob("*.json"))]
     rng = random.Random(SEED)
-    docs = [variant(rng.choice(fixtures), rng) for _ in range(COUNT)]
-    return [{"name": doc["name"], **outcome(doc, csv_path)} for doc in docs]
+    return [variant(rng.choice(fixtures), rng) for _ in range(COUNT)]
+
+
+def digests(csv_path):
+    return [{"name": doc["name"], **outcome(doc, csv_path)} for doc in corpus_docs()]
 
 
 def test_variants_match_the_corpus(tmp_path):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nanopipe.coro import END, EventLoop, VirtualClock, guard, loop_run, spawn_task
+from nanopipe.coro import END, EventLoop, VirtualClock, call_at, guard, loop_run, spawn_task
 from nanopipe.errors import ConfigError, UsageError
 from nanopipe.pipeline import (BufferState, Channel, grab, next_frame, pool_create, publish,
                                retire, stage, take)
@@ -14,6 +14,7 @@ from nanopipe.trace import Kind, TraceLog
 from nanopipe.vnode import (DEFAULT_TRIGGER_SETUP_US, LinkConfig, Link, NodeGraph,
                             trigger_capture_us)
 
+from conftest import times_of
 from test_coro import timer_event
 
 
@@ -43,7 +44,7 @@ def test_trigger_capture_completes_after_setup_plus_readout():
                          outs=[frames_ch])
     loop_run(loop)
     assert loop.now == 8000
-    assert trace.times(Kind.STAGE_END, "capture") == [8000]
+    assert times_of(trace, Kind.STAGE_END, "capture") == [8000]
     (frame, buf), = frames_ch.items
     assert frame == 0 and buf.sequence == 0
     assert buf.state == BufferState.IN_USE
@@ -57,7 +58,7 @@ def test_back_to_back_trigger_captures_capped_near_30hz():
     n = 10
     trace = spawn_camera(loop, pool_create(loop, n, 15360), capture_us, n)
     loop_run(loop)
-    assert len(trace.times(Kind.STAGE_END, "capture")) == n
+    assert len(times_of(trace, Kind.STAGE_END, "capture")) == n
     assert loop.now == n * capture_us
     assert n / (loop.now / 1e6) <= 30.1
 
@@ -89,7 +90,7 @@ def _stream_with_holder(period, hold, pool_n, frames, readout):
                inbox=frames_ch, pool=pool, frame=None, buf=None)
     trace = spawn_camera(loop, pool, readout, frames, period=period, outs=[frames_ch])
     loop_run(loop)
-    ends = trace.times(Kind.STAGE_END, "capture")
+    ends = times_of(trace, Kind.STAGE_END, "capture")
     jitter_us = max((abs(b - a - period) for a, b in zip(ends, ends[1:])), default=0)
     return (len(ends), trace.count(Kind.DROP, "capture"), jitter_us), loop
 
@@ -162,7 +163,7 @@ def test_delivery_time_matches_formula():
         LinkConfig("l", bandwidth_bps=20_000_000, base_latency_us=1000))
     timer_event(src, link.send(b"", 25600))
     loop_run(src)
-    assert link.trace.times(Kind.LINK_RX_END, "l") == [11240]
+    assert times_of(link.trace, Kind.LINK_RX_END, "l") == [11240]
     assert dst.now == 11240
     msg = link.rx.try_get()
     assert msg is not None and msg.nbytes == 25600
@@ -172,9 +173,10 @@ def test_sender_done_at_last_byte_out():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=5000))
     done_ev = timer_event(src, link.send(b"", 1000))    # 1 ms on the wire, 5 ms latency
-    loop_run(src, until=1000)
-    assert done_ev.completed          # sender freed at 1 ms
+    at_1ms = []
+    call_at(src, 1000, lambda: at_1ms.append(done_ev.completed))
     loop_run(src)
+    assert at_1ms == [True]           # sender freed at 1 ms
     assert dst.now == 6000            # delivery at 6 ms
 
 
@@ -188,7 +190,7 @@ def test_injected_delay_shifts_every_delivery_exactly():
         for i in range(3):
             link.send(b"", 5000, frame=i)
         loop_run(src)
-        times.append(link.trace.times(Kind.LINK_RX_END, "l"))
+        times.append(times_of(link.trace, Kind.LINK_RX_END, "l"))
     assert [b - a for a, b in zip(times[0], times[1])] == [500_000] * 3
 
 
@@ -200,11 +202,12 @@ def test_queued_sends_serialize_back_to_back_without_tasks(dispatches):
         off_dst=50)
     done = [timer_event(src, link.send(b"", 1000, frame=i))    # 1 ms on the wire each
             for i in range(3)]
-    loop_run(src, until=2000)
-    assert [ev.completed for ev in done] == [True, True, False]
+    at_2ms = []
+    call_at(src, 2000, lambda: at_2ms.append([ev.completed for ev in done]))
     loop_run(src)
-    assert link.trace.times(Kind.LINK_TX_START, "l") == [0, 1000, 2000]
-    assert link.trace.times(Kind.LINK_RX_END, "l") == [1350, 2350, 3350]
+    assert at_2ms == [[True, True, False]]
+    assert times_of(link.trace, Kind.LINK_TX_START, "l") == [0, 1000, 2000]
+    assert times_of(link.trace, Kind.LINK_RX_END, "l") == [1350, 2350, 3350]
     assert not dispatches
 
 
@@ -234,7 +237,7 @@ def test_arrival_handled_where_a_reader_task_would(reader, timer_first):
     spawn_task(dst, "tick", [lambda t: tick, lambda t: log.append("tick") or END])
     loop_run(src)
     assert log == ["tick", "a"]
-    assert link.trace.times(Kind.LINK_RX_END, "l") == [100]
+    assert times_of(link.trace, Kind.LINK_RX_END, "l") == [100]
 
 
 def test_same_instant_arrivals_handled_in_send_order():
@@ -271,7 +274,7 @@ def test_zero_byte_send_delivers_at_base_latency():
         LinkConfig("l", bandwidth_bps=1_000_000, base_latency_us=700))
     link.send(b"", 0)
     loop_run(src)
-    assert link.trace.times(Kind.LINK_RX_END, "l") == [700] and dst.now == 700
+    assert times_of(link.trace, Kind.LINK_RX_END, "l") == [700] and dst.now == 700
     assert [msg.nbytes for msg in link.rx.items] == [0]
 
 
@@ -321,7 +324,7 @@ def test_jittered_mixed_sizes_deliver_in_send_order(reader):
         ser = max(1, cfg.serialization_us(n) + rng.randint(-cfg.jitter_us, cfg.jitter_us))
         free_at += ser
         expected.append(free_at + cfg.base_latency_us + 7)     # receiver-local time
-    assert link.trace.frames_of(Kind.LINK_RX_END, "l") == list(enumerate(expected))
+    assert list(zip(*link.trace.columns(Kind.LINK_RX_END, "l"))) == list(enumerate(expected))
     assert got == [(i, n, t) for i, (n, t) in enumerate(zip(sizes, expected))]
     assert not link.in_flight
 
