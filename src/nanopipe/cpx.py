@@ -45,6 +45,7 @@ ROUTER_MODES = (ZEROCOPY, BASELINE)
 
 _LEN = struct.Struct("<H")
 _HEADER = struct.Struct("<HBB")
+HEADER_BYTES = _HEADER.size     # length, route and function ahead of the payload
 
 
 @dataclass(slots=True)
@@ -53,10 +54,10 @@ class CpxPacket:
     destination: int
     function: int
     payload: object = b""               # bytes or a zero-copy memoryview
+    meta: object = None                 # simulation-side bookkeeping, not on the wire
     last_fragment: bool = True
     version: int = 0
     copy_count: int = 0
-    meta: object = None                 # simulation-side bookkeeping, not on the wire
 
     @property
     def length(self) -> int:
@@ -64,7 +65,7 @@ class CpxPacket:
 
     @property
     def wire_bytes(self) -> int:
-        return 4 + len(self.payload)
+        return HEADER_BYTES + len(self.payload)
 
 
 def _check_header(src, dst, function, version):
@@ -91,8 +92,8 @@ def packet_encode(pkt: CpxPacket) -> bytes:
 
 
 def packet_decode(data) -> CpxPacket:
-    if len(data) < 4:
-        raise ProtocolError(f"frame of {len(data)} B is shorter than the 4 B minimum")
+    if len(data) < HEADER_BYTES:
+        raise ProtocolError(f"frame of {len(data)} B is shorter than the {HEADER_BYTES} B minimum")
     (length,) = _LEN.unpack_from(data, 0)
     if length != len(data) - 2:
         raise ProtocolError(f"length field {length} disagrees with frame size {len(data)}")
@@ -106,7 +107,7 @@ def packet_decode(data) -> CpxPacket:
         function=fn_byte & 0x3F,
         last_fragment=bool(route & 0x02),
         version=(fn_byte >> 6) & 0x3,
-        payload=memoryview(data)[4:],   # zero-copy view into the frame
+        payload=memoryview(data)[HEADER_BYTES:],    # zero-copy view into the frame
     )
     _check_header(pkt.source, pkt.destination, pkt.function, pkt.version)
     return pkt
@@ -188,7 +189,7 @@ class RouterQueue:
 
     def _send(self) -> None:
         pkt = self.sending
-        last_byte_out = self.link.send(pkt, pkt.wire_bytes, frame=pkt.meta)
+        last_byte_out = self.link.send(pkt, HEADER_BYTES + len(pkt.payload), frame=pkt.meta)
         call_at(self.loop, last_byte_out, self.serve)
 
 

@@ -38,18 +38,27 @@ class BufferState(IntEnum):
     IN_USE = 3
 
 
-class FrameBuffer:
-    """One reusable image buffer; its pool guards its Free/Filling/Ready/InUse cycle."""
+# hot-path aliases: CPython does not specialise a member load through an enum class
+_FREE = BufferState.FREE
+_FILLING = BufferState.FILLING
+_READY = BufferState.READY
+_IN_USE = BufferState.IN_USE
 
-    __slots__ = ("id", "state", "sequence", "users", "copy_count", "data")
+
+class FrameBuffer:
+    """One reusable image buffer, with ``view``, one memoryview of all of its
+    ``data``; its pool guards its Free/Filling/Ready/InUse cycle."""
+
+    __slots__ = ("id", "state", "sequence", "users", "copy_count", "data", "view")
 
     def __init__(self, buf_id: int, capacity: int):
         self.id = buf_id
-        self.state = BufferState.FREE
+        self.state = _FREE
         self.sequence = -1
         self.users = 0
         self.copy_count = 0
         self.data = bytearray(capacity)
+        self.view = memoryview(self.data)
 
 
 class BufferPool:
@@ -73,35 +82,35 @@ class BufferPool:
         if not self._free:
             return None
         buf = self._free.popleft()
-        if buf.state != BufferState.FREE:
+        if buf.state != _FREE:
             raise UsageError(f"acquire of buffer {buf.id} in state {buf.state.name}")
-        buf.state = BufferState.FILLING
+        buf.state = _FILLING
         return buf
 
     def mark_ready(self, buf: FrameBuffer, sequence: int) -> None:
         """The producer's copy into the Filling buffer, the one copy a frame
         is allowed, is done: the buffer is Ready with frame ``sequence``."""
-        if buf.state != BufferState.FILLING:
+        if buf.state != _FILLING:
             raise UsageError(f"mark_ready of buffer {buf.id} in state {buf.state.name}")
-        buf.state = BufferState.READY
+        buf.state = _READY
         buf.sequence = sequence
         buf.copy_count += 1
 
     def attach(self, buf: FrameBuffer) -> None:
         """Register one more consumer holding the Ready/InUse buffer."""
-        if buf.state == BufferState.READY:
-            buf.state = BufferState.IN_USE
-        elif buf.state != BufferState.IN_USE:
+        if buf.state == _READY:
+            buf.state = _IN_USE
+        elif buf.state != _IN_USE:
             raise UsageError(f"attach to buffer {buf.id} in state {buf.state.name}")
         buf.users += 1
 
     def release(self, buf: FrameBuffer) -> None:
         """Drop one consumer; the buffer frees when the last one releases."""
-        if buf.state != BufferState.IN_USE or buf.users < 1:
+        if buf.state != _IN_USE or buf.users < 1:
             raise UsageError(f"release of buffer {buf.id} in state {buf.state.name}")
         buf.users -= 1
         if buf.users == 0:
-            buf.state = BufferState.FREE
+            buf.state = _FREE
             self._free.append(buf)
             if self.free_event.waiters:
                 pulse(self.loop, self.free_event)

@@ -20,13 +20,14 @@ import operator
 import os
 import pathlib
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .coro import YIELD, guard, loop_run, spawn_task
-from .cpx import (BASELINE, FUNCTION_APP_STREAM, NODE_IDS, ROUTER_MODES, ZEROCOPY,
-                  CpxPacket, Router, estimate_clock_offset, reserve)
+from .cpx import (BASELINE, FUNCTION_APP_STREAM, HEADER_BYTES, NODE_IDS, ROUTER_MODES,
+                  ZEROCOPY, CpxPacket, Router, estimate_clock_offset, reserve)
 from .errors import ConfigError, MetricsError, OracleUnavailable
 from .oracle import analytic_oracle
 from .pipeline import (MODES, PIPELINED, SERIALIZED, Channel, acquire, grab, next_frame,
@@ -64,8 +65,10 @@ def _or_null(rule):
 _INT = (lambda v: type(v) is int, "an int")
 _STR = (lambda v: type(v) is str, "a string")
 _OBJECT = (lambda v: type(v) is dict, "a JSON object")
-_POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a number > 0")
-_NON_NEGATIVE = (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a number >= 0")
+_POSITIVE = (lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max,
+             "a number > 0 that a float holds")
+_NON_NEGATIVE = (lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max,
+                 "a number >= 0 that a float holds")
 
 # Every field each block of a scenario document may hold, and what it may
 # hold; "links" applies to each link entry. Scenario checks how fields combine.
@@ -198,7 +201,7 @@ class Scenario:
         RTT probe takes at most the period, every stage, two baseline copies of the
         largest message and two crossings of each built link with it; add the largest |offset|."""
         built, hops = _KIND_LINKS[self.kind]
-        nbytes = max(self.frame_bytes, self.result_bytes, 8) + 4     # with a packet header
+        nbytes = max(self.frame_bytes, self.result_bytes, 8) + HEADER_BYTES
         num, den = self.copy_ns_per_byte.as_integer_ratio()     # exact: no float overflow
         cost = (self.frame_period_us + self.capture_us + self.inference_us
                 + self.host_compute_us + 2 * -(-nbytes * num // (den * 1000)))
@@ -414,9 +417,9 @@ def _result_out(t):
 
 
 def _send_image(t):
-    pkt = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_APP_STREAM,
-                    memoryview(t.buf.data)[:t.nbytes], meta=t.frame)
-    return t.link.send(pkt, pkt.wire_bytes, frame=t.frame)
+    # the payload is the whole buffer, t.nbytes long: the pool's capacity
+    pkt = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_APP_STREAM, t.buf.view, t.frame)
+    return t.link.send(pkt, HEADER_BYTES + t.nbytes, frame=t.frame)
 
 
 @guard
@@ -429,14 +432,14 @@ def _receipt(t):
 def _send_reply(t):
     # host side: the inference result toward the stm32, or a probe's pong
     dst, function, payload = t.reply
-    pkt = CpxPacket(NODE_IDS["host"], NODE_IDS[dst], function, payload, meta=t.frame)
-    t.link.send(pkt, pkt.wire_bytes, frame=t.frame)
+    pkt = CpxPacket(NODE_IDS["host"], NODE_IDS[dst], function, payload, t.frame)
+    t.link.send(pkt, HEADER_BYTES + len(payload), frame=t.frame)
 
 
 def _ping(t):
     t.trace.emit(t.loop, Kind.STAGE_START, "rtt_probe", t.frame)
-    ping = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_PING, bytes(8), meta=t.frame)
-    t.link.send(ping, ping.wire_bytes, frame=t.frame)
+    ping = CpxPacket(NODE_IDS["gap8"], NODE_IDS["host"], FUNCTION_PING, bytes(8), t.frame)
+    t.link.send(ping, HEADER_BYTES + len(ping.payload), frame=t.frame)
 
 
 def _ponged(t):
@@ -621,7 +624,7 @@ def expected_period_us(spec: Scenario) -> int:
     loop are assumed non-binding (they move a few bytes). Raises
     OracleUnavailable for shapes outside the closed form.
     """
-    wire = spec.frame_bytes + 4
+    wire = spec.frame_bytes + HEADER_BYTES
     if spec.pool_size == 1 and spec.mode == PIPELINED and spec.rate_hz is not None:
         raise OracleUnavailable(
             "no closed form for a camera-paced pipeline with a single buffer")

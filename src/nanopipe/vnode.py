@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from heapq import heappush
 from typing import NamedTuple, Optional
 
@@ -85,7 +85,7 @@ class Link:
         self.rng = rng
         self.rx = Channel(dst, f"{cfg.name}-rx")
         self.in_flight: deque = deque()
-        self._serialization_us = lru_cache(maxsize=None)(cfg.serialization_us)
+        self._serialization_us: dict = {}     # message size -> cfg.serialization_us
         self.free_at = src.clock.now    # global time the last queued byte leaves
         self.last_arrival = src.clock.now   # global time the last message arrives
         self._tx = trace.key(src.name, Kind.LINK_TX_START, cfg.name)
@@ -104,7 +104,10 @@ class Link:
             raise UsageError("negative message size")
         cfg = self.cfg
         src = self.src
-        ser = self._serialization_us(nbytes)
+        try:
+            ser = self._serialization_us[nbytes]
+        except KeyError:
+            ser = self._serialization_us[nbytes] = cfg.serialization_us(nbytes)
         if cfg.jitter_us and self.rng is not None:
             ser = max(1, ser + self.rng.randrange(-cfg.jitter_us, cfg.jitter_us + 1))
         now = src.clock.now

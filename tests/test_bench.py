@@ -1,11 +1,18 @@
 """Microbenchmark plumbing and the desk-scale measured budgets."""
 
+import cProfile
+import dataclasses
+import dis
+import enum
+import importlib
 import pathlib
 import platform
 import sys
 
 import pytest
 
+import nanopipe
+from nanopipe import load_scenario, run_scenario
 from nanopipe.bench import (BENCH_KINDS, bench_event_complete, bench_packet_encode,
                             context_size_report, microbench)
 from nanopipe.errors import ConfigError
@@ -16,11 +23,11 @@ from ops_per_frame import ops_per_frame  # noqa: E402
 
 # Python calls per frame at 1,000 frames (scripts/calls_per_frame.py), at most;
 # the exact counts of CPython 3.11.7 at the commit that set them
-CALLS_PER_FRAME = {"streaming-72hz": 131.538, "remote-sweep": 228.423}
+CALLS_PER_FRAME = {"streaming-72hz": 128.466, "remote-sweep": 223.315}
 
 # bytecodes per frame at 1,000 frames (scripts/ops_per_frame.py), at most;
 # the exact counts of CPython 3.11.7 at the commit that set them
-OPS_PER_FRAME = {"streaming-72hz": 2215.368, "remote-sweep": 3892.017}
+OPS_PER_FRAME = {"streaming-72hz": 2190.834, "remote-sweep": 3862.169}
 
 
 def test_unknown_kind_rejected():
@@ -72,3 +79,36 @@ def test_calls_per_frame_stay_at_most_the_recorded_count(fixture):
 def test_bytecodes_per_frame_stay_at_most_the_recorded_count(fixture):
     # exact too, and it sees work inside a function that calls per frame miss
     assert round(sum(ops_per_frame(fixture, 1000).values()), 3) <= OPS_PER_FRAME[fixture]
+
+
+def per_frame_code(fixture: str) -> set:
+    """The ``nanopipe`` code objects that run per frame: those whose cProfile
+    call counts grow from a 100-frame run of ``fixture`` to a 200-frame one."""
+    package = pathlib.Path(nanopipe.__file__).parent
+
+    def counts(frames):
+        profile = cProfile.Profile()
+        profile.runcall(run_scenario, dataclasses.replace(load_scenario(fixture), frames=frames))
+        return {entry.code: entry.callcount for entry in profile.getstats()
+                if not isinstance(entry.code, str)
+                and pathlib.Path(entry.code.co_filename).parent == package}
+    short, long = counts(100), counts(200)
+    return {code for code, n in long.items() if n > short.get(code, 0)}
+
+
+def enum_member_loads(code) -> list:
+    """The ``Enum.MEMBER`` names that ``code`` loads through the enum class:
+    its metaclass defines ``__getattr__``, so CPython does not specialise the load."""
+    module = vars(importlib.import_module(f"nanopipe.{pathlib.Path(code.co_filename).stem}"))
+    ops = list(dis.get_instructions(code))
+    return [f"{load.argval}.{attr.argval}" for load, attr in zip(ops, ops[1:])
+            if load.opname == "LOAD_GLOBAL" and isinstance(module.get(load.argval), enum.EnumMeta)
+            and attr.opname in ("LOAD_ATTR", "LOAD_METHOD")]
+
+
+def test_no_per_frame_function_loads_an_enum_member_through_its_class():
+    # a count sees one load either way; a timing sees 5 to 10 times the cost
+    code = per_frame_code("streaming-72hz") | per_frame_code("remote-sweep")
+    assert len(code) > 20
+    slow = {c.co_name: loads for c in code if (loads := enum_member_loads(c))}
+    assert not slow, slow

@@ -104,6 +104,8 @@ def test_malformed_link_field_is_config_error(tmp_path, capsys, field, value):
     (("pool_size",), "2"),
     (("rate_hz",), "20"),
     (("rate_hz",), 5e-324),                             # no finite frame period
+    pytest.param(("rate_hz",), 10**400, id="('rate_hz',)-10**400"),    # beyond a float
+    pytest.param(("inference_hz",), 10**400, id="('inference_hz',)-10**400"),
     (("inference_us",), -5000),
     (("camera", "resolution"), [32]),
     (("camera", "readout"), 5000),                      # typo of readout_us

@@ -101,7 +101,7 @@ def test_decode_rejects_malformed_frames():
        ver=st.integers(0, 3), last=st.booleans(),
        payload=st.binary(max_size=MAX_FRAGMENT_PAYLOAD))
 def test_roundtrip_identity(src, dst, fn, ver, last, payload):
-    pkt = CpxPacket(src, dst, fn, payload, last, ver)
+    pkt = CpxPacket(src, dst, fn, payload, last_fragment=last, version=ver)
     back = packet_decode(packet_encode(pkt))
     assert header(back) == header(pkt)
     assert bytes(back.payload) == payload
@@ -111,8 +111,8 @@ def test_roundtrip_fuzz_1000_seeded():
     rng = random.Random(99)
     for _ in range(1000):
         pkt = CpxPacket(rng.randrange(8), rng.randrange(8), rng.randrange(1, 64),
-                        rng.randbytes(rng.randrange(0, 200)), bool(rng.getrandbits(1)),
-                        rng.randrange(4))
+                        rng.randbytes(rng.randrange(0, 200)),
+                        last_fragment=bool(rng.getrandbits(1)), version=rng.randrange(4))
         back = packet_decode(packet_encode(pkt))
         assert header(back) == header(pkt)
         assert bytes(back.payload) == bytes(pkt.payload)

@@ -9,13 +9,15 @@ from collections import Counter
 
 import pytest
 
+import nanopipe.scenarios as scenarios_mod
 from nanopipe.coro import EventLoop, VirtualClock
+from nanopipe.cpx import FUNCTION_APP_STREAM, HEADER_BYTES, NODE_IDS, CpxPacket
 from nanopipe.errors import ConfigError, MetricsError
 from nanopipe.scenarios import (_FIELDS, Metrics, Scenario, _build_graph, compute_metrics,
                                 expected_period_us, list_scenarios, load_scenario, run_scenario,
                                 scenario_from_dict)
 from nanopipe.trace import Kind, TraceEvent, TraceLog
-from nanopipe.vnode import LINKS, LinkConfig
+from nanopipe.vnode import LINKS, Link, LinkConfig
 
 from test_golden import LEGAL, _spec
 from test_variant_corpus import corpus_docs
@@ -486,3 +488,35 @@ def test_zero_byte_trigger_capture_takes_the_same_time_in_both_modes():
     _, (_, serial) = run_named("imav-30", mode="serialized", image_bytes=0)
     assert spec.capture_us == spec.trigger_setup_us
     assert serial.e2e_ms_mean == pytest.approx(piped.e2e_ms_mean, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["streaming-72hz", "remote-40hz"])
+def test_sends_put_header_and_payload_and_the_buffers_own_memory_on_the_wire(monkeypatch, name):
+    # every packet a link carries is its header and payload long; an image's
+    # payload is all of one pool buffer's memory, not a copy and not a part
+    pools, sent = [], []
+    create, send = scenarios_mod.pool_create, Link.send
+
+    def recording_pool(*args):
+        pools.append(create(*args))
+        return pools[-1]
+
+    def recording_send(link, payload, nbytes, frame=None):
+        sent.append((payload, nbytes))
+        return send(link, payload, nbytes, frame=frame)
+
+    monkeypatch.setattr(scenarios_mod, "pool_create", recording_pool)
+    monkeypatch.setattr(Link, "send", recording_send)
+    spec, (trace, _) = run_named(name)
+    packets = [(pkt, nbytes) for pkt, nbytes in sent if isinstance(pkt, CpxPacket)]
+    for pkt, nbytes in packets:
+        assert nbytes == HEADER_BYTES + len(pkt.payload) == pkt.wire_bytes
+    images = [pkt for pkt, _ in packets
+              if pkt.source == NODE_IDS["gap8"] and pkt.function == FUNCTION_APP_STREAM]
+    captured, _ = trace.columns(Kind.STAGE_END, "capture")
+    # each captured frame goes over spi, then on over wifi
+    assert Counter(pkt.meta for pkt in images) == {frame: 2 for frame in captured}
+    (pool,) = pools
+    for pkt in images:
+        assert any(pkt.payload.obj is buf.data for buf in pool.buffers)
+        assert pkt.payload.nbytes == len(pkt.payload.obj) == spec.frame_bytes
