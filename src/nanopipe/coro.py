@@ -46,7 +46,8 @@ _ALLOWED_TRANSITIONS = frozenset({
     (TaskState.SUSPENDED, TaskState.RUNNING),
 })
 
-# hot-path aliases: class-attribute lookups cost on every dispatch
+# hot-path aliases: class-attribute lookups cost on every dispatch; a member
+# is one object, so the checks compare by identity, not through int's compare
 _START = TaskState.START
 _RUNNING = TaskState.RUNNING
 _SUSPENDED = TaskState.SUSPENDED
@@ -193,6 +194,8 @@ class VirtualClock:
         self.now = 0
         self.loops: list[EventLoop] = []
         self.readies: list[deque] = []      # the loops' ready queues, in registration order
+        # sweeps[i]: (loop, ready queue) of loops[i:], the drain order of a pass from loop i
+        self.sweeps: list[list] = []
         self.timers: list = []      # heap of (global_deadline, seq, loop, Event, Task or callable)
         self._timer_seq = 0
 
@@ -212,6 +215,10 @@ class EventLoop:
         self.offset_us = offset_us
         self.ready: deque = deque()
         self.clock.readies.append(self.ready)
+        entry = (self, self.ready)
+        for sweep in self.clock.sweeps:
+            sweep += [entry]        # in place, and no method call for a profile to count
+        self.clock.sweeps += [[entry]]
 
     @property
     def now(self) -> int:
@@ -258,7 +265,7 @@ def call_at(loop: EventLoop, deadline_us: int, fn: Callable[[], None]) -> None:
 
 def _dispatch(loop: EventLoop, task: Task) -> None:
     """Run ``task``'s steps from its resume point until it waits or ends."""
-    if task.state != _START and task.state != _SUSPENDED:
+    if task.state is not _START and task.state is not _SUSPENDED:
         task._transition(_RUNNING)           # unreachable legally: reject loudly
     task.state = _RUNNING
     steps, nxt = task.steps, task.next
@@ -305,14 +312,13 @@ def run_all(clock) -> None:
     no queue holds work. A timer due alone runs in place, as the first thing
     that sweep would run, and the sweep goes on from its loop.
     """
-    timers, readies, loops = clock.timers, clock.readies, clock.loops
+    timers, readies, sweeps = clock.timers, clock.readies, clock.sweeps
     start = 0
     while True:
         if any(readies):
-            sweep = loops[start:] if start else loops
+            sweep = sweeps[start]
             while True:
-                for loop in sweep:
-                    ready = loop.ready
+                for loop, ready in sweep:
                     while ready:
                         item = ready.popleft()
                         if item.__class__ is Task:
@@ -321,7 +327,7 @@ def run_all(clock) -> None:
                             item()
                 if not any(readies):
                     break
-                sweep = loops
+                sweep = sweeps[0]
         if not timers:
             break
         now, _, loop, due = heappop(timers)     # no timer is ever pushed at or before now

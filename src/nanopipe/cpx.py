@@ -59,14 +59,6 @@ class CpxPacket:
     version: int = 0
     copy_count: int = 0
 
-    @property
-    def length(self) -> int:
-        return len(self.payload)
-
-    @property
-    def wire_bytes(self) -> int:
-        return HEADER_BYTES + len(self.payload)
-
 
 def _check_header(src, dst, function, version):
     if not 0 <= src <= 7 or not 0 <= dst <= 7:
@@ -139,6 +131,8 @@ class RouterQueue:
         self._credit_waiters: deque = deque()
         self._spare_events: list = []
         self._full_codes: dict = {}      # waiting loop -> its QueueFull key code (see reserve)
+        # bound once: every egress wake and timer, and each baseline copy's, is one object
+        self._serve_bound, self._send_bound = self.serve, self._send
 
     def try_reserve(self) -> bool:
         """Sender-side: claim a slot before transmitting toward this queue."""
@@ -164,7 +158,7 @@ class RouterQueue:
         self.items.append(pkt)
         if self.idle:
             self.idle = False
-            self.loop.ready.append(self.serve)
+            self.loop.ready.append(self._serve_bound)
 
     def try_dequeue(self) -> Optional[CpxPacket]:
         return self.items.popleft() if self.items else None
@@ -184,13 +178,13 @@ class RouterQueue:
             return
         # baseline stack: one payload copy per hop, paid in time
         pkt.copy_count += 1
-        copy_us = -(-int(pkt.length * self.copy_ns_per_byte) // 1000)
-        call_at(self.loop, self.loop.now + copy_us, self._send)
+        copy_us = -(-int(len(pkt.payload) * self.copy_ns_per_byte) // 1000)
+        call_at(self.loop, self.loop.now + copy_us, self._send_bound)
 
     def _send(self) -> None:
         pkt = self.sending
         last_byte_out = self.link.send(pkt, HEADER_BYTES + len(pkt.payload), frame=pkt.meta)
-        call_at(self.loop, last_byte_out, self.serve)
+        call_at(self.loop, last_byte_out, self._serve_bound)
 
 
 class Router:
@@ -225,7 +219,7 @@ class Router:
         if in_link is not None:
             in_link.rx.consume(self._ingress)
         if out_link is not None:
-            self.loop.ready.append(queue.serve)
+            self.loop.ready.append(queue._serve_bound)
         return queue
 
     def _ingress(self, msg) -> None:

@@ -38,7 +38,8 @@ class BufferState(IntEnum):
     IN_USE = 3
 
 
-# hot-path aliases: CPython does not specialise a member load through an enum class
+# hot-path aliases: CPython does not specialise a member load through an enum
+# class; a member is one object, so the checks compare by identity
 _FREE = BufferState.FREE
 _FILLING = BufferState.FILLING
 _READY = BufferState.READY
@@ -82,7 +83,7 @@ class BufferPool:
         if not self._free:
             return None
         buf = self._free.popleft()
-        if buf.state != _FREE:
+        if buf.state is not _FREE:
             raise UsageError(f"acquire of buffer {buf.id} in state {buf.state.name}")
         buf.state = _FILLING
         return buf
@@ -90,7 +91,7 @@ class BufferPool:
     def mark_ready(self, buf: FrameBuffer, sequence: int) -> None:
         """The producer's copy into the Filling buffer, the one copy a frame
         is allowed, is done: the buffer is Ready with frame ``sequence``."""
-        if buf.state != _FILLING:
+        if buf.state is not _FILLING:
             raise UsageError(f"mark_ready of buffer {buf.id} in state {buf.state.name}")
         buf.state = _READY
         buf.sequence = sequence
@@ -98,15 +99,15 @@ class BufferPool:
 
     def attach(self, buf: FrameBuffer) -> None:
         """Register one more consumer holding the Ready/InUse buffer."""
-        if buf.state == _READY:
+        if buf.state is _READY:
             buf.state = _IN_USE
-        elif buf.state != _IN_USE:
+        elif buf.state is not _IN_USE:
             raise UsageError(f"attach to buffer {buf.id} in state {buf.state.name}")
         buf.users += 1
 
     def release(self, buf: FrameBuffer) -> None:
         """Drop one consumer; the buffer frees when the last one releases."""
-        if buf.state != _IN_USE or buf.users < 1:
+        if buf.state is not _IN_USE or buf.users < 1:
             raise UsageError(f"release of buffer {buf.id} in state {buf.state.name}")
         buf.users -= 1
         if buf.users == 0:
@@ -126,7 +127,7 @@ class Channel:
     run by a drain that joins the ready queue where a woken reader task would,
     or runs in place when it would run next anyway (``vnode.Link._arrive``)."""
 
-    __slots__ = ("loop", "items", "ready_event", "handler", "drain_queued")
+    __slots__ = ("loop", "items", "ready_event", "handler", "drain_queued", "_drain_bound")
 
     def __init__(self, loop: EventLoop, label: str = "chan"):
         self.loop = loop
@@ -134,6 +135,7 @@ class Channel:
         self.ready_event = event_init(label)
         self.handler = None
         self.drain_queued = False
+        self._drain_bound = self._drain     # bound once: every queued drain is this object
 
     def put(self, item) -> None:
         self.items.append(item)
@@ -142,7 +144,7 @@ class Channel:
                 pulse(self.loop, self.ready_event)
         elif not self.drain_queued:
             self.drain_queued = True
-            self.loop.ready.append(self._drain)
+            self.loop.ready.append(self._drain_bound)
 
     def consume(self, handler: Callable[[object], None]) -> None:
         """Pass every item put on the channel to ``handler(item)``, FIFO.
@@ -155,7 +157,7 @@ class Channel:
             raise UsageError("channel already has a reader")
         self.handler = handler
         self.drain_queued = True
-        self.loop.ready.append(self._drain)
+        self.loop.ready.append(self._drain_bound)
 
     def _drain(self) -> None:
         items, handler = self.items, self.handler

@@ -32,6 +32,8 @@ from .trace import Kind, TraceLog
 TRIGGER = "trigger"
 STREAMING = "streaming"
 
+_new_tuple = tuple.__new__      # builds a NamedTuple without its own __new__
+
 STREAMING_MIN_PERIOD_US = 6667          # 150 frame/s sensor ceiling
 
 # Default per-request overhead in trigger mode. With the reference 8 ms
@@ -90,6 +92,7 @@ class Link:
         self.last_arrival = src.clock.now   # global time the last message arrives
         self._tx = trace.key(src.name, Kind.LINK_TX_START, cfg.name)
         self._rx = trace.key(dst.name, Kind.LINK_RX_END, cfg.name)
+        self._arrive_bound = self._arrive   # bound once: every delivery timer is this object
 
     def send(self, payload, nbytes: int, frame: Optional[int] = None) -> int:
         """Queue ``payload`` as a message of ``nbytes`` bytes whose link records
@@ -122,7 +125,7 @@ class Link:
             self.trace.record(src, self._tx, frame)
         else:
             call_at(src, start + src.offset_us, partial(self.trace.record, src, self._tx, frame))
-        received = tuple.__new__(Received, (payload, nbytes, frame))   # skips Received.__new__
+        received = _new_tuple(Received, (payload, nbytes, frame))
         if arrival <= now:
             # due now: delivered inline, with no timer, so not through in_flight;
             # put queues the handler's drain after the sender's step
@@ -133,7 +136,7 @@ class Link:
             self.in_flight.append(received)
             clock = src.clock
             clock._timer_seq += 1
-            heappush(clock.timers, (arrival, clock._timer_seq, self.dst, self._arrive))
+            heappush(clock.timers, (arrival, clock._timer_seq, self.dst, self._arrive_bound))
         return self.free_at + src.offset_us
 
     def _arrive(self) -> None:
@@ -143,11 +146,12 @@ class Link:
         received = self.in_flight.popleft()
         self.trace.record(self.dst, self._rx, received[2])     # its frame
         rx = self.rx
-        if rx.handler is None or rx.drain_queued or self.dst.ready:
+        handler = rx.handler
+        if handler is None or rx.drain_queued or self.dst.ready:
             rx.put(received)
             return
         rx.drain_queued = True
-        rx.handler(received)
+        handler(received)
         if rx.items:
             rx._drain()
         rx.drain_queued = False

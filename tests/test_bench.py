@@ -8,6 +8,8 @@ import importlib
 import pathlib
 import platform
 import sys
+import types
+from heapq import heappush
 
 import pytest
 
@@ -20,6 +22,7 @@ from nanopipe.errors import ConfigError
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
 from calls_per_frame import calls_per_frame  # noqa: E402
 from ops_per_frame import ops_per_frame  # noqa: E402
+from unspecialised import FAMILIES, unspecialised  # noqa: E402
 
 # Python calls per frame at 1,000 frames (scripts/calls_per_frame.py), at most;
 # the exact counts of CPython 3.11.7 at the commit that set them
@@ -27,7 +30,7 @@ CALLS_PER_FRAME = {"streaming-72hz": 128.466, "remote-sweep": 223.315}
 
 # bytecodes per frame at 1,000 frames (scripts/ops_per_frame.py), at most;
 # the exact counts of CPython 3.11.7 at the commit that set them
-OPS_PER_FRAME = {"streaming-72hz": 2190.834, "remote-sweep": 3862.169}
+OPS_PER_FRAME = {"streaming-72hz": 2180.092, "remote-sweep": 3842.298}
 
 
 def test_unknown_kind_rejected():
@@ -81,6 +84,18 @@ def test_bytecodes_per_frame_stay_at_most_the_recorded_count(fixture):
     assert round(sum(ops_per_frame(fixture, 1000).values()), 3) <= OPS_PER_FRAME[fixture]
 
 
+@pytest.mark.skipif(platform.python_implementation() != "CPython"
+                    or sys.version_info[:2] != (3, 11),
+                    reason="the adaptive instructions are CPython 3.11's")
+def test_unspecialised_lists_per_frame_instructions_of_its_families():
+    rows = unspecialised("remote-sweep", 60)
+    assert rows
+    assert rows == sorted(rows, key=lambda row: (-row[0], row[1:]))
+    for n, module, function, line, instruction in rows:
+        assert n >= 1 and line > 0
+        assert instruction.split()[0].removesuffix("_ADAPTIVE") in FAMILIES
+
+
 def per_frame_code(fixture: str) -> set:
     """The ``nanopipe`` code objects that run per frame: those whose cProfile
     call counts grow from a 100-frame run of ``fixture`` to a 200-frame one."""
@@ -112,3 +127,23 @@ def test_no_per_frame_function_loads_an_enum_member_through_its_class():
     assert len(code) > 20
     slow = {c.co_name: loads for c in code if (loads := enum_member_loads(c))}
     assert not slow, slow
+
+
+@pytest.mark.parametrize("fixture", ["remote-sweep", "streaming-72hz"])
+def test_every_timer_pushes_one_bound_method_per_owner(fixture, monkeypatch):
+    # a method bound afresh per push is an allocation that no count sees
+    from nanopipe import coro, vnode
+    first, pushes = {}, []
+
+    def push(heap, entry):
+        fn = entry[-1]
+        if isinstance(fn, types.MethodType):
+            pushes.append(fn)
+            first.setdefault((fn.__self__, fn.__func__), fn)
+        heappush(heap, entry)
+    monkeypatch.setattr(coro, "heappush", push)
+    monkeypatch.setattr(vnode, "heappush", push)
+    run_scenario(dataclasses.replace(load_scenario(fixture), frames=200))
+    assert len(pushes) > 200
+    fresh = {fn.__qualname__ for fn in pushes if fn is not first[fn.__self__, fn.__func__]}
+    assert not fresh, fresh

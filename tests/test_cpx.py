@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanopipe.coro import END, EventLoop, VirtualClock, guard, loop_run, spawn_task
-from nanopipe.cpx import (BASELINE, FUNCTION_APP_STREAM, MAX_FRAGMENT_PAYLOAD, NODE_IDS,
-                          ZEROCOPY, CpxPacket, Router, RouterQueue, estimate_clock_offset,
-                          packet_decode, packet_encode, reserve, router_forward)
+from nanopipe.cpx import (BASELINE, FUNCTION_APP_STREAM, HEADER_BYTES, MAX_FRAGMENT_PAYLOAD,
+                          NODE_IDS, ZEROCOPY, CpxPacket, Router, RouterQueue,
+                          estimate_clock_offset, packet_decode, packet_encode, reserve,
+                          router_forward)
 from nanopipe.errors import ConfigError, ProtocolError, UsageError
 from nanopipe.pipeline import next_frame, pool_create
 from nanopipe.trace import Kind, TraceLog
@@ -159,7 +160,7 @@ def _make_image(t):
 
 
 def _send_image(t):
-    return t.link.send(t.buf, t.buf.wire_bytes, frame=t.frame)
+    return t.link.send(t.buf, HEADER_BYTES + len(t.buf.payload), frame=t.frame)
 
 
 def _sent(t):

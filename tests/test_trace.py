@@ -173,3 +173,43 @@ def test_metrics_extraction_peaks_at_most_200_bytes_per_receipt(name):
     trace, metrics = run_scenario(spec)
     assert metrics.steady_receipts > 4900
     assert metrics_peak(spec, trace, metrics) / metrics.steady_receipts <= 200
+
+
+EDGE_FRAMES = (None, 0, -1, 7, 2**63 - 1)
+
+
+def test_edge_frames_read_back_as_given():
+    # the frame column is unsigned: every reader must undo the two's complement
+    given = [TraceEvent(t, "gap8", Kind.STAGE_END, "sink", f) for t, f in enumerate(EDGE_FRAMES)]
+    assigned = TraceLog()
+    assigned.events = given
+    clock = VirtualClock()
+    gap8 = EventLoop(clock, name="gap8")
+    emitted = TraceLog()
+    for event in given:
+        clock.now = event.t_us
+        if event.frame == -1:
+            # a recorded frame is at least 0: a negative one raises and records nothing
+            with pytest.raises(OverflowError):
+                emitted.emit(gap8, Kind.STAGE_END, "sink", event.frame)
+        else:
+            emitted.emit(gap8, Kind.STAGE_END, "sink", event.frame)
+    for trace, records in ((assigned, given), (emitted, [e for e in given if e.frame != -1])):
+        assert list(trace.events) == records
+        frames, times = trace.columns(Kind.STAGE_END, "sink")
+        assert (frames.typecode, times.typecode) == ("q", "q")
+        assert list(frames) == [e.frame for e in records if e.frame is not None]
+        assert list(times) == [e.t_us for e in records if e.frame is not None]
+        assert trace.count(Kind.STAGE_END, "sink") == len(records)
+        assert csv_text(trace) == CSV_HEADER + "\n" + "".join(
+            f"{e.t_us},gap8,StageEnd,sink,{'' if e.frame is None else e.frame}\n" for e in records)
+
+
+@pytest.mark.parametrize("frame", [2**63, -2**63 - 1, 2**64 - 1])
+def test_assigning_a_frame_outside_the_signed_range_raises(frame):
+    # it must not wrap round, least of all to 1 << 63, the column's "no frame"
+    trace = _two_loop_trace()
+    before = list(trace.events)
+    with pytest.raises(OverflowError):
+        trace.events = [TraceEvent(0, "host", Kind.STAGE_END, "sink", frame)]
+    assert list(trace.events) == before
