@@ -8,8 +8,8 @@ format string per key code, so no Python code runs per record.
 
 The frame column is an ``array('Q')`` of frames in two's complement, with
 ``1 << 63`` for no frame: an ``array('q')`` append parses its argument through
-``PyArg_Parse``, about four times the cost of a ``'Q'`` one. A recorded frame
-is at least 0, and ``columns``, ``events`` and ``write_csv`` read it as signed.
+``PyArg_Parse``, which a ``'Q'`` one skips. A recorded frame is at least 0,
+and ``columns``, ``events`` and ``write_csv`` read the column as signed.
 """
 from __future__ import annotations
 
