@@ -1,10 +1,13 @@
 """Stackless cooperative tasks over a virtual-time event loop.
 
 A task is a list of steps (``spawn_task``), plain functions of the task's
-state. The loop runs them itself (``_dispatch``), with the step index as the
-resume point. A step goes on to the next step, waits for an ``Event``, sleeps
-until a loop-local deadline in µs (the sleeping task waits on the timer heap
-itself, with no ``Event``), yields to the back of the ready queue, or ends.
+state, run by ``Task._dispatch`` with the step index as the resume point. A
+step goes on to the next step, waits for an ``Event``, sleeps until a
+loop-local deadline in µs (on the timer heap itself), yields, or ends.
+
+Every entry of a ready queue, a waiter list or the timer heap is a
+zero-argument callable bound once by its owner; a task's is ``resume``, its
+bound ``_dispatch``. So a task runs on its own loop, whichever loop woke it.
 
 Only code that blocks on something is a task: a camera capture is a stage of
 the task that waits for each frame. Links, which make no decisions, and router
@@ -74,12 +77,13 @@ class Task:
     slots, not a dict per task, a shared step reads every task's fields alike.
 
     The runtime state is exactly what ``pack()`` serializes: the resume point,
-    the state, and the step table's address; ``next`` and ``after_wait`` are
-    derived from the steps. The fields are user data and are left out of the
-    bookkeeping budget; ``label`` only names the task in errors.
+    the state, and the step table's address; ``next``, ``after_wait`` and
+    ``resume`` (``_dispatch`` bound once) are derived. The fields are user data
+    and are left out of the bookkeeping budget; ``label`` only names the task
+    in errors.
     """
 
-    __slots__ = ("state", "resume_point", "label", "loop", "steps", "next", "after_wait",
+    __slots__ = ("state", "resume_point", "label", "loop", "resume", "steps", "next", "after_wait",
                  "frame", "frames", "count", "buf", "pool", "inbox", "outs", "period", "t0",
                  "link", "queue", "nbytes", "reply", "trace", "receipts",
                  "up", "down", "samples", "t1")
@@ -89,6 +93,7 @@ class Task:
         self.resume_point = 0
         self.label = label
         self.loop = loop
+        self.resume = self._dispatch
         self.steps = tuple(steps)
         self.next = tuple(range(1, len(self.steps))) + (0,)    # the last step wraps to the first
         self.after_wait = tuple(i if getattr(step, "guard", False) else self.next[i]
@@ -105,6 +110,46 @@ class Task:
             raise UsageError(
                 f"illegal transition {TaskState(self.state).name} -> {new.name} for {self.label!r}")
         self.state = new
+
+    def _dispatch(self) -> None:
+        """Run the steps from the resume point until the task waits or ends."""
+        if self.state is not _START and self.state is not _SUSPENDED:
+            self._transition(_RUNNING)           # unreachable legally: reject loudly
+        self.state = _RUNNING
+        steps, nxt = self.steps, self.next
+        i = self.resume_point
+        while True:
+            out = steps[i](self)
+            if out is None:
+                i = nxt[i]
+            elif out.__class__ is int:
+                # sleep: the task itself goes on the heap, where an Event would
+                i = self.after_wait[i]
+                loop = self.loop
+                clock = loop.clock
+                due = out - loop.offset_us
+                if due > clock.now:
+                    clock._timer_seq += 1
+                    heappush(clock.timers, (due, clock._timer_seq, loop, self.resume))
+                    break
+            elif out.__class__ is Event:
+                i = self.after_wait[i]
+                if not out.completed:
+                    out.waiters.append(self.resume)
+                    break
+            elif out is END:
+                self.state = _ENDED
+                return
+            elif out is RESTART:
+                i = 0
+            elif out is YIELD:
+                i = self.after_wait[i]
+                self.loop.ready.append(self.resume)     # a suspension that is ready again at once
+                break
+            else:
+                raise UsageError(f"step {steps[i].__name__} of {self.label!r} returned {out!r}")
+        self.resume_point = i
+        self.state = _SUSPENDED
 
     def pack(self) -> bytes:
         """Serialize the bookkeeping state (not the fields)."""
@@ -194,17 +239,18 @@ class VirtualClock:
         self.now = 0
         self.loops: list[EventLoop] = []
         self.readies: list[deque] = []      # the loops' ready queues, in registration order
-        # sweeps[i]: (loop, ready queue) of loops[i:], the drain order of a pass from loop i
+        # sweeps[i]: the ready queues of loops[i:], the drain order of a pass from loop i
         self.sweeps: list[list] = []
-        self.timers: list = []      # heap of (global_deadline, seq, loop, Event, Task or callable)
+        self.timers: list = []      # heap of (global_deadline, seq, loop, callable)
         self._timer_seq = 0
 
 
 class EventLoop:
     """FIFO ready queue on a shared clock, whose heap holds the loop's timers.
 
-    The ready queue holds tasks, due ``call_at`` callbacks, channel drains and
-    woken router egress (``RouterQueue.serve``).
+    Every entry of the ready queue is a zero-argument callable bound once by
+    its owner: a task's ``resume``, a due ``call_at`` callback, a channel
+    drain or woken router egress (``RouterQueue.serve``).
     """
 
     def __init__(self, clock=None, name: str = "node0", offset_us: int = 0):
@@ -213,12 +259,11 @@ class EventLoop:
         self.clock.loops.append(self)
         self.name = name
         self.offset_us = offset_us
-        self.ready: deque = deque()
-        self.clock.readies.append(self.ready)
-        entry = (self, self.ready)
+        ready = self.ready = deque()
+        self.clock.readies.append(ready)
         for sweep in self.clock.sweeps:
-            sweep += [entry]        # in place, and no method call for a profile to count
-        self.clock.sweeps += [[entry]]
+            sweep += [ready]        # in place, and no method call for a profile to count
+        self.clock.sweeps += [[ready]]
 
     @property
     def now(self) -> int:
@@ -231,20 +276,28 @@ def spawn(loop: EventLoop, task: Task) -> None:
     if task.state != TaskState.START:
         raise UsageError(f"spawn of non-Start task {task.label!r} "
                          f"(state {TaskState(task.state).name})")
-    loop.ready.append(task)
+    loop.ready.append(task.resume)
 
 
 def schedule_completion(loop: EventLoop, ev: Event, deadline_us: int) -> None:
     """Complete ``ev`` when ``loop``'s local clock reaches ``deadline_us``.
 
-    A deadline at or before the current time completes the event immediately.
+    A deadline at or before now completes the event at once. Otherwise a
+    ``call_at`` callback completes it and runs its waiters in place, in order,
+    where ``event_complete`` would queue them (a timer due alone finds every
+    queue empty). A wait on ``ev`` ahead of the callback at its instant waits.
     """
     if deadline_us <= loop.now:
         event_complete(loop, ev)
         return
-    clock = loop.clock
-    clock._timer_seq += 1
-    heappush(clock.timers, (deadline_us - loop.offset_us, clock._timer_seq, loop, ev))
+
+    def complete() -> None:
+        waiters = [*ev.waiters]
+        ev.waiters.clear()
+        event_complete(loop, ev)        # with no waiters: the flag and the double check
+        for resume in waiters:
+            resume()
+    call_at(loop, deadline_us, complete)
 
 
 def call_at(loop: EventLoop, deadline_us: int, fn: Callable[[], None]) -> None:
@@ -263,46 +316,6 @@ def call_at(loop: EventLoop, deadline_us: int, fn: Callable[[], None]) -> None:
     heappush(clock.timers, (due, clock._timer_seq, loop, fn))
 
 
-def _dispatch(loop: EventLoop, task: Task) -> None:
-    """Run ``task``'s steps from its resume point until it waits or ends."""
-    if task.state is not _START and task.state is not _SUSPENDED:
-        task._transition(_RUNNING)           # unreachable legally: reject loudly
-    task.state = _RUNNING
-    steps, nxt = task.steps, task.next
-    i = task.resume_point
-    while True:
-        out = steps[i](task)
-        if out is None:
-            i = nxt[i]
-        elif out.__class__ is int:
-            # sleep: the task itself goes on the heap, where an Event would
-            i = task.after_wait[i]
-            clock = loop.clock
-            due = out - loop.offset_us
-            if due > clock.now:
-                clock._timer_seq += 1
-                heappush(clock.timers, (due, clock._timer_seq, loop, task))
-                break
-        elif out.__class__ is Event:
-            i = task.after_wait[i]
-            if not out.completed:
-                out.waiters.append(task)
-                break
-        elif out is END:
-            task.state = _ENDED
-            return
-        elif out is RESTART:
-            i = 0
-        elif out is YIELD:
-            i = task.after_wait[i]
-            loop.ready.append(task)     # a suspension that is ready again at once
-            break
-        else:
-            raise UsageError(f"step {steps[i].__name__} of {task.label!r} returned {out!r}")
-    task.resume_point = i
-    task.state = _SUSPENDED
-
-
 def run_all(clock) -> None:
     """Drive every loop on ``clock`` until idle: no work is ready and no timer left.
 
@@ -318,13 +331,9 @@ def run_all(clock) -> None:
         if any(readies):
             sweep = sweeps[start]
             while True:
-                for loop, ready in sweep:
+                for ready in sweep:
                     while ready:
-                        item = ready.popleft()
-                        if item.__class__ is Task:
-                            _dispatch(loop, item)
-                        else:
-                            item()
+                        ready.popleft()()
                 if not any(readies):
                     break
                 sweep = sweeps[0]
@@ -337,17 +346,10 @@ def run_all(clock) -> None:
             # several due: each fills its loop's ready queue, in the heap's order
             start = 0
             while True:
-                if due.__class__ is Event:
-                    event_complete(loop, due)
-                else:
-                    loop.ready.append(due)      # a sleeping task, or a call_at callback
+                loop.ready.append(due)
                 if not timers or timers[0][0] > now:
                     break
                 _, _, loop, due = heappop(timers)
-        elif due.__class__ is Event:
-            event_complete(loop, due)
-        elif due.__class__ is Task:
-            _dispatch(loop, due)
         else:
             due()
 

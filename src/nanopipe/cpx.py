@@ -200,7 +200,7 @@ class Router:
                  copy_ns_per_byte: float = 0.0):
         if mode not in ROUTER_MODES:
             raise ConfigError(f"unknown router mode {mode!r}")
-        self.loop = graph.loop("esp32")
+        self.loop = graph.loops["esp32"]
         self.trace = graph.trace
         # the single-buffer baseline cannot hold more than one packet
         self.queue_capacity = 1 if mode == BASELINE else queue_capacity
@@ -223,7 +223,7 @@ class Router:
         return queue
 
     def _ingress(self, msg) -> None:
-        router_forward(self, msg.payload)
+        router_forward(self, msg[0])        # (payload, nbytes, frame)
 
 
 def router_forward(router: Router, pkt: CpxPacket) -> None:
@@ -271,7 +271,7 @@ def _read_reply(t):
     msg = t.down.rx.try_get()
     if msg is None:
         return t.down.rx.ready_event
-    t2 = t3 = msg.payload
+    t2 = t3 = msg[0]
     t.samples.append(((t2 - t.t1) + (t3 - t.loop.now)) / 2)
 
 

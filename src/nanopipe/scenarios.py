@@ -395,7 +395,7 @@ def _sink(trace, loop, receipts=None):
     start, end = (trace.key(loop.name, kind, "sink") for kind in (Kind.STAGE_START, Kind.STAGE_END))
 
     def receive(msg):
-        frame = msg.frame
+        frame = msg[2]      # (payload, nbytes, frame)
         trace.record(loop, start, frame)
         trace.record(loop, end, frame)
         if receipts is not None:
@@ -513,8 +513,8 @@ def _spawn_gap8(spec, loop, label, work, close, source=None, **fields):
 
 
 def _run_onboard(spec: Scenario, graph):
-    gap8, uart = graph.loop("gap8"), graph.links["uart_down"]
-    uart.rx.consume(_sink(graph.trace, graph.loop("stm32")))
+    gap8, uart = graph.loops["gap8"], graph.links["uart_down"]
+    uart.rx.consume(_sink(graph.trace, graph.loops["stm32"]))
     # The result is sent before the buffer is freed. Pipelined, either order
     # gives the same run: the paced camera never waits on the pool (``grab``
     # drops the frame instead) and a release records nothing. Serialized, the
@@ -538,7 +538,7 @@ def _attach_router(spec, graph):
 
 
 def _run_remote(spec: Scenario, graph):
-    gap8, host, stm32 = graph.loop("gap8"), graph.loop("host"), graph.loop("stm32")
+    gap8, host, stm32 = graph.loops["gap8"], graph.loops["host"], graph.loops["stm32"]
     links = graph.links
     router = _attach_router(spec, graph)
 
@@ -550,12 +550,12 @@ def _run_remote(spec: Scenario, graph):
 
     def host_rx(msg):
         # demultiplexes traffic arriving at the host over wifi
-        pkt = msg.payload
+        pkt = msg[0]
         (ping_ch if pkt.function == FUNCTION_PING else job_ch).put((pkt.meta, pkt))
 
     def gap8_relay(msg):
         # result packets continue over uart to the stm32; probe replies stay local
-        pkt = msg.payload
+        pkt = msg[0]
         if pkt.destination == NODE_IDS["stm32"]:
             uart.send(b"", spec.result_bytes, frame=pkt.meta)
         else:
@@ -589,9 +589,9 @@ def _run_remote(spec: Scenario, graph):
 
 
 def _run_stream(spec: Scenario, graph):
-    gap8, links = graph.loop("gap8"), graph.links
+    gap8, links = graph.loops["gap8"], graph.links
     router = _attach_router(spec, graph)
-    links["wifi_up"].rx.consume(_sink(graph.trace, graph.loop("host")))
+    links["wifi_up"].rx.consume(_sink(graph.trace, graph.loops["host"]))
     # free-running frame source: fill each buffer for the capture time
     _spawn_gap8(spec, gap8, "image-tx", [reserve, _send_image], (),
                 [acquire, *stage(graph.trace, gap8, "capture", spec.capture_us)],

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappush
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .coro import EventLoop, VirtualClock, call_at
 from .errors import ConfigError, UsageError
@@ -31,8 +31,6 @@ from .trace import Kind, TraceLog
 
 TRIGGER = "trigger"
 STREAMING = "streaming"
-
-_new_tuple = tuple.__new__      # builds a NamedTuple without its own __new__
 
 STREAMING_MIN_PERIOD_US = 6667          # 150 frame/s sensor ceiling
 
@@ -62,13 +60,6 @@ class LinkConfig:
         return -(-nbytes * 8 * 1_000_000 // self.bandwidth_bps)
 
 
-class Received(NamedTuple):
-    """A message as it arrives on ``Link.rx``; ``frame`` is what its records name."""
-    payload: object
-    nbytes: int
-    frame: Optional[int]
-
-
 class Link:
     """Directed point-to-point link between two node loops.
 
@@ -96,7 +87,7 @@ class Link:
 
     def send(self, payload, nbytes: int, frame: Optional[int] = None) -> int:
         """Queue ``payload`` as a message of ``nbytes`` bytes whose link records
-        name ``frame``; it arrives as a ``Received`` on ``rx``.
+        name ``frame``; it arrives on ``rx`` as the tuple ``(payload, nbytes, frame)``.
 
         Returns the sender-local time at which its last byte leaves the
         sender. A message that would arrive before the one sent ahead of it,
@@ -125,7 +116,7 @@ class Link:
             self.trace.record(src, self._tx, frame)
         else:
             call_at(src, start + src.offset_us, partial(self.trace.record, src, self._tx, frame))
-        received = _new_tuple(Received, (payload, nbytes, frame))
+        received = (payload, nbytes, frame)
         if arrival <= now:
             # due now: delivered inline, with no timer, so not through in_flight;
             # put queues the handler's drain after the sender's step
@@ -193,6 +184,3 @@ class NodeGraph:
         link = Link(cfg, self.loops[src], self.loops[dst], self.trace, rng=self.rng)
         self.links[key] = link
         return link
-
-    def loop(self, name: str) -> EventLoop:
-        return self.loops[name]

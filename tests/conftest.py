@@ -24,8 +24,9 @@ def csv_text(trace):
 
 
 class Dispatches(Counter):
-    """How many times each loop dispatched a task, by loop; ``log`` holds one
-    ``(clock.now, loop.name, task.label)`` per dispatch, in dispatch order."""
+    """How many times each loop dispatched a task, by the task's own loop;
+    ``log`` holds one ``(clock.now, loop.name, task.label)`` per dispatch, in
+    dispatch order."""
 
     def __init__(self):
         super().__init__()
@@ -39,15 +40,17 @@ class Dispatches(Counter):
 @pytest.fixture
 def dispatches(monkeypatch):
     """Every task dispatch, counted by loop and logged (``Dispatches``).
-    ``run_all`` looks ``_dispatch`` up as a module global on every call, so a
-    wrapper put in its place sees every dispatch."""
+    A task binds ``Task._dispatch`` once, as its ``resume``, when it is built,
+    so the wrapper put in its place sees every dispatch of the tasks built
+    after it, and none of a task built before."""
     counts = Dispatches()
-    dispatch = coro._dispatch
+    dispatch = coro.Task._dispatch
 
-    def counting(loop, task):
+    def counting(task):
+        loop = task.loop
         counts[loop] += 1
         counts.log.append((loop.clock.now, loop.name, task.label))
-        dispatch(loop, task)
+        dispatch(task)
 
-    monkeypatch.setattr(coro, "_dispatch", counting)
+    monkeypatch.setattr(coro.Task, "_dispatch", counting)
     return counts

@@ -205,7 +205,7 @@ def test_criterion_08_zero_copy_and_conservation():
         # UsageError past its capacity, and QueueFull appears only at 0 credits
         assert peak_credits_held(graph) == q.capacity
         assert graph.trace.count(Kind.QUEUE_FULL, "wifi") > 0
-        assert graph.loop("gap8").now >= 10_000_000
+        assert graph.loops["gap8"].now >= 10_000_000
 
 
 def test_criterion_09_determinism(tmp_path):

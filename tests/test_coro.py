@@ -436,6 +436,34 @@ def test_clock_wide_timer_heap_keeps_each_loops_order_at_shared_instants():
     assert ran == sorted(expected)
 
 
+def test_a_task_runs_on_its_own_loop_whichever_loop_wakes_it():
+    # a completion on loop a queues the waiter of loop b on a's ready queue;
+    # the task still runs on b, so its sleep reads b's offset, not a's
+    clock = VirtualClock()
+    a, b = EventLoop(clock, name="a", offset_us=0), EventLoop(clock, name="b", offset_us=300)
+    ev = event_init("e")
+    woke = []
+    spawn_task(b, "t", [lambda t: ev, lambda t: t.loop.now + 100,
+                        lambda t: woke.append(clock.now) or END])
+    call_at(a, 1000, lambda: event_complete(a, ev))
+    loop_run(a)
+    assert woke == [1100]
+
+
+def test_a_timed_completion_completes_when_its_callback_runs():
+    # schedule_completion's callback stands in b's ready queue; a task that a
+    # callback on a, ahead of it at the same instant, starts must wait for it
+    clock = VirtualClock()
+    a, b = EventLoop(clock, name="a"), EventLoop(clock, name="b")
+    ev, log = event_init("e"), []
+    spawn_task(b, "w", [lambda t: ev, lambda t: log.append("w") or END])
+    schedule_completion(b, ev, 100)
+    call_at(a, 100, lambda: spawn_task(a, "late", [lambda t: ev,
+                                                   lambda t: log.append("late") or END]))
+    loop_run(a)
+    assert log == ["w", "late"]
+
+
 def sweep_run_all(clock):
     """``run_all`` as it was before a timer due alone ran in place: every due
     timer joins its loop's ready queue, and every instant ends on a round over
@@ -448,11 +476,7 @@ def sweep_run_all(clock):
             for loop in clock.loops:
                 ready = loop.ready
                 while ready:
-                    item = ready.popleft()
-                    if item.__class__ is Task:
-                        coro._dispatch(loop, item)
-                    else:
-                        item()
+                    ready.popleft()()
                     progressed = True
         if not timers:
             return
@@ -461,10 +485,7 @@ def sweep_run_all(clock):
             now = clock.now = timers[0][0]
         while timers and timers[0][0] <= now:
             _, _, loop, due = heapq.heappop(timers)
-            if due.__class__ is Event:
-                event_complete(loop, due)
-            else:
-                loop.ready.append(due)
+            loop.ready.append(due)
 
 
 def random_program(seed):
@@ -511,7 +532,7 @@ def random_program(seed):
 
     channels = [Channel(loop, f"c{loop.name}") for loop in loops]
     for loop, chan in zip(loops, channels):
-        chan.consume(lambda msg, lp=loop: work(lp, ("chan", msg.payload)))
+        chan.consume(lambda msg, lp=loop: work(lp, ("chan", msg[0])))
     for tag in range(-8, 0):
         post(tag)
     loop_run(loops[0])
@@ -616,7 +637,7 @@ def test_dispatch_of_an_ended_task_rejected():
     task = spawn_task(loop, "once", noop())
     loop_run(loop)
     assert task.state == TaskState.ENDED
-    loop.ready.append(task)
+    loop.ready.append(task.resume)
     with pytest.raises(UsageError):
         loop_run(loop)
 
@@ -711,7 +732,7 @@ def test_packed_task_round_trips_and_resumes_identically():
     assert (clone.steps, clone.resume_point, clone.state) == \
            (task.steps, task.resume_point, task.state)
     ev.waiters.clear()
-    ev.waiters.append(clone)
+    ev.waiters.append(clone.resume)
     event_complete(loop, ev)
     loop_run(loop)
     assert log == ["before", "after"]

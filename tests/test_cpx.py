@@ -173,7 +173,7 @@ def run_stream(mode, t_spi_us, t_wifi_us, nbytes=25600, frames=40, capacity=4,
     graph, router, spi_up = build_router_rig(mode, t_spi_us, t_wifi_us, nbytes,
                                              capacity, copy_ns_per_byte)
     # credit-gated image sender on the gap8 loop, paced when period_us > 0
-    gap8 = graph.loop("gap8")
+    gap8 = graph.loops["gap8"]
     sender = spawn_task(gap8, "image-tx", [next_frame, _make_image, reserve, _send_image, _sent],
                         link=spi_up, queue=router.queues["wifi"], trace=graph.trace,
                         frames=frames, nbytes=nbytes, period=period_us, t0=gap8.now,
@@ -186,9 +186,9 @@ def run_stream(mode, t_spi_us, t_wifi_us, nbytes=25600, frames=40, capacity=4,
         msg = link.rx.try_get()
         if msg is None:
             return link.rx.ready_event
-        arrivals.append((msg.payload.meta, graph.loop("host").now, msg.payload))
+        arrivals.append((msg[0].meta, graph.loops["host"].now, msg[0]))
 
-    spawn_task(graph.loop("host"), "host-sink", [host_sink])
+    spawn_task(graph.loops["host"], "host-sink", [host_sink])
     loop_run(gap8)
     return graph, router, sender, arrivals
 
@@ -255,7 +255,7 @@ def test_backpressure_no_loss_under_2x_overload_for_10s():
     # it from going further
     assert peak_credits_held(graph) == q.capacity
     assert graph.trace.count(Kind.QUEUE_FULL, "wifi") > 0    # it really blocked
-    assert graph.loop("gap8").now >= 10_000_000
+    assert graph.loops["gap8"].now >= 10_000_000
 
 
 def test_conservation_enqueued_equals_delivered_plus_in_flight():
@@ -319,7 +319,7 @@ def test_credit_events_are_reused_and_wake_the_oldest_sender():
 
     def free(t):
         queue.release_slot()
-        woken = [s for s in stalled if s in s.loop.ready]
+        woken = [s for s in stalled if s.resume in s.loop.ready]
         if stalled:
             # one wake per freed slot: the oldest waiter, on its own loop
             assert [s.label for s in woken] == [stalled.pop(0).label]

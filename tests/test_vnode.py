@@ -166,7 +166,7 @@ def test_delivery_time_matches_formula():
     assert times_of(link.trace, Kind.LINK_RX_END, "l") == [11240]
     assert dst.now == 11240
     msg = link.rx.try_get()
-    assert msg is not None and msg.nbytes == 25600
+    assert msg is not None and msg[1] == 25600
 
 
 def test_sender_done_at_last_byte_out():
@@ -225,10 +225,10 @@ def test_arrival_handled_where_a_reader_task_would(reader, timer_first):
             msg = link.rx.try_get()
             if msg is None:
                 return link.rx.ready_event
-            log.append(msg.payload)
+            log.append(msg[0])
         spawn_task(dst, "reader", [read])
     else:
-        link.rx.consume(lambda msg: log.append(msg.payload))
+        link.rx.consume(lambda msg: log.append(msg[0]))
     if timer_first:
         tick = timer_event(dst, 100)
     link.send("a", 0)
@@ -244,7 +244,7 @@ def test_same_instant_arrivals_handled_in_send_order():
     # zero-byte messages take no time on the wire, so both arrive at 100 us
     link, src, dst = two_node_link(LinkConfig("l", bandwidth_bps=1_000_000, base_latency_us=100))
     log = []
-    link.rx.consume(lambda msg: log.append((msg.payload, dst.now)))
+    link.rx.consume(lambda msg: log.append((msg[0], dst.now)))
     link.send(0, 0)
     link.send(1, 0)
     loop_run(src)
@@ -257,7 +257,7 @@ def test_inline_arrival_is_handled_after_the_sending_step():
     loop = fresh_loop()
     link = Link(LinkConfig("l", bandwidth_bps=1_000_000), loop, loop, TraceLog())
     log = []
-    link.rx.consume(lambda msg: log.append(("handled", msg.payload)))
+    link.rx.consume(lambda msg: log.append(("handled", msg[0])))
 
     def send(t):
         link.send("m", 0)
@@ -275,7 +275,7 @@ def test_zero_byte_send_delivers_at_base_latency():
     link.send(b"", 0)
     loop_run(src)
     assert times_of(link.trace, Kind.LINK_RX_END, "l") == [700] and dst.now == 700
-    assert [msg.nbytes for msg in link.rx.items] == [0]
+    assert [msg[1] for msg in link.rx.items] == [0]
 
 
 def test_in_order_delivery_and_byte_conservation():
@@ -290,7 +290,7 @@ def test_in_order_delivery_and_byte_conservation():
         msg = link.rx.try_get()
         if msg is None:
             break
-        got.append((msg.payload, msg.nbytes))
+        got.append((msg[0], msg[1]))
     assert got == list(enumerate(sizes))        # every byte delivered, in order
     assert link.trace.count(Kind.LINK_TX_START, "l") == len(sizes)
     assert link.trace.count(Kind.LINK_RX_END, "l") == len(sizes)
@@ -311,10 +311,10 @@ def test_jittered_mixed_sizes_deliver_in_send_order(reader):
             msg = link.rx.try_get()
             if msg is None:
                 return link.rx.ready_event
-            got.append((msg.payload, msg.nbytes, dst.now))
+            got.append((msg[0], msg[1], dst.now))
         spawn_task(dst, "reader", [read])
     else:
-        link.rx.consume(lambda msg: got.append((msg.payload, msg.nbytes, dst.now)))
+        link.rx.consume(lambda msg: got.append((msg[0], msg[1], dst.now)))
     for i, n in enumerate(sizes):
         link.send(i, n, frame=i)
     loop_run(src)
@@ -338,7 +338,7 @@ def test_lowering_the_delay_mid_flight_raises():
         link.send(1, 1000)
     assert link.trace.count(Kind.LINK_TX_START, "l") == 1 and link.free_at == 1000
     loop_run(src)
-    assert [msg.payload for msg in link.rx.items] == [0]
+    assert [msg[0] for msg in link.rx.items] == [0]
 
 
 def test_clock_offsets_stay_fixed_and_stamp_apart():
@@ -353,8 +353,8 @@ def test_clock_offsets_stay_fixed_and_stamp_apart():
 def test_node_graph_builds_four_offset_loops():
     g = NodeGraph(offsets={"gap8": 1000, "esp32": 2000, "stm32": 5000})
     assert set(g.loops) == {"stm32", "gap8", "esp32", "host"}
-    assert g.loop("gap8").now - g.loop("host").now == 1000
-    assert g.loop("stm32").now == 5000
+    assert g.loops["gap8"].now - g.loops["host"].now == 1000
+    assert g.loops["stm32"].now == 5000
 
 
 def test_node_graph_rejects_edges_outside_topology():
