@@ -2,14 +2,20 @@
 """Record the benchmark of one or more checkouts side by side in one JSON file.
 
     python3 scripts/bench_record.py --out BENCH_N.json [--seed 7] [--seconds 45] \
-        NAME=CHECKOUT [NAME=CHECKOUT ...]
+        [--rounds 1] NAME=CHECKOUT [NAME=CHECKOUT ...]
 
-Each CHECKOUT is the root of a checkout of this repository. For every
-workload that the first checkout's ``BENCHMARK.json`` lists, and both
-``--trace 0`` (end to end) and ``--trace 1`` (per layer), the script runs
-``python3 perfbench/run.py`` in each checkout in turn, so that a slow spell
-on the machine reaches every checkout alike. It writes the parsed result of
-each run, each checkout's git revision (and whether its tree had uncommitted
+Each CHECKOUT is the root of a checkout of this repository. In each of
+``--rounds`` rounds, for every workload that the first checkout's
+``BENCHMARK.json`` lists, and both ``--trace 0`` (end to end) and
+``--trace 1`` (per layer), the script runs ``python3 perfbench/run.py`` in
+each checkout in turn, so that a slow spell on the machine reaches every
+checkout alike; every other round takes the checkouts in reverse order. One
+round, the default, only smoke-tests the script: one run per checkout spreads
+more than a 5 to 8 % change, so a record that is cited takes 3 rounds or more. It
+writes the parsed result of every round's run (``results``: workload, then
+``trace0`` or ``trace1``, then a list in round order) and, for every row of
+those results, the median and the quartiles over the rounds (``summary``),
+each checkout's git revision (and whether its tree had uncommitted
 changes) and ``src_lines``, the line count of its ``src/nanopipe/*.py``, the
 interpreter's ``sys.version`` and ``os.cpu_count()``. For each checkout it
 also records ``calls_per_frame``: what ``scripts/calls_per_frame.py`` (this
@@ -23,6 +29,7 @@ import json
 import os
 import pathlib
 import runpy
+import statistics
 import subprocess
 import sys
 
@@ -63,13 +70,32 @@ def bench(checkout: pathlib.Path, workload: str, trace: int, seed: int, seconds:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def spread(values: list) -> dict:
+    """The median and the quartiles of ``values``, as ``statistics.quantiles``
+    reads them inclusively; one value is its own median and quartiles."""
+    if len(values) == 1:
+        return dict.fromkeys(("q1", "median", "q3"), values[0])
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summary(runs: list) -> dict:
+    """``spread`` of every metric and of the failed operations over ``runs``."""
+    rows = {name: spread([run["metrics"][name]["value"] for run in runs])
+            for name in runs[0]["metrics"]}
+    return {**rows, "failed": spread([run["failed"] for run in runs])}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="+", metavar="NAME=CHECKOUT")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=int, default=45)
+    parser.add_argument("--rounds", type=int, default=1)
     args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
 
     checkouts = {}
     for item in args.checkouts:
@@ -82,16 +108,23 @@ def main() -> int:
     spec = json.loads((next(iter(checkouts.values())) / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     runs = {name: {**revision(root), "calls_per_frame": calls_per_frame(root),
-                   "results": {w: {} for w in workloads}}
+                   "results": {w: {"trace0": [], "trace1": []} for w in workloads}}
             for name, root in checkouts.items()}
-    for workload in workloads:
-        for trace in (0, 1):
-            for name, root in checkouts.items():
-                print(f"{name}: {workload} --trace {trace}", file=sys.stderr, flush=True)
-                runs[name]["results"][workload][f"trace{trace}"] = bench(
-                    root, workload, trace, args.seed, args.seconds)
+    order = list(checkouts.items())
+    for r in range(args.rounds):
+        for workload in workloads:
+            for trace in (0, 1):
+                for name, root in order if r % 2 == 0 else order[::-1]:
+                    print(f"round {r + 1}: {name}: {workload} --trace {trace}",
+                          file=sys.stderr, flush=True)
+                    runs[name]["results"][workload][f"trace{trace}"].append(
+                        bench(root, workload, trace, args.seed, args.seconds))
+    for run in runs.values():
+        run["summary"] = {w: {mode: summary(rounds) for mode, rounds in modes.items()}
+                          for w, modes in run["results"].items()}
 
-    record = {"seed": args.seed, "seconds": args.seconds, "python": sys.version,
+    record = {"seed": args.seed, "seconds": args.seconds, "rounds": args.rounds,
+              "python": sys.version,
               "cpu_count": os.cpu_count(), "checkouts": runs}
     pathlib.Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0

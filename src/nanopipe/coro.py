@@ -113,7 +113,7 @@ class Task:
 
     def _dispatch(self) -> None:
         """Run the steps from the resume point until the task waits or ends."""
-        if self.state is not _START and self.state is not _SUSPENDED:
+        if self.state is not _SUSPENDED and self.state is not _START:
             self._transition(_RUNNING)           # unreachable legally: reject loudly
         self.state = _RUNNING
         steps, nxt = self.steps, self.next

@@ -3,13 +3,12 @@
 Every record carries the local clock of the node that recorded it, so traces
 from different nodes can only be compared after offset correction. A `TraceLog`
 holds them by column: a time, a frame and a shared (node, kind, subject) key.
-Its CSV export formats 4,096 records per chunk in one ``%`` call, from a
-format string per key code, so no Python code runs per record.
-
-The frame column is an ``array('Q')`` of frames in two's complement, with
-``1 << 63`` for no frame: an ``array('q')`` append parses its argument through
-``PyArg_Parse``, which a ``'Q'`` one skips. A recorded frame is at least 0,
-and ``columns``, ``events`` and ``write_csv`` read the column as signed.
+Times and frames are ``array('Q')``s in two's complement, ``1 << 63`` for no
+frame, as an ``array('q')`` append parses its argument through ``PyArg_Parse``.
+A time is negative only before a node with a negative offset reads 0; only then
+does its append raise ``OverflowError``, and ``record`` adds ``1 << 64``. Both
+columns are read as signed. The CSV export is UTF-8 bytes, 1,024 records per
+chunk formatted by one bytes ``%`` call, so no Python code runs per record.
 """
 from __future__ import annotations
 
@@ -60,10 +59,9 @@ class _Events:
 
     def __iter__(self):
         # one key table for the whole pass; tuple.__new__ skips the NamedTuple's own __new__
-        log, new = self._log, tuple.__new__
-        keys = list(log._codes)
-        frames = array("q", bytes(log._frame))      # signed; a copy, so appends go on
-        for code, t_us, frame in zip(log._code, log._t, frames):
+        log, new, keys = self._log, tuple.__new__, list(self._log._codes)
+        times, frames = array("q", bytes(log._t)), array("q", bytes(log._frame))  # signed copies
+        for code, t_us, frame in zip(log._code, times, frames):
             yield new(TraceEvent, (t_us, *keys[code], None if frame == _SIGNED_NO_FRAME else frame))
 
     def clear(self) -> None:
@@ -82,7 +80,7 @@ class TraceLog:
     @property
     def events(self) -> _Events:
         """Every record as a `TraceEvent`, built on access; assigning `TraceEvent`s
-        refills. A frame in the signed 64-bit range reads back as given."""
+        refills. A time or frame in the signed 64-bit range reads back as given."""
         return _Events(self)
 
     @events.setter
@@ -93,7 +91,7 @@ class TraceLog:
             times.append(t_us)
             frames.append(_SIGNED_NO_FRAME if frame is None else frame)
         # a 'q' append raises OverflowError outside the signed range; bytes reinterpret
-        self._code, self._t, self._frame = code, times, array("Q", bytes(frames))
+        self._code, self._t, self._frame = code, array("Q", bytes(times)), array("Q", bytes(frames))
 
     def key(self, node: str, kind: str, subject: str) -> int:
         """The code of a (node, kind, subject) key, for ``record``."""
@@ -104,7 +102,10 @@ class TraceLog:
         ``frame``, which is at least 0, or None (a negative one raises OverflowError)."""
         self._frame.append(_NO_FRAME if frame is None else frame)   # first: it can raise
         self._code.append(code)
-        self._t.append(loop.clock.now + loop.offset_us)
+        try:
+            self._t.append(loop.clock.now + loop.offset_us)
+        except OverflowError:       # a negative local time: store its two's complement
+            self._t.append(loop.clock.now + loop.offset_us + (1 << 64))
 
     def emit(self, loop, kind: str, subject: str, frame: Optional[int] = None) -> None:
         """``record`` under the key (loop's node, ``kind``, ``subject``); ``frame``
@@ -124,16 +125,15 @@ class TraceLog:
         return sorted(found)    # the codes of several nodes interleave
 
     def columns(self, kind: str, subject: str) -> tuple[array, array]:
-        """The frames and the times of the matching records that name a frame,
-        as two ``array('q')``s in emission order. One ``itemgetter`` gathers
-        each column at C level, so no per-record object outlives the call; the
-        gathered frames are read back as signed through ``bytes``."""
+        """The frames and the times of the matching records that name a frame, as
+        two signed ``array('q')``s in emission order. One ``itemgetter`` gathers
+        each column at C level, so no per-record object outlives the call."""
         positions = self._indices(kind, subject)
         if not positions:
             return array("q"), array("q")
         get = itemgetter(positions[0], *positions)   # two or more items: it returns a tuple
         frames = array("q", bytes(array("Q", get(self._frame))))
-        times = array("q", get(self._t))
+        times = array("q", bytes(array("Q", get(self._t))))
         del frames[0], times[0]
         if _SIGNED_NO_FRAME in frames:
             named = [f != _SIGNED_NO_FRAME for f in frames]
@@ -144,17 +144,17 @@ class TraceLog:
         return len(self._indices(kind, subject))
 
     def write_csv(self, path) -> None:
-        """Write the CSV: the header, then 4,096 records per chunk, each chunk
-        formatted by one ``%`` call, so the whole text is never held."""
-        formats = ["%d," + ",".join(key).replace("%", "%%") + ",%d\n" for key in self._codes]
-        code, times = self._code, self._t
-        frames = memoryview(self._frame).cast("B").cast("q")    # signed, not a copy
-        with open(path, "w", newline="") as fp:
-            fp.write(CSV_HEADER + "\n")
-            for i in range(0, len(code), 4096):
-                j = min(i + 4096, len(code))
+        """Write the CSV as UTF-8 in 1,024-record chunks, so the whole text is never held."""
+        formats = [b"%d," + ",".join(key).replace("%", "%%").encode() + b",%d\n"
+                   for key in self._codes]
+        code, no_frame = self._code, b",%d\n" % _SIGNED_NO_FRAME
+        times, frames = (memoryview(c).cast("B").cast("q") for c in (self._t, self._frame))
+        with open(path, "wb") as fp:
+            fp.write(CSV_HEADER.encode() + b"\n")
+            for i in range(0, len(code), 1024):
+                j = min(i + 1024, len(code))
                 args = [0] * (2 * (j - i))
                 args[::2], args[1::2] = times[i:j], frames[i:j]
-                text = "".join(map(formats.__getitem__, code[i:j])) % tuple(args)
+                text = b"".join(map(formats.__getitem__, code[i:j])) % tuple(args)
                 # the frame is a line's last field: only a frame can put this before a newline
-                fp.write(text.replace(f",{_SIGNED_NO_FRAME}\n", ",\n"))
+                fp.write(text.replace(no_frame, b",\n"))

@@ -66,7 +66,7 @@ class Link:
     A FIFO server: messages serialize one at a time in send order, so each
     one's timing follows from the sender's ``free_at`` when it is sent, and no
     message arrives before the one sent ahead of it. Nothing changes a built
-    link's bandwidth, so it memoizes ``cfg.serialization_us`` per size.
+    link's bandwidth or jitter, so it memoizes serialization and sizes its draws once.
     """
 
     def __init__(self, cfg: LinkConfig, src: EventLoop, dst: EventLoop,
@@ -79,6 +79,10 @@ class Link:
         self.rx = Channel(dst, f"{cfg.name}-rx")
         self.in_flight: deque = deque()
         self._serialization_us: dict = {}     # message size -> cfg.serialization_us
+        if cfg.jitter_us < 0:
+            raise ConfigError(f"link {cfg.name!r}: negative jitter")
+        self._jitter_width = 2 * cfg.jitter_us + 1      # randrange(-j, j + 1)'s draws
+        self._jitter_bits = self._jitter_width.bit_length() if cfg.jitter_us else 0
         self.free_at = src.clock.now    # global time the last queued byte leaves
         self.last_arrival = src.clock.now   # global time the last message arrives
         self._tx = trace.key(src.name, Kind.LINK_TX_START, cfg.name)
@@ -103,7 +107,13 @@ class Link:
         except KeyError:
             ser = self._serialization_us[nbytes] = cfg.serialization_us(nbytes)
         if cfg.jitter_us and self.rng is not None:
-            ser = max(1, ser + self.rng.randrange(-cfg.jitter_us, cfg.jitter_us + 1))
+            # max(1, ser + rng.randrange(-j, j + 1)), drawn as 3.11's randrange draws it
+            r = self.rng.getrandbits(self._jitter_bits)
+            while r >= self._jitter_width:
+                r = self.rng.getrandbits(self._jitter_bits)
+            ser += r - cfg.jitter_us
+            if ser < 1:
+                ser = 1
         now = src.clock.now
         start = self.free_at if self.free_at > now else now
         arrival = start + cfg.base_latency_us + cfg.injected_delay_us + ser

@@ -205,6 +205,36 @@ def test_edge_frames_read_back_as_given():
             f"{e.t_us},gap8,StageEnd,sink,{'' if e.frame is None else e.frame}\n" for e in records)
 
 
+def test_negative_local_times_recorded_through_record_read_back_signed(tmp_path):
+    # host runs 5,000 us behind the global clock, so its local times are negative
+    # until the clock reaches 5,000 us: record stores them in two's complement, and
+    # every reader must read them back signed. The clock reaches 5,000 us at the
+    # 1,025th record, the first of the export's second chunk.
+    clock = VirtualClock()
+    host = EventLoop(clock, name="host", offset_us=-5000)
+    gap8 = EventLoop(clock, name="gap8")
+    trace = TraceLog()
+    keys = {loop: trace.key(loop.name, Kind.LINK_RX_END, "wifi") for loop in (host, gap8)}
+    given = []
+    for i, now in enumerate(range(5000 - 1024, 5000 + 1200)):
+        clock.now = now
+        loop = gap8 if i % 5 == 2 else host
+        frame = None if i % 7 == 3 else i
+        trace.record(loop, keys[loop], frame)
+        given.append(TraceEvent(now + loop.offset_us, loop.name, Kind.LINK_RX_END, "wifi", frame))
+    assert (given[0].t_us, given[1023].t_us, given[1024].t_us) == (-1024, -1, 0)
+    assert list(trace.events) == given
+    frames, times = trace.columns(Kind.LINK_RX_END, "wifi")
+    named = [e for e in given if e.frame is not None]
+    assert (list(frames), list(times)) == ([e.frame for e in named], [e.t_us for e in named])
+    assert trace.count(Kind.LINK_RX_END, "wifi") == len(given)
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    assert path.read_bytes() == (CSV_HEADER + "\n" + "".join(
+        f"{e.t_us},{e.node},{e.kind},{e.subject},{'' if e.frame is None else e.frame}\n"
+        for e in given)).encode()
+
+
 @pytest.mark.parametrize("frame", [2**63, -2**63 - 1, 2**64 - 1])
 def test_assigning_a_frame_outside_the_signed_range_raises(frame):
     # it must not wrap round, least of all to 1 << 63, the column's "no frame"

@@ -329,6 +329,29 @@ def test_jittered_mixed_sizes_deliver_in_send_order(reader):
     assert not link.in_flight
 
 
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+@pytest.mark.parametrize("jitter", [1, 2, 3, 7, 8, 3000, 2**20])
+def test_jitter_draws_match_the_stdlib_randrange(jitter, seed):
+    # send draws jitter without randrange, yet must draw what it drew, draw
+    # for draw, and leave the generator in the same state
+    cfg = LinkConfig("l", bandwidth_bps=8_000_000, jitter_us=jitter)    # 1 us a byte
+    link, src, _ = two_node_link(cfg)
+    link.rng = random.Random(seed)
+    reference = random.Random(seed)
+    sizes = [(0, 1, 5, 2000)[i % 4] for i in range(1000)]
+    done = [0]
+    for n in sizes:     # the clock stands still, so each message queues behind the last
+        done.append(link.send(None, n))
+    expected = [max(1, n + reference.randrange(-jitter, jitter + 1)) for n in sizes]
+    assert [b - a for a, b in zip(done, done[1:])] == expected
+    assert link.rng.getstate() == reference.getstate()
+
+
+def test_negative_jitter_rejected_when_the_link_is_built():
+    with pytest.raises(ConfigError):
+        two_node_link(LinkConfig("l", bandwidth_bps=8_000_000, jitter_us=-1))
+
+
 def test_lowering_the_delay_mid_flight_raises():
     link, src, dst = two_node_link(
         LinkConfig("l", bandwidth_bps=8_000_000, base_latency_us=100, injected_delay_us=5000))
