@@ -2,7 +2,7 @@
 """Record the benchmark of one or more checkouts side by side in one JSON file.
 
     python3 scripts/bench_record.py --out BENCH_N.json [--seed 7] [--seconds 45] \
-        [--rounds 1] NAME=CHECKOUT [NAME=CHECKOUT ...]
+        [--rounds 3] NAME=CHECKOUT [NAME=CHECKOUT ...]
 
 Each CHECKOUT is the root of a checkout of this repository. In each of
 ``--rounds`` rounds, for every workload that the first checkout's
@@ -10,9 +10,9 @@ Each CHECKOUT is the root of a checkout of this repository. In each of
 ``--trace 1`` (per layer), the script runs ``python3 perfbench/run.py`` in
 each checkout in turn, so that a slow spell on the machine reaches every
 checkout alike; every other round takes the checkouts in reverse order. One
-round, the default, only smoke-tests the script: one run per checkout spreads
-more than a 5 to 8 % change, so a record that is cited takes 3 rounds or more. It
-writes the parsed result of every round's run (``results``: workload, then
+run per checkout spreads more than a 5 to 8 % change, so a record that is
+cited takes 3 rounds or more, the default; one round only smoke-tests the
+script. It writes the parsed result of every round's run (``results``: workload, then
 ``trace0`` or ``trace1``, then a list in round order) and, for every row of
 those results, the median and the quartiles over the rounds (``summary``),
 each checkout's git revision (and whether its tree had uncommitted
@@ -41,10 +41,14 @@ def revision(checkout: pathlib.Path) -> dict:
         proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
         return proc.stdout.strip() if proc.returncode == 0 else None
     rev = git("rev-parse", "HEAD")
-    src_lines = sum(path.read_bytes().count(b"\n")
-                    for path in (checkout / "src" / "nanopipe").glob("*.py"))
     return {"revision": rev, "dirty": None if rev is None else bool(git("status", "--porcelain")),
-            "src_lines": src_lines}
+            "src_lines": src_lines(checkout)}
+
+
+def src_lines(checkout: pathlib.Path) -> int:
+    """The line count of the checkout's ``src/nanopipe/*.py``: its newlines."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "nanopipe").glob("*.py"))
 
 
 def calls_per_frame(checkout: pathlib.Path) -> dict:
@@ -92,7 +96,7 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=int, default=45)
-    parser.add_argument("--rounds", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args()
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")

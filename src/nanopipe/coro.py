@@ -72,9 +72,10 @@ class Task:
     run next), its steps and loop, and the fields its steps keep across waits.
     Shared steps read frame, frames and count (the frame or round at hand, how
     many, how many done), buf and pool, inbox and outs (channels in and out),
-    period and t0 (frame n starts at t0 + n * period), and link, queue and
-    nbytes (where and what a task sends); the rest serve one kind of task. With
-    slots, not a dict per task, a shared step reads every task's fields alike.
+    period and t0 (frame n starts at t0 + n * period), link, queue and nbytes
+    (where and what a task sends), and trace; reply and receipts serve one kind
+    of task; a handler, which blocks on nothing, keeps its own in a closure.
+    With slots, not a dict per task, a shared step reads every task's fields alike.
 
     The runtime state is exactly what ``pack()`` serializes: the resume point,
     the state, and the step table's address; ``next``, ``after_wait`` and
@@ -85,8 +86,7 @@ class Task:
 
     __slots__ = ("state", "resume_point", "label", "loop", "resume", "steps", "next", "after_wait",
                  "frame", "frames", "count", "buf", "pool", "inbox", "outs", "period", "t0",
-                 "link", "queue", "nbytes", "reply", "trace", "receipts",
-                 "up", "down", "samples", "t1")
+                 "link", "queue", "nbytes", "reply", "trace", "receipts")
 
     def __init__(self, loop: "EventLoop", label: str, steps, **fields):
         self.state = TaskState.START

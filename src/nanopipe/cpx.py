@@ -27,8 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .coro import (END, EventLoop, call_at, event_complete, event_init, guard,
-                   loop_run, spawn_task)
+from .coro import EventLoop, call_at, event_complete, event_init, guard, loop_run
 from .errors import ConfigError, ProtocolError, UsageError
 from .trace import Kind
 from .vnode import Link, NodeGraph
@@ -259,35 +258,11 @@ def reserve(t):
 _PROBE_BYTES = 8
 
 
-def _send_probe(t):
-    if len(t.samples) == t.frames:
-        return END
-    t.t1 = t.loop.now
-    t.up.send(b"probe", _PROBE_BYTES)
-
-
-@guard
-def _read_reply(t):
-    msg = t.down.rx.try_get()
-    if msg is None:
-        return t.down.rx.ready_event
-    t2 = t3 = msg[0]
-    t.samples.append(((t2 - t.t1) + (t3 - t.loop.now)) / 2)
-
-
-@guard
-def _echo(t):
-    # the reply carries the instant the probe came in, t2; sent at once, t3 is the same
-    msg = t.up.rx.try_get()
-    if msg is None:
-        return END if t.count == t.frames else t.up.rx.ready_event
-    t.down.send(t.loop.now, _PROBE_BYTES)
-    t.count += 1
-
-
 def estimate_clock_offset(up: Link, down: Link, rounds: int = 1) -> float:
     """Two-way timestamp exchange between adjacent nodes, out over ``up`` and
-    back over ``down``, the link the other way.
+    back over ``down``, the link the other way. It blocks on nothing, so it is
+    two handlers, not tasks: one on ``up.rx`` echoes each probe, and one on
+    ``down.rx`` takes a sample and sends the next probe. Both come off after.
 
     Returns the estimated clock offset of ``up``'s receiving node relative
     to its sending node in microseconds. With symmetric link latency the
@@ -295,9 +270,23 @@ def estimate_clock_offset(up: Link, down: Link, rounds: int = 1) -> float:
     """
     if rounds < 1:
         raise ConfigError("offset estimation needs at least one round")
-    probe = spawn_task(up.src, f"offset-probe-{up.src.name}", [_send_probe, _read_reply],
-                       up=up, down=down, frames=rounds, samples=[], t1=0)
-    spawn_task(up.dst, f"offset-echo-{up.dst.name}", [_echo], up=up, down=down, frames=rounds,
-               count=0)
-    loop_run(up.src)
-    return sum(probe.samples) / len(probe.samples)
+    src, samples, t1 = up.src, [], 0
+
+    def probe() -> None:
+        nonlocal t1
+        t1 = src.now
+        up.send(b"probe", _PROBE_BYTES)
+
+    def reply(msg) -> None:
+        t2 = t3 = msg[0]
+        samples.append(((t2 - t1) + (t3 - src.now)) / 2)
+        if len(samples) < rounds:
+            probe()
+
+    # the echo carries the instant the probe came in, t2; sent at once, t3 is the same
+    up.rx.consume(lambda msg: down.send(up.dst.now, _PROBE_BYTES))
+    down.rx.consume(reply)
+    probe()
+    loop_run(src)
+    up.rx.handler = down.rx.handler = None      # free for the data path's consume
+    return sum(samples) / len(samples)

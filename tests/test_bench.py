@@ -20,17 +20,26 @@ from nanopipe.bench import (BENCH_KINDS, bench_event_complete, bench_packet_enco
 from nanopipe.errors import ConfigError
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+from bench_record import src_lines  # noqa: E402
 from calls_per_frame import calls_per_frame  # noqa: E402
 from ops_per_frame import ops_per_frame  # noqa: E402
 from unspecialised import FAMILIES, unspecialised  # noqa: E402
 
 # Python calls per frame at 1,000 frames (scripts/calls_per_frame.py), at most;
 # the exact counts of CPython 3.11.7 at the commit that set them
-CALLS_PER_FRAME = {"streaming-72hz": 126.451, "remote-sweep": 211.306}
+CALLS_PER_FRAME = {"streaming-72hz": 126.225, "remote-sweep": 211.193}
 
 # bytecodes per frame at 1,000 frames (scripts/ops_per_frame.py), at most;
 # the exact counts of CPython 3.11.7 at the commit that set them
-OPS_PER_FRAME = {"streaming-72hz": 2077.158, "remote-sweep": 3612.831}
+OPS_PER_FRAME = {"streaming-72hz": 2073.774, "remote-sweep": 3611.094}
+
+# the line ceiling of src/nanopipe/*.py, the ROADMAP's target
+SRC_LINES = 2300
+
+
+def test_src_stays_within_its_line_ceiling():
+    # counted as a benchmark record counts its checkout's src_lines
+    assert src_lines(pathlib.Path(__file__).resolve().parents[1]) <= SRC_LINES
 
 
 def test_unknown_kind_rejected():

@@ -387,3 +387,44 @@ def test_offset_bias_is_half_the_asymmetry():
 def test_offset_requires_rounds():
     with pytest.raises(ConfigError):
         estimate_clock_offset(*offset_rig(0, 1, 1), rounds=0)
+
+
+def test_offset_exchange_dispatches_no_task(dispatches):
+    # both sides only react to arriving messages: link handlers, not tasks
+    assert estimate_clock_offset(*offset_rig(1000, 2000, 2000), rounds=3) == 1000.0
+    assert not dispatches
+
+
+def test_offset_exchange_leaves_both_links_to_the_data_path():
+    up, down = offset_rig(1000, 2000, 2000)
+    estimate_clock_offset(up, down, rounds=2)
+    got = []
+    up.rx.consume(got.append)
+    down.rx.consume(got.append)
+    up.send(b"data", 8, frame=0)
+    down.send(b"ack", 8, frame=0)
+    loop_run(up.src)
+    assert sorted(got) == [(b"ack", 8, 0), (b"data", 8, 0)]
+
+
+@pytest.mark.parametrize("taken", ["up", "down"])
+def test_offset_exchange_over_a_link_that_has_a_reader_raises(taken):
+    links = dict(zip(("up", "down"), offset_rig(1000, 2000, 2000)))
+    links[taken].rx.consume(lambda msg: None)
+    with pytest.raises(UsageError, match="already has a reader"):
+        estimate_clock_offset(links["up"], links["down"], rounds=1)
+
+
+def test_offset_exchange_with_jitter_is_pinned():
+    # seeded jitter on the way out only, 500..1100 us of serialization a probe:
+    # the estimate reads the offset plus half the asymmetry of its three samples
+    graph = NodeGraph(offsets={"esp32": 700}, rng=random.Random(5))
+    up = graph.add_link("up", "gap8", "esp32", "spi",
+                        LinkConfig("spi", 80_000, 2000, jitter_us=300))
+    down = graph.add_link("down", "esp32", "gap8", "spi", LinkConfig("spi", 80_000, 2000))
+    assert estimate_clock_offset(up, down, rounds=3) == 745.0
+    # local times: each probe is echoed the instant it lands, the next sent as the echo lands
+    assert times_of(graph.trace, Kind.LINK_TX_START, "spi") == [
+        0, 3461, 5561, 9128, 11228, 14970]
+    assert times_of(graph.trace, Kind.LINK_RX_END, "spi") == [
+        3461, 5561, 9128, 11228, 14970, 17070]
